@@ -74,9 +74,8 @@ class PartialFractionRational:
     """r(lam) = r0 + sum_i res_i / (lam - pole_i)."""
 
     r0: float
-    poles: tuple          # complex, conjugation-closed when flag set
+    poles: tuple          # complex, conjugation-closed
     residues: tuple
-    conj_closed: bool = True
 
     def __post_init__(self):
         for p in self.poles:
@@ -91,18 +90,13 @@ class PartialFractionRational:
         lam = np.asarray(lam, dtype=float)
         scalar = lam.ndim == 0
         lam = np.atleast_1d(lam)
-        if self.conj_closed:
-            out = np.full(lam.shape, self.r0)
-            for p, r in _paired(self.poles, self.residues):
-                if p.imag == 0.0:
-                    out = out + r.real / (lam - p.real)
-                else:
-                    q = 1.0 / (lam - p)
-                    out = out + 2.0 * (r.real * q.real - r.imag * q.imag)
-        else:
-            out = np.full(lam.shape, self.r0, dtype=complex)
-            for p, r in zip(self.poles, self.residues):
-                out = out + r / (lam - p)
+        out = np.full(lam.shape, self.r0)
+        for p, r in _paired(self.poles, self.residues):
+            if p.imag == 0.0:
+                out = out + r.real / (lam - p.real)
+            else:
+                q = 1.0 / (lam - p)
+                out = out + 2.0 * (r.real * q.real - r.imag * q.imag)
         return out[0] if scalar else out
 
 
@@ -159,6 +153,7 @@ def _build_grid(n_cheb, n_log):
 
 _TRAIN, _TRAIN_CAND = _build_grid(2000, 200)
 _VALID, _ = _build_grid(2501, 217)
+_Z = moebius_inv(_TRAIN)   # training grid in the barycentric variable
 
 
 def _norm_estimate(values):
@@ -171,60 +166,84 @@ def _norm_estimate(values):
 # adaptive barycentric fit
 # ---------------------------------------------------------------------------
 
-def _bary_weights(Z, Ft, Fn, support, banned):
-    msk = np.ones(len(Z), bool)
-    msk[support] = False
-    if banned:
-        msk[list(banned)] = False
-    zs = Z[support]
-    C = 1.0 / (Z[msk, None] - zs[None, :])
-    rows = [Fn[msk, c:c + 1] * C - C * Fn[support, c][None, :]
-            for c in range(Fn.shape[1])]
-    A = np.vstack(rows)
-    _, _, Vh = np.linalg.svd(A, full_matrices=False)
-    w = Vh[-1, :].conj()
-    R = Ft.copy()
-    den = C @ w
-    R[msk, :] = (C @ (w[:, None] * Ft[support, :])) / den[:, None]
-    return w, R
+class _Loewner:
+    """Stacked Loewner matrix of the normalized samples, one column per
+    support point, kept across the greedy steps.
+
+    Rows of support points and banned points are zeroed rather than deleted:
+    zero rows change neither the singular values nor the right singular
+    vectors, so each new support point costs one O(m) column plus the
+    zeroing of its own rows.  The weights still factor the whole matrix
+    (O(m k^2)), but only its k x k triangular factor goes into the SVD.
+    Rows are ordered point-major (point i, component c at row i * nc + c).
+    """
+
+    def __init__(self, Fn, banned, kmax):
+        npts, nc = Fn.shape
+        self.Fn = Fn
+        self.zero = np.zeros(npts, bool)
+        self.zero[list(banned)] = True
+        self.support = []
+        self.C = np.zeros((npts, kmax), order="F")        # 1 / (z_i - z_k)
+        self.A = np.zeros((npts * nc, kmax), order="F")
+
+    def add(self, j):
+        k = len(self.support)
+        nc = self.Fn.shape[1]
+        self.support.append(j)
+        self.zero[j] = True
+        self.C[j, :k] = 0.0
+        self.A[j * nc:(j + 1) * nc, :k] = 0.0
+        live = ~self.zero
+        self.C[live, k] = 1.0 / (_Z[live] - _Z[j])
+        self.A[:, k] = ((self.Fn - self.Fn[j]) * self.C[:, k, None]).ravel()
+
+    def weights(self):
+        """Right singular vector of the smallest singular value, taken from
+        the SVD of the small triangular factor R of A = QR."""
+        R = np.linalg.qr(self.A[:, :len(self.support)], mode="r")
+        _, _, Vh = np.linalg.svd(R)
+        return Vh[-1, :].conj()
+
+    def values(self, Ft, w):
+        """Barycentric approximant on the training grid; support and banned
+        points keep their sample values."""
+        C = self.C[:, :len(self.support)]
+        den = C @ w
+        den[self.zero] = 1.0
+        R = (C @ (w[:, None] * Ft[self.support, :])) / den[:, None]
+        R[self.zero] = Ft[self.zero]
+        return R
 
 
-def _greedy_barycentric(Ft, targets, d_max, banned):
+def _greedy_barycentric(Ft, Fn, targets, d_max, banned):
     """Greedy support selection until the target or the degree budget is hit;
     returns the best state seen (late iterations can degrade on noise)."""
-    Z = moebius_inv(_TRAIN)
-    npts = len(Z)
-    comp_scale = np.max(np.abs(Ft), axis=0)
-    active = np.flatnonzero(comp_scale > 0)
-    Fn = Ft[:, active] / comp_scale[active][None, :]
-
-    mask = _TRAIN_CAND.copy()
-    if banned:
-        mask[list(banned)] = False
-    support = []
-    R = np.tile(Ft.mean(axis=0), (npts, 1))
+    kmax = min(d_max + 1, int(np.count_nonzero(_TRAIN_CAND)))
+    L = _Loewner(Fn, banned, kmax)
+    R = np.tile(Ft.mean(axis=0), (len(_Z), 1))
     w = None
     best = (np.inf, [], None)
-    while len(support) <= d_max:
-        relerr = float(np.max(np.abs(Ft - R) / targets[None, :]))
-        if relerr < best[0] and support:
-            best = (relerr, list(support), w.copy())
-        if relerr <= 0.5 and support:
-            break
+    while len(L.support) <= d_max:
         sel = np.max(np.abs(Ft - R) / targets[None, :], axis=1)
-        sel[~mask] = 0.0
+        relerr = float(np.max(sel))
+        if relerr < best[0] and L.support:
+            best = (relerr, list(L.support), w.copy())
+        if relerr <= 0.5 and L.support:
+            break
+        sel[~_TRAIN_CAND | L.zero] = 0.0
         j = int(np.argmax(sel))
         if sel[j] == 0.0:
             break
-        support.append(j)
-        mask[j] = False
-        w, R = _bary_weights(Z, Ft, Fn, support, banned)
+        L.add(j)
+        w = L.weights()
+        R = L.values(Ft, w)
     _, support, w = best
     return support, w
 
 
 def _poles_of(support, w):
-    zs = moebius_inv(_TRAIN)[support]
+    zs = _Z[support]
     m = len(support)
     B = np.eye(m + 1)
     B[0, 0] = 0.0
@@ -313,23 +332,25 @@ def _residues_lawson(values, poles):
     return PartialFractionRational(r0, tuple(pole_list), tuple(res_list))
 
 
-def _drop_bad_poles(support, w, banned, Ft, Fn):
+def _drop_bad_poles(support, w, banned, Fn):
     """Remove support points breeding half-line poles; recompute weights."""
-    Z = moebius_inv(_TRAIN)
     lamp, zp = _poles_of(support, w)
     for _ in range(6):
         bad = np.array([_halfline_distance(p) <= POLE_EXCLUSION * (1.0 + abs(p))
                         for p in lamp])
         if not bad.any() or not support:
             break
-        zs = Z[support]
+        zs = _Z[support]
         drop = sorted({int(np.argmin(np.abs(zs - z))) for z in zp[bad]}, reverse=True)
         for k in drop:
             banned.add(support[k])
             support.pop(k)
         if not support:
             return np.array([], dtype=complex), support, None
-        w, _ = _bary_weights(Z, Ft, Fn, support, banned)
+        L = _Loewner(Fn, banned, len(support))
+        for j in support:
+            L.add(j)
+        w = L.weights()
         lamp, zp = _poles_of(support, w)
     keep = np.array([_halfline_distance(p) > POLE_EXCLUSION * (1.0 + abs(p))
                      for p in lamp])
@@ -347,14 +368,14 @@ def _fit_adaptive(samples, d_max, targets):
         fits = [PartialFractionRational(float(F[0, c]), (), ())
                 for c in range(F.shape[1])]
         return fits, _validate(fits, samples)
+    Fn = Ft[:, active] / comp_scale[active][None, :]
     banned = set()
     result = None
     for _ in range(4):
-        support, w = _greedy_barycentric(Ft, targets, d_max, banned)
+        support, w = _greedy_barycentric(Ft, Fn, targets, d_max, banned)
         if not support:
             break
-        Fn = Ft[:, active] / comp_scale[active][None, :]
-        lamp, support, w = _drop_bad_poles(support, w, banned, Ft, Fn)
+        lamp, support, w = _drop_bad_poles(support, w, banned, Fn)
         if not support:
             break
         poles = [complex(p) for p in lamp]
@@ -531,12 +552,6 @@ def apply_rational_shared(op, rationals, vectors):
         out = out + r.r0 * vec
     if not base.poles:
         return op.function(out)
-    if not all(r.conj_closed for r in rationals):
-        total = out.astype(complex)
-        for r, vec in zip(rationals, vecs):
-            for p, c in zip(r.poles, r.residues):
-                total = total - c * solve_shifted(op, p, vec).values
-        return op.function(total)
     reps = [_paired(r.poles, r.residues) for r in rationals]
     for idx, (p, _) in enumerate(reps[0]):
         rhs = np.zeros(op.n, dtype=complex)

@@ -44,7 +44,11 @@ class PerturbationSpec:
 
 
 def _unit_vectors(rng, op, count):
-    """Jointly unit-norm random directions (M-weighted, L2-in-time)."""
+    """Raw standard-normal directions, one per time segment.
+
+    They are not normalized here: callers scale them jointly so that the
+    M-weighted, L2-in-time norm of the whole perturbation equals nu.
+    """
     dirs = [rng.standard_normal(op.n) for _ in range(count)]
     return dirs
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from parabolic_control import cli
 from parabolic_control import control as ctl
 from parabolic_control import operators as ops
 from parabolic_control import oracle as orc
 from parabolic_control import rational as rat
 from parabolic_control import symbols as sym
+from parabolic_control.config import load_config
 
 from conftest import make_spec_51, T_1D, ALPHA
 
@@ -113,6 +115,23 @@ def test_u_min_matches_oracle(op64, hd64):
 
 def test_phi0_matches_paper_value(phi0_62):
     assert abs(phi0_62 - 1.0374) / 1.0374 <= 0.02
+
+
+def _phi0_example1d(n_el):
+    cfg = load_config("example1d", n_el=n_el)
+    op = cli.build_operator_1d(cfg)
+    hd = ctl.homogenize(cli.build_problem_1d(cfg, op, 1.0), op)
+    return ctl.phi(hd, op, 0.0)
+
+
+@pytest.mark.parametrize("n_el", [500, 2000])
+def test_fine_1d_mesh_homogenizes(n_el):
+    # fine meshes meet a fitted pole with a residue near 1e-17, so the shifted
+    # solve's right-hand side is ~1e-29 and its roundoff residual exceeds
+    # 1e-12 * |rhs|; the normwise backward error accepts it
+    coarse, fine = _phi0_example1d(300), _phi0_example1d(n_el)
+    assert np.isfinite(fine) and fine > 0
+    assert abs(fine - coarse) <= 1e-2 * coarse
 
 
 def test_phi_zero_data(op20):
