@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -94,11 +93,7 @@ def _phi_curve_rows(hd, op, cfg):
     mus = np.logspace(np.log10(cfg.mu_min), np.log10(cfg.mu_max),
                       cfg.phi_curve_points)
     phi0 = ctl.phi(hd, op, 0.0)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            vals = list(pool.map(lambda m: ctl.phi(hd, op, m), mus))
-    else:
-        vals = [ctl.phi(hd, op, m) for m in mus]
+    vals = [ctl.phi(hd, op, m) for m in mus]
     rows, prev = [], None
     for m, v in zip(mus, vals):
         ok = 1 if (prev is None or v <= prev + 1e-9 * phi0) else 0
@@ -278,16 +273,9 @@ def cmd_sensitivity(cfg, out):
     u0 = ctl.optimal_control(hd, op, mu0)
     timings.append(("base_solve", time.perf_counter() - t0))
 
-    def run_channel(channel):
-        return sens.sensitivity_sweep(spec, op, channel, cfg.nu_list,
-                                      seed=cfg.seed, base=(u0, mu0))
-
     t0 = time.perf_counter()
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            all_rows = list(pool.map(run_channel, cfg.channels))
-    else:
-        all_rows = [run_channel(c) for c in cfg.channels]
+    all_rows = [sens.sensitivity_sweep(spec, op, c, cfg.nu_list, seed=cfg.seed,
+                                       base=(u0, mu0)) for c in cfg.channels]
     timings.append(("sweeps", time.perf_counter() - t0))
     for channel, rows in zip(cfg.channels, all_rows):
         _write_csv(out / f"sensitivity_{channel}.csv",
@@ -347,15 +335,12 @@ def main(argv=None):
         sp.add_argument("--out", type=str, default=None,
                         help="output directory (default: ./out)")
         sp.add_argument("--seed", type=int, default=None, help="random seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for independent rows")
         if name == "example1d":
             sp.add_argument("--variant", type=str, default=None,
                             choices=("isotropic", "discontinuous"))
     args = parser.parse_args(argv)
     try:
-        overrides = {"seed": args.seed, "threads": args.threads,
-                     "out_dir": args.out}
+        overrides = {"seed": args.seed, "out_dir": args.out}
         if getattr(args, "variant", None) is not None:
             overrides["variant"] = args.variant
         cfg = load_config(args.experiment, path=args.config, **overrides)

@@ -67,7 +67,6 @@ class RunConfig:
     channels: tuple = ("alpha", "beta", "w", "ystar", "f", "operator")
     n_el_oracle: int = 65
     seed: int = 0
-    threads: int = 1
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -88,7 +87,7 @@ _DEFAULT_OVERRIDES = {
 
 _TUPLE_FLOAT_KEYS = {"w_indicator", "ystar_indicator", "eps_fractions", "nu_list"}
 _TUPLE_STR_KEYS = {"channels"}
-_INT_KEYS = {"n_el", "phi_curve_points", "seed", "threads", "n_el_oracle"}
+_INT_KEYS = {"n_el", "phi_curve_points", "seed", "n_el_oracle"}
 _STR_KEYS = {"variant", "out_dir"}
 
 

@@ -15,10 +15,10 @@ one shared-pole fit and about a dozen complex solves per evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import symbols as sym
 from .operators import DimensionError, MeshFunction, inner_m, norm_m
@@ -34,6 +34,8 @@ from .rational import (
 FIT_TOL = 1e-12
 DEGREE_CAP = 40
 MU_BRACKET_CAP = 1e30
+_ROOT_EVALS = 100
+_LN10 = math.log(10.0)
 GAUSS_POINTS = 8
 
 _gauss_x, _gauss_w = np.polynomial.legendre.leggauss(GAUSS_POINTS)
@@ -93,10 +95,8 @@ class HomogenizedData:
     psi: MeshFunction
     psi_symbol_terms: tuple         # (beta_i, segment-integral symbol) pairs
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
-    _phi_fits: dict = field(default_factory=dict, repr=False)
     _phi_values: dict = field(default_factory=dict, repr=False)
-    _uopt_fits: dict = field(default_factory=dict, repr=False)
-    _misc_fits: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)  # see _lazy; PCG reports
 
 
 @dataclass
@@ -109,6 +109,11 @@ class ControlSolution:
     final_miss: float
     phi0: float
     phi_samples: tuple
+    # why optimal_control's PCG stopped at mu_eps ("converged", "iterations",
+    # "breakdown", "drift": only its recurrence met the target; or "not run")
+    # and its true residual, normalized as kkt
+    pcg_stop: str = "not run"
+    pcg_residual: float = math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -183,36 +188,27 @@ def _fit_capped(symbols_list, what):
     return fits
 
 
-def _phi_pair(hd, mu):
-    fits = hd._phi_fits.get(mu)
-    if fits is None:
-        T = hd.spec.T
-        denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
-        g = (sym.const(mu) * sym.expm(2 * T)) / denom
-        h = sym.expm(T) / denom
-        fits = _fit_capped([g, h], f"phi fit at mu={mu}")
-        hd._phi_fits[mu] = fits
-    return fits
+def _lazy(hd, key, make):
+    """hd._cache[key], made by make() on first use."""
+    val = hd._cache.get(key)
+    if val is None:
+        val = hd._cache[key] = make()
+    return val
 
 
 def _uopt_pair(hd, mu):
-    fits = hd._uopt_fits.get(mu)
-    if fits is None:
+    def fit():
         T = hd.spec.T
         denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
-        a = (sym.const(mu) * sym.expm(T)) / denom
-        b = sym.const(1.0) / denom
-        fits = _fit_capped([a, b], f"control fit at mu={mu}")
-        hd._uopt_fits[mu] = fits
-    return fits
+        return _fit_capped([(sym.const(mu) * sym.expm(T)) / denom,
+                            sym.const(1.0) / denom], f"control fit at mu={mu}")
+    return _lazy(hd, ("control fit", mu), fit)
 
 
 def u_min(hd, op):
     """Unconstrained minimizer Psi^{-1} psi."""
-    r = hd._misc_fits.get("inv_psi")
-    if r is None:
-        r = _fit_capped([sym.const(1.0) / hd.big_psi_symbol], "inverse-Psi fit")[0]
-        hd._misc_fits["inv_psi"] = r
+    r = _lazy(hd, "inv_psi", lambda: _fit_capped(
+        [sym.const(1.0) / hd.big_psi_symbol], "inverse-Psi fit")[0])
     return apply_rational(op, r, hd.psi)
 
 
@@ -222,68 +218,98 @@ def phi(hd, op, mu):
         raise ValueError("mu must be >= 0")
     mu = float(mu)
     val = hd._phi_values.get(mu)
-    if val is not None:
-        return val
-    r_g, r_h = _phi_pair(hd, mu)
-    x = apply_rational_shared(op, [r_g, r_h], [hd.ystar_hom, hd.psi])
-    val = norm_m(op, hd.ystar_hom.values - x.values)
-    hd._phi_values[mu] = val
+    if val is None:
+        T = hd.spec.T
+        denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
+        fits = _fit_capped([(sym.const(mu) * sym.expm(2 * T)) / denom,
+                            sym.expm(T) / denom], f"phi fit at mu={mu}")
+        x = apply_rational_shared(op, fits, [hd.ystar_hom, hd.psi])
+        val = hd._phi_values[mu] = norm_m(op, hd.ystar_hom.values - x.values)
     return val
+
+
+def _root(f, target, tol, mu, slope=None, xtol=1e-10):
+    """mu with |f(mu) - target| <= tol for a positive, decreasing f.
+
+    Modified regula falsi (Illinois, Dowell & Jarratt, BIT 11, 1971, with
+    the Anderson-Bjorck factor) in x = log mu on y = log(f / target), from
+    mu.  Until a sign change brackets the root, the first step is Newton's
+    on the given slope dy/dx (a factor 10 without one), later ones follow
+    the secant, by a factor between 10 and 10^3.  Returns the last mu once
+    it meets tol and the secant correction or the bracket is within xtol in
+    x (relative in mu); raises past MU_BRACKET_CAP or _ROOT_EVALS.
+    """
+    x, prev, xa, ya = math.log(mu), None, None, 0.0
+    for _ in range(_ROOT_EVALS):
+        if abs(x) > math.log(MU_BRACKET_CAP):
+            raise RuntimeError(f"no root of f(mu) = {target:.6g} for mu in [1/cap, cap],"
+                               f" cap = {MU_BRACKET_CAP:g}: problem data is inconsistent")
+        v = f(mu)
+        y = math.log(v / target)
+        if prev is not None:
+            slope = (y - prev[1]) / (x - prev[0])
+            if y * prev[1] < 0:
+                xa, ya = prev
+            elif xa is not None:
+                m = 1.0 - y / prev[1]
+                ya *= m if m > 0 else 0.5
+        if abs(v - target) <= tol and (
+                (slope is not None and abs(y) <= xtol * abs(slope))
+                or (xa is not None and abs(x - xa) <= xtol)):
+            return mu
+        if xa is not None:
+            x_new = x - y * (x - xa) / (y - ya)
+        elif prev is None and slope is not None:
+            x_new = x - y / slope
+        else:
+            step = _LN10 if slope is None or slope >= 0 else \
+                min(max(abs(y / slope), _LN10), 3 * _LN10)
+            x_new = x + math.copysign(step, y)
+        prev = (x, y)
+        x, mu = x_new, math.exp(x_new)
+    raise RuntimeError(f"root find did not converge in {_ROOT_EVALS} evaluations")
 
 
 def solve_mu(hd, op, eps, hint=None):
     """Root of Phi(mu) = eps; zero when eps >= Phi(0).
 
-    hint, when given, seeds the bracket with a known nearby root (used by
-    the sensitivity sweeps where the perturbed root sits next to the base).
+    _root starts from hint, a known nearby root (the sensitivity sweeps pass
+    the unperturbed one), or from mu = 1, and stops at |Phi(mu) - eps| <=
+    1e-8 Phi(0) with mu resolved to about 1e-10 relative.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     phi0 = phi(hd, op, 0.0)
     if eps >= phi0:
         return 0.0
-    lo = 0.0
-    if hint is not None and hint > 0 and phi(hd, op, hint / 8.0) >= eps:
-        lo, hi = hint / 8.0, hint * 8.0
-        while phi(hd, op, hi) >= eps:
-            hi *= 10.0
-            if hi > MU_BRACKET_CAP:
-                raise RuntimeError(
-                    "Phi does not decay below eps up to mu = 1e30; "
-                    "problem data is inconsistent")
-    else:
-        hi = 1.0
-        while phi(hd, op, hi) >= eps:
-            hi *= 10.0
-            if hi > MU_BRACKET_CAP:
-                raise RuntimeError(
-                    "Phi does not decay below eps up to mu = 1e30; "
-                    "problem data is inconsistent")
-    mu = brentq(lambda m: phi(hd, op, m) - eps, lo, hi,
-                rtol=1e-10, xtol=1e-30, maxiter=200)
-    # guard the value tolerance |Phi(mu) - eps| <= 1e-8 Phi(0)
-    lo_b, hi_b = lo, hi
-    for _ in range(120):
-        if abs(phi(hd, op, mu) - eps) <= 1e-8 * phi0:
-            break
-        if phi(hd, op, mu) > eps:
-            lo_b = mu
-        else:
-            hi_b = mu
-        mu = 0.5 * (lo_b + hi_b)
-    return mu
+    start = hint if hint is not None and hint > 0 else 1.0
+    return _root(lambda m: phi(hd, op, m), eps, 1e-8 * phi0, float(start))
+
+
+def _phi_log_slope(hd, mu):
+    """d log Phi / d log mu at mu > 0 from the nearest other cached sample."""
+    near = min((m for m in hd._phi_values if m > 0 and m != mu),
+               key=lambda m: abs(math.log(m / mu)))
+    return (math.log(hd._phi_values[near] / hd._phi_values[mu])
+            / math.log(near / mu))
 
 
 def _apply_stationarity_op(hd, op, mu, v):
     """(mu S_2T + Psi) v through the realized operator fits."""
-    r = hd._misc_fits.get("psi_op")
-    if r is None:
-        r = _fit_capped([hd.big_psi_symbol], "Psi fit")[0]
-        hd._misc_fits["psi_op"] = r
+    r = _lazy(hd, "psi_op", lambda: _fit_capped([hd.big_psi_symbol], "Psi fit")[0])
     out = apply_rational(op, r, v).values
     if mu != 0.0:
         out = out + mu * semigroup_apply(op, 2 * hd.spec.T, v).values
     return out
+
+
+def _stationarity_rhs(hd, op, mu):
+    """mu S_T ystar_hom + psi, the right-hand side of the stationarity system."""
+    if mu == 0.0:
+        return hd.psi.values
+    st_y = _lazy(hd, "st_ystar_hom",
+                 lambda: semigroup_apply(op, hd.spec.T, hd.ystar_hom))
+    return mu * st_y.values + hd.psi.values
 
 
 def optimal_control(hd, op, mu):
@@ -293,7 +319,9 @@ def optimal_control(hd, op, mu):
     of the stationarity system on the realized operators (the same fitted
     Psi and semigroup actions the KKT residual measures): large multipliers
     amplify any fit discrepancy by mu, and the Krylov polish removes it at
-    the cost of a few reused-factorization applies.
+    the cost of a few reused-factorization applies.  Why PCG stopped and the
+    true residual it ended at, normalized as kkt_residual, are kept in
+    hd._cache[("pcg", mu)].
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
@@ -302,11 +330,7 @@ def optimal_control(hd, op, mu):
     mu = float(mu)
     r_a, r_b = _uopt_pair(hd, mu)
     u = apply_rational_shared(op, [r_a, r_b], [hd.ystar_hom, hd.psi]).values
-    st_y = hd._misc_fits.get("st_ystar_hom")
-    if st_y is None:
-        st_y = semigroup_apply(op, hd.spec.T, hd.ystar_hom)
-        hd._misc_fits["st_ystar_hom"] = st_y
-    rhs = mu * st_y.values + hd.psi.values
+    rhs = _stationarity_rhs(hd, op, mu)
 
     # PCG in the M-inner product; preconditioner = the 1/(mu e^{2T lam}+Psi) fit
     def apply_b(v):
@@ -316,8 +340,10 @@ def optimal_control(hd, op, mu):
         return apply_rational(op, r_b, op.function(v)).values
 
     resid = rhs - apply_b(u)
-    target = 1e-10 * max(1.0, norm_m(op, hd.psi))
+    scale = max(1.0, norm_m(op, hd.psi))
+    target = 1e-10 * scale
     best = (norm_m(op, resid), u)
+    stop = "converged"
     if best[0] > target:
         z = precond(resid)
         p = z.copy()
@@ -326,6 +352,7 @@ def optimal_control(hd, op, mu):
             bp = apply_b(p)
             denom = inner_m(op, p, bp)
             if denom <= 0:
+                stop = "breakdown"
                 break
             alpha = rz / denom
             u = u + alpha * p
@@ -339,6 +366,12 @@ def optimal_control(hd, op, mu):
             rz_new = inner_m(op, resid, z)
             p = z + (rz_new / rz) * p
             rz = rz_new
+        else:
+            stop = "iterations"
+        best = (norm_m(op, rhs - apply_b(best[1])), best[1])  # recurrence drifts
+        if stop == "converged" and best[0] > target:
+            stop = "drift"
+    hd._cache[("pcg", mu)] = (stop, best[0] / scale)
     return op.function(best[1])
 
 
@@ -376,75 +409,39 @@ def cost_j(spec, op, u):
     return total
 
 
-def _kkt_grad(hd, op, u, mu):
-    """Lagrangian gradient Psi u - psi + mu (S_2T u - S_T ystar_hom)."""
-    r = hd._misc_fits.get("psi_op")
-    if r is None:
-        r = _fit_capped([hd.big_psi_symbol], "Psi fit")[0]
-        hd._misc_fits["psi_op"] = r
-    T = hd.spec.T
-    grad = apply_rational(op, r, u).values - hd.psi.values
-    if mu != 0.0:
-        st_y = hd._misc_fits.get("st_ystar_hom")
-        if st_y is None:
-            st_y = semigroup_apply(op, T, hd.ystar_hom)
-            hd._misc_fits["st_ystar_hom"] = st_y
-        s2t_u = semigroup_apply(op, 2 * T, u)
-        grad = grad + mu * (s2t_u.values - st_y.values)
-    return grad
-
-
 def kkt_residual(hd, op, u, mu):
     """|| Psi u - psi + mu (S_2T u - S_T ystar_hom) ||_M / max(1, ||psi||_M)."""
-    return norm_m(op, _kkt_grad(hd, op, u, mu)) / max(1.0, norm_m(op, hd.psi))
+    grad = _apply_stationarity_op(hd, op, mu, u) - _stationarity_rhs(hd, op, mu)
+    return norm_m(op, grad) / max(1.0, norm_m(op, hd.psi))
 
 
 def solve_problem(spec, op, hd=None):
     """End-to-end solve; returns the solution bundle with diagnostics.
 
-    The multiplier from the fast Phi root find is polished, when needed,
-    against the actually realized final miss ||y(T) - ystar||_M so the
-    active-constraint identity holds to 1e-7 * Phi(0) even where mu
-    amplifies the difference between the two evaluation routes.
+    The multiplier from the Phi root find is polished, when needed, by the
+    same root find on the realized final miss ||y(T) - ystar||_M (from the
+    Phi-route mu, with the slope of the Phi samples there) so the constraint
+    holds to 1e-7 * Phi(0) even where mu amplifies the route difference.
     """
     if hd is None:
         hd = homogenize(spec, op)
     mu = solve_mu(hd, op, spec.eps)
     phi0 = phi(hd, op, 0.0)
+    seen = {}
 
     def miss_at(m):
         u_m = optimal_control(hd, op, m)
         y_m = trajectory(spec, op, u_m, [spec.T])[0]
-        return norm_m(op, y_m.values - spec.ystar.values), u_m, y_m
+        seen[m] = (norm_m(op, y_m.values - spec.ystar.values), u_m, y_m)
+        return seen[m][0]
 
-    miss, u, y = miss_at(mu)
-    tol_feas = 1e-7 * phi0
-    if mu > 0.0 and abs(miss - spec.eps) > tol_feas:
-        # bracket the root of the realized miss around the Phi-route mu
-        lo, hi = mu, mu
-        q_lo = q_hi = miss - spec.eps
-        factor = 1.0 + max(1e-9, 4.0 * abs(miss - spec.eps) / spec.eps)
-        for _ in range(40):
-            if q_lo > 0 >= q_hi:
-                break
-            if q_lo <= 0:   # miss already below eps: move the left end down
-                lo /= factor
-                q_lo = miss_at(lo)[0] - spec.eps
-            if q_hi > 0:
-                hi *= factor
-                q_hi = miss_at(hi)[0] - spec.eps
-            factor *= 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            miss, u, y = miss_at(mid)
-            if abs(miss - spec.eps) <= tol_feas:
-                mu = mid
-                break
-            if miss - spec.eps > 0:
-                lo = mid
-            else:
-                hi = mid
-            mu = mid
+    if mu > 0.0:
+        mu = _root(miss_at, spec.eps, 1e-7 * phi0, mu,
+                   slope=_phi_log_slope(hd, mu), xtol=math.inf)
+    else:
+        miss_at(mu)
+    miss, u, y = seen[mu]
+    pcg_stop, pcg_residual = hd._cache.get(("pcg", mu), ("not run", math.nan))
 
     return ControlSolution(
         mu_eps=mu,
@@ -455,4 +452,6 @@ def solve_problem(spec, op, hd=None):
         final_miss=miss,
         phi0=phi0,
         phi_samples=tuple(sorted(hd._phi_values.items())),
+        pcg_stop=pcg_stop,
+        pcg_residual=pcg_residual,
     )

@@ -291,6 +291,15 @@ def test_criterion_10_mesh_refinement():
     assert monotone_2d
 
 
+def test_2d_tight_solve_reports_pcg_miss(twod):
+    # at eps = 0.1 Phi(0), mu ~ 1e5 amplifies the fit error of the realized
+    # operators, and PCG ends above its 1e-10 target; the solution says so
+    _, sol = twod["sols"][0.1]
+    assert sol.pcg_stop != "converged"
+    assert 1e-10 < sol.pcg_residual <= 1e-6
+    assert sol.pcg_residual == sol.kkt
+
+
 def test_2d_relaxed_constraint_tracks_trajectory_target(twod):
     # the eps = 0.9 Phi(0) run spends its budget near the trajectory target:
     # its mid-time state holds a larger mass fraction inside the l1 ball

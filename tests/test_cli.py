@@ -163,16 +163,6 @@ def test_cli_error_is_machine_readable(tmp_path):
     assert "error" in err and "message" in err
 
 
-def test_threads_give_identical_results(tmp_path, small_1d_cfg):
-    out1, out4 = tmp_path / "t1", tmp_path / "t4"
-    r1 = run_cli(["phi-curve", "--config", str(small_1d_cfg), "--out",
-                  str(out1), "--threads", "1"])
-    r4 = run_cli(["phi-curve", "--config", str(small_1d_cfg), "--out",
-                  str(out4), "--threads", "4"])
-    assert r1.returncode == 0 and r4.returncode == 0
-    assert (out1 / "phi_curve.csv").read_bytes() == (out4 / "phi_curve.csv").read_bytes()
-
-
 def test_phi_curve_full_default_has_350_rows(tmp_path):
     # the reference curve: 350 log-spaced samples, all monotone
     from parabolic_control.cli import cmd_phi_curve

@@ -6,6 +6,7 @@ from parabolic_control import control as ctl
 from parabolic_control import operators as ops
 from parabolic_control import oracle as orc
 from parabolic_control import rational as rat
+from parabolic_control import sensitivity as sens
 from parabolic_control import symbols as sym
 from parabolic_control.config import load_config
 
@@ -176,6 +177,41 @@ def test_solve_mu_matches_bisection_oracle(hd62, op62, phi0_62):
         else:
             hi = mid
     assert mu == pytest.approx(0.5 * (lo + hi), rel=1e-9)
+
+
+@pytest.mark.parametrize("root", [3.7e4, 2.5e-3])
+def test_root_find_resolves_known_root(root):
+    def f(mu):
+        return 2.0 / (1.0 + (mu / root) ** 0.7)
+    mu = ctl._root(f, 1.0, 2e-8, 1.0)
+    assert mu == pytest.approx(root, rel=1e-10)
+
+
+@pytest.mark.parametrize("target", [0.5, 2.5])
+def test_root_find_raises_without_root_within_cap(target):
+    # 1 + 1/(1 + mu) decreases from 2 to 1: no root of f = 0.5 (mu grows
+    # past the cap) nor of f = 2.5 (mu shrinks past 1/cap)
+    with pytest.raises(RuntimeError, match="no root"):
+        ctl._root(lambda mu: 1.0 + 1.0 / (1.0 + mu), target, 1e-8, 1.0)
+
+
+def test_solve_mu_phi_evaluation_counts(op62):
+    # Phi evaluations are counted by the growth of hd._phi_values.  Measured
+    # here: 10 from scratch and 6 hinted; the brentq root find with its
+    # x10 bracket expansion and guard bisection took 14 and 12.
+    hd = ctl.homogenize(make_spec_51(op62, 1.0), op62)
+    eps = 0.5 * ctl.phi(hd, op62, 0.0)
+    n = len(hd._phi_values)
+    mu0 = ctl.solve_mu(hd, op62, eps)
+    assert len(hd._phi_values) - n <= 11
+    spec_d, op_d = sens.perturb(make_spec_51(op62, eps), op62,
+                                sens.PerturbationSpec(1e-2, "beta", 0))
+    hd_d = ctl.homogenize(spec_d, op_d)
+    ctl.phi(hd_d, op_d, 0.0)
+    n = len(hd_d._phi_values)
+    mu_d = ctl.solve_mu(hd_d, op_d, eps, hint=mu0)
+    assert len(hd_d._phi_values) - n <= 7
+    assert abs(ctl.phi(hd_d, op_d, mu_d) - eps) <= 1e-8 * ctl.phi(hd_d, op_d, 0.0)
 
 
 def test_mu_monotone_in_eps(hd62, op62, phi0_62):
@@ -361,3 +397,11 @@ def test_solution_invariants(op62, hd62, phi0_62):
     assert sol.phi0 == pytest.approx(phi0_62)
     mus = [m for m, _ in sol.phi_samples]
     assert mus == sorted(mus)
+
+
+def test_solution_reports_pcg_convergence(op62, hd62, phi0_62):
+    spec = make_spec_51(op62, 0.5 * phi0_62)
+    sol = ctl.solve_problem(spec, op62, hd=hd62)
+    assert sol.pcg_stop == "converged"
+    assert sol.pcg_residual <= 1e-10
+    assert sol.pcg_residual == sol.kkt
