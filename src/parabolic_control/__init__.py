@@ -31,6 +31,7 @@ from .rational import (
     moebius_inv,
     fit_rational,
     fit_rational_shared,
+    fit_cached,
     contour_exp,
     apply_rational,
     apply_rational_shared,

@@ -8,8 +8,9 @@ mass matrix; A is self-adjoint in the M-weighted inner product and its
 spectrum lies in [lam_min, kappa] with kappa < 0.
 
 Shifted systems (z - A) x = v are solved as (z M + K) x = M v with one
-sparse LU factorization per shift, cached on the operator.  Each shifted
-matrix is written into a complex copy of K that carries an explicit slot on
+sparse LU factorization per shift, cached on the operator; the LU pivots
+on the diagonal in a symmetric fill-reducing order.  Each shifted matrix
+is written into a complex copy of K that carries an explicit slot on
 every diagonal entry, built once per operator.
 """
 
@@ -261,7 +262,11 @@ def solve_shifted(op, z, v):
     if solver is None:
         mat = op._shift_base.copy()
         mat.data[op._shift_diag] += z * op.M
-        solver = spla.splu(mat)
+        # z M + K is complex symmetric with a definite imaginary part Im(z) M,
+        # or definite for the real poles z > 0: diagonal pivots are stable,
+        # so a symmetric ordering serves L and U alike
+        solver = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
         op._solvers[z] = solver
     x = solver.solve(rhs)
     resid, scale = _backward_error_terms(op, z, x, rhs)

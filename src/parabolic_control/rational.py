@@ -21,6 +21,7 @@ r(A)v = r0 v + sum_i res_i (A - pole_i)^{-1} v.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -500,6 +501,37 @@ def fit_rational_shared(gs, d, tol):
     return fits, report
 
 
+_MEMO_SIZE = 256
+_fit_memo = OrderedDict()
+
+
+def fit_cached(gs, d, tol):
+    """fit_rational(gs, d, tol) for one symbol, or fit_rational_shared(gs,
+    d, tol) for a list of them, computed once per process.
+
+    A fit depends on its symbols, d and tol only, never on an operator or
+    on data, so the (fit(s), FitReport) pairs are kept by (symbol keys, d,
+    tol) in one least-recently-used memo of _MEMO_SIZE entries: problems
+    that share T, alpha, beta and mu share their fits.  Shared fits come
+    back as a tuple.
+    """
+    shared = not isinstance(gs, sym.SymbolExpr)
+    key = (tuple(g.key for g in gs) if shared else gs.key, d, tol)
+    out = _fit_memo.get(key)
+    if out is not None:
+        _fit_memo.move_to_end(key)
+        return out
+    if shared:
+        fits, report = fit_rational_shared(gs, d, tol)
+        out = (tuple(fits), report)
+    else:
+        out = fit_rational(gs, d, tol)
+    _fit_memo[key] = out
+    if len(_fit_memo) > _MEMO_SIZE:
+        _fit_memo.popitem(last=False)
+    return out
+
+
 def contour_exp(n, t):
     """Partial fractions of exp(t*lambda) from n-point trapezoid quadrature
     of the Cauchy integral along a left-opening hyperbola; the observed sup
@@ -572,17 +604,13 @@ def _pole_key(r):
 # ---------------------------------------------------------------------------
 
 _SEMIGROUP_TOL = 1e-12
-_semigroup_fits = {}
 
 
 def semigroup_fit(t):
-    """Cached partial-fraction approximant of exp(t*lambda), tol 1e-12."""
-    r = _semigroup_fits.get(t)
-    if r is None:
-        r, report = fit_rational(sym.Exp(t), 24, _SEMIGROUP_TOL)
-        if not report.success:
-            raise FitError(f"semigroup fit at t={t} failed: {report}", report)
-        _semigroup_fits[t] = r
+    """Partial-fraction approximant of exp(t*lambda), tol 1e-12."""
+    r, report = fit_cached(sym.Exp(t), 24, _SEMIGROUP_TOL)
+    if not report.success:
+        raise FitError(f"semigroup fit at t={t} failed: {report}", report)
     return r
 
 

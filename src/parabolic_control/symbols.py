@@ -91,6 +91,17 @@ class SymbolExpr:
                 out[small] = self._value(ls)
         return float(out[0]) if scalar else out
 
+    @property
+    def key(self):
+        """Structural identity: the class name and the fields, recursively.
+
+        Separately built symbols with equal keys are the same function, so
+        the key can stand for the symbol in a cache of its fits.
+        """
+        return (type(self).__name__,) + tuple(
+            v.key if isinstance(v, SymbolExpr) else v
+            for k, v in vars(self).items() if k != "_laurent_cache")
+
     def laurent(self):
         if not hasattr(self, "_laurent_cache"):
             self._laurent_cache = self._laurent()

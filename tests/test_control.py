@@ -135,6 +135,20 @@ def test_fine_1d_mesh_homogenizes(n_el):
     assert abs(fine - coarse) <= 1e-2 * coarse
 
 
+def _phi0_example2d(h):
+    cfg = load_config("example2d", h=h)
+    op = cli.build_operator_2d(cfg)
+    hd = ctl.homogenize(cli.build_problem_2d(cfg, op, 1.0), op)
+    return ctl.phi(hd, op, 0.0)
+
+
+def test_fine_2d_mesh_homogenizes():
+    # h = 1/60 (n = 10,561): about 90 MB of shifted factors for Phi(0)
+    coarse, fine = _phi0_example2d(1 / 30), _phi0_example2d(1 / 60)
+    assert np.isfinite(fine) and fine > 0
+    assert abs(fine - coarse) <= 1e-2 * coarse
+
+
 def test_phi_zero_data(op20):
     z = op20.function(np.zeros(op20.n))
     spec = ctl.ProblemSpec(
@@ -405,3 +419,34 @@ def test_solution_reports_pcg_convergence(op62, hd62, phi0_62):
     assert sol.pcg_stop == "converged"
     assert sol.pcg_residual <= 1e-10
     assert sol.pcg_residual == sol.kkt
+    assert sol.kkt == ctl.kkt_residual(hd62, op62, sol.u_opt, sol.mu_eps)
+
+
+def test_problem_with_other_data_refits_nothing(op62, monkeypatch):
+    # every fit depends on T, alpha, beta and mu only: a second problem with
+    # the same T, alpha and beta reuses homogenization, Phi(0), Psi and
+    # inverse-Psi fits of the first, whatever its data
+    spec = make_spec_51(op62, 1.0)
+    hd = ctl.homogenize(spec, op62)
+    phi0 = ctl.phi(hd, op62, 0.0)
+    ctl.kkt_residual(hd, op62, ctl.u_min(hd, op62), 0.0)
+    calls = []
+    for name in ("fit_rational", "fit_rational_shared"):
+        fit = getattr(rat, name)
+
+        def counted(*args, _fit=fit):
+            calls.append(args)
+            return _fit(*args)
+        for module in (rat, ctl):
+            if getattr(module, name, None) is fit:
+                monkeypatch.setattr(module, name, counted)
+    w = ops.project_to_mesh(op62, ops.Indicator1D(0.5, 1.5))
+    ystar = ops.project_to_mesh(op62, ops.GaussianSum(((4.0, 2.0, 0.7),)))
+    other = ctl.ProblemSpec(T=spec.T, alpha=spec.alpha, beta_segments=spec.beta_segments,
+                            w_segments=(w, w, w), ystar=ystar, eps=1.0)
+    hd2 = ctl.homogenize(other, op62)
+    phi0_2 = ctl.phi(hd2, op62, 0.0)
+    u2 = ctl.u_min(hd2, op62)
+    assert ctl.kkt_residual(hd2, op62, u2, 0.0) <= 1e-8
+    assert calls == []
+    assert np.isfinite(phi0_2) and abs(phi0_2 - phi0) > 1e-3 * phi0

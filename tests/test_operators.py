@@ -176,6 +176,23 @@ def test_shifted_solve_conjugate_symmetry(op20):
     assert np.allclose(x1.values, np.conj(x2.values), rtol=1e-12, atol=1e-14)
 
 
+def test_shifted_lu_is_symmetric_and_pivot_free():
+    # Re z inside the spectrum and small Im z: z M + K is indefinite in its
+    # real part, and its definite imaginary part Im(z) M keeps diagonal
+    # pivots stable
+    op = ops.assemble_2d_lshape(1 / 30)
+    z = -500.0 + 0.5j
+    rhs = op.M * np.random.default_rng(8).standard_normal(op.n)
+    ops.solve_shifted(op, z, op.function(rhs / op.M))
+    lu = op._solvers[z]
+    x = lu.solve(rhs.astype(complex))       # no refinement step
+    resid, scale = ops._backward_error_terms(op, z, x, rhs)
+    assert resid <= 1e-12 * scale
+    mat = op._shift_base.copy()
+    mat.data[op._shift_diag] += z * op.M
+    assert lu.nnz <= 0.7 * spla.splu(mat).nnz
+
+
 def test_shifted_solve_rejects_spectral_shift(op20):
     lo, hi = ops.spectral_bounds(op20)
     with pytest.raises(ops.ShiftError):

@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -327,3 +329,89 @@ def test_fit_report_csv_row():
     assert float(fields[1]) == rep.max_error
     assert float(fields[2]) == rep.norm_estimate
     assert float(fields[3]) == rep.tol
+
+
+# ---------------------------------------------------------------------------
+# the process-wide fit memo
+# ---------------------------------------------------------------------------
+
+def _fresh_phi_pair(mu, T=T, alpha=1e-4, beta=1.0):
+    """The Phi pair built from scratch, sharing no object with _phi_pair."""
+    big_psi = sym.const(alpha) + sym.const(beta) * sym.segment_integral(
+        T / 3, 2 * T / 3, 2)
+    denom = sym.const(mu) * sym.expm(2 * T) + big_psi
+    return [(sym.const(mu) * sym.expm(2 * T)) / denom, sym.expm(T) / denom]
+
+
+def _count_fits(monkeypatch):
+    """Start an empty memo; return the list of fits computed from now on."""
+    monkeypatch.setattr(rat, "_fit_memo", OrderedDict())
+    calls = []
+    for name in ("fit_rational", "fit_rational_shared"):
+        def counted(gs, d, tol, _fit=getattr(rat, name)):
+            calls.append((gs, d, tol))
+            return _fit(gs, d, tol)
+        monkeypatch.setattr(rat, name, counted)
+    return calls
+
+
+def test_symbol_key_is_structural():
+    a, b = _fresh_phi_pair(1e3), _fresh_phi_pair(1e3)
+    assert a[0] is not b[0]
+    assert [g.key for g in a] == [g.key for g in b]
+    a[0](np.array([0.0, -1e-9]))          # fills the Laurent cache of a[0]
+    assert a[0].key == b[0].key
+    for other in (_fresh_phi_pair(1e3 * (1 + 1e-15)), _fresh_phi_pair(1e3, T=0.02),
+                  _fresh_phi_pair(1e3, alpha=2e-4), _fresh_phi_pair(1e3, beta=0.5)):
+        assert other[0].key != a[0].key
+    assert sym.const(2.0).key != sym.expm(2.0).key
+    assert sym.segment_integral(0.1, 0.2, 1).key != sym.segment_integral(0.1, 0.2, 2).key
+
+
+def test_fit_memo_hits_on_equal_keys_only(monkeypatch):
+    calls = _count_fits(monkeypatch)
+    fits, rep = rat.fit_cached(_fresh_phi_pair(1e3), ctl.DEGREE_CAP, 1e-12)
+    assert rep.success and len(calls) == 1
+    assert rat.fit_cached(_fresh_phi_pair(1e3), ctl.DEGREE_CAP, 1e-12)[0] is fits
+    assert len(calls) == 1
+    for gs, d, tol in ((_fresh_phi_pair(2e3), ctl.DEGREE_CAP, 1e-12),
+                       (_fresh_phi_pair(1e3), ctl.DEGREE_CAP, 1e-10),
+                       (_fresh_phi_pair(1e3), ctl.DEGREE_CAP - 1, 1e-12)):
+        rat.fit_cached(gs, d, tol)
+    assert len(calls) == 4
+    # one symbol and a one-symbol shared fit are different fits
+    g = sym.expm(T)
+    rat.fit_cached(g, 24, 1e-12)
+    rat.fit_cached([g], 24, 1e-12)
+    assert len(calls) == 6
+
+
+def test_fit_memo_hit_is_bit_identical_to_fresh_fit():
+    for fit, gs, d in ((rat.fit_rational_shared, _fresh_phi_pair(1e3), ctl.DEGREE_CAP),
+                       (rat.fit_rational, sym.segment_integral(T / 3, T / 2, 1), 32)):
+        rat.fit_cached(gs, d, 1e-12)
+        hit, hit_rep = rat.fit_cached(gs, d, 1e-12)
+        fresh, fresh_rep = fit(gs, d, 1e-12)
+        if fit is rat.fit_rational:
+            hit, fresh = [hit], [fresh]
+        assert hit_rep == fresh_rep
+        assert len(hit) == len(fresh)
+        for h, f in zip(hit, fresh):
+            assert (h.r0, h.poles, h.residues) == (f.r0, f.poles, f.residues)
+            assert np.array_equal(h(rat._VALID), f(rat._VALID))
+
+
+def test_fit_memo_is_a_bounded_lru(monkeypatch):
+    calls = _count_fits(monkeypatch)
+    n = rat._MEMO_SIZE
+    for c in range(1, n + 11):            # constants fit exactly at degree 0
+        rat.fit_cached(sym.const(float(c)), 0, 1e-12)
+    assert len(rat._fit_memo) == n and len(calls) == n + 10
+    rat.fit_cached(sym.const(11.0), 0, 1e-12)       # oldest kept: a hit
+    rat.fit_cached(sym.const(0.5), 0, 1e-12)        # evicts 12, not 11
+    assert len(rat._fit_memo) == n and len(calls) == n + 11
+    rat.fit_cached(sym.const(11.0), 0, 1e-12)
+    assert len(calls) == n + 11
+    rat.fit_cached(sym.const(12.0), 0, 1e-12)
+    rat.fit_cached(sym.const(1.0), 0, 1e-12)
+    assert len(calls) == n + 13
