@@ -63,7 +63,8 @@ def _problem(cfg, op, w, ystar, eps):
         segments.append((hi, T, 0.0))
         w_segments.append(w)
     return ctl.ProblemSpec(T=T, alpha=cfg.alpha, beta_segments=tuple(segments),
-                           w_segments=tuple(w_segments), ystar=ystar, eps=eps)
+                           w_segments=tuple(w_segments), ystar=ystar, eps=eps,
+                           fit_tol=cfg.fit_tol)
 
 
 def _write_csv(path, header, rows):
@@ -344,7 +345,6 @@ def main(argv=None):
         if getattr(args, "variant", None) is not None:
             overrides["variant"] = args.variant
         cfg = load_config(args.experiment, path=args.config, **overrides)
-        ctl.FIT_TOL = cfg.fit_tol
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.experiment][0](cfg, out)

@@ -34,7 +34,6 @@ from .rational import (  # noqa: F401
     semigroup_apply,
 )
 
-FIT_TOL = 1e-12
 DEGREE_CAP = 40
 MU_BRACKET_CAP = 1e30
 _ROOT_EVALS = 100
@@ -51,7 +50,8 @@ class ProblemSpec:
     beta_segments partitions [0, T] into ((t0, t1, beta1), ...) with
     piecewise-constant weight; w_segments holds one target-trajectory
     snapshot per segment; f_segments is the piecewise-constant source
-    (empty means the homogeneous equation).
+    (empty means the homogeneous equation); fit_tol is the tolerance of
+    every operator-function fit the problem needs.
     """
 
     T: float
@@ -61,6 +61,7 @@ class ProblemSpec:
     ystar: MeshFunction
     eps: float
     f_segments: tuple = ()
+    fit_tol: float = 1e-12
 
     def __post_init__(self):
         if self.T <= 0:
@@ -69,6 +70,8 @@ class ProblemSpec:
             raise ValueError("control weight alpha must be positive")
         if self.eps <= 0:
             raise ValueError("tolerance eps must be positive")
+        if self.fit_tol <= 0:
+            raise ValueError("fit tolerance fit_tol must be positive")
         if len(self.beta_segments) != len(self.w_segments):
             raise ValueError("need one w snapshot per beta segment")
         t_prev = 0.0
@@ -123,15 +126,16 @@ class ControlSolution:
 # homogenization
 # ---------------------------------------------------------------------------
 
-def _segint_fit(a, b, scale):
-    r, report = fit_cached(sym.segment_integral(a, b, scale), 32, FIT_TOL)
+def _segint_fit(a, b, scale, tol):
+    r, report = fit_cached(sym.segment_integral(a, b, scale), 32, tol)
     if not report.success:
         raise FitError(f"segment-integral fit failed: {report}", report)
     return r
 
 
-def source_integral(op, f_segments, t):
-    """int_0^t S_{t-tau} f(tau) dtau for piecewise-constant-in-time f."""
+def source_integral(op, f_segments, t, tol):
+    """int_0^t S_{t-tau} f(tau) dtau for piecewise-constant-in-time f, with
+    the segment integrals fitted to tolerance tol."""
     out = op.function(np.zeros(op.n))
     if t <= 0:
         return out
@@ -140,7 +144,7 @@ def source_integral(op, f_segments, t):
             continue
         lo = t - min(b, t)
         hi = t - a
-        r = _segint_fit(lo, hi, 1)
+        r = _segint_fit(lo, hi, 1, tol)
         out = op.function(out.values + apply_rational(op, r, fvec).values)
     return out
 
@@ -150,13 +154,14 @@ def homogenize(spec, op):
     for mf in (spec.ystar, *spec.w_segments, *(f for _, _, f in spec.f_segments)):
         if len(mf.values) != op.n:
             raise DimensionError("problem data does not match operator dimension")
+    tol = spec.fit_tol
     ystar_hom = op.function(
-        spec.ystar.values - source_integral(op, spec.f_segments, spec.T).values)
+        spec.ystar.values - source_integral(op, spec.f_segments, spec.T, tol).values)
     w_hom = []
     for (a, b, _beta), w in zip(spec.beta_segments, spec.w_segments):
         mid = 0.5 * (a + b)
         w_hom.append(op.function(
-            w.values - source_integral(op, spec.f_segments, mid).values))
+            w.values - source_integral(op, spec.f_segments, mid, tol).values))
     psi_vals = np.zeros(op.n)
     terms = []
     big_psi = sym.const(spec.alpha)
@@ -164,7 +169,8 @@ def homogenize(spec, op):
         if beta == 0.0:
             continue
         terms.append((beta, sym.segment_integral(a, b, 1)))
-        psi_vals = psi_vals + beta * apply_rational(op, _segint_fit(a, b, 1), wh).values
+        r = _segint_fit(a, b, 1, tol)
+        psi_vals = psi_vals + beta * apply_rational(op, r, wh).values
         big_psi = big_psi + sym.const(beta) * sym.segment_integral(a, b, 2)
     return HomogenizedData(
         spec=spec, op=op, ystar_hom=ystar_hom, w_hom=tuple(w_hom),
@@ -176,8 +182,8 @@ def homogenize(spec, op):
 # operator-function fits for the solution formulas
 # ---------------------------------------------------------------------------
 
-def _fit_capped(symbols_list, what):
-    fits, report = fit_cached(symbols_list, DEGREE_CAP, FIT_TOL)
+def _fit_capped(hd, symbols_list, what):
+    fits, report = fit_cached(symbols_list, DEGREE_CAP, hd.spec.fit_tol)
     if not report.success:
         raise FitError(f"{what}: tolerance unreachable at degree {DEGREE_CAP}"
                        f" (best error {report.max_error:.3e})", report)
@@ -187,13 +193,13 @@ def _fit_capped(symbols_list, what):
 def _uopt_pair(hd, mu):
     T = hd.spec.T
     denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
-    return _fit_capped([(sym.const(mu) * sym.expm(T)) / denom,
-                        sym.const(1.0) / denom], f"control fit at mu={mu}")
+    return _fit_capped(hd, [(sym.const(mu) * sym.expm(T)) / denom,
+                            sym.const(1.0) / denom], f"control fit at mu={mu}")
 
 
 def u_min(hd, op):
     """Unconstrained minimizer Psi^{-1} psi."""
-    r, = _fit_capped([sym.const(1.0) / hd.big_psi_symbol], "inverse-Psi fit")
+    r, = _fit_capped(hd, [sym.const(1.0) / hd.big_psi_symbol], "inverse-Psi fit")
     return apply_rational(op, r, hd.psi)
 
 
@@ -206,8 +212,8 @@ def phi(hd, op, mu):
     if val is None:
         T = hd.spec.T
         denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
-        fits = _fit_capped([(sym.const(mu) * sym.expm(2 * T)) / denom,
-                            sym.expm(T) / denom], f"phi fit at mu={mu}")
+        fits = _fit_capped(hd, [(sym.const(mu) * sym.expm(2 * T)) / denom,
+                                sym.expm(T) / denom], f"phi fit at mu={mu}")
         x = apply_rational_shared(op, fits, [hd.ystar_hom, hd.psi])
         val = hd._phi_values[mu] = norm_m(op, hd.ystar_hom.values - x.values)
     return val
@@ -281,7 +287,7 @@ def _phi_log_slope(hd, mu):
 
 def _apply_stationarity_op(hd, op, mu, v):
     """(mu S_2T + Psi) v through the realized operator fits."""
-    r, = _fit_capped([hd.big_psi_symbol], "Psi fit")
+    r, = _fit_capped(hd, [hd.big_psi_symbol], "Psi fit")
     out = apply_rational(op, r, v).values
     if mu != 0.0:
         out = out + mu * semigroup_apply(op, 2 * hd.spec.T, v).values
@@ -369,7 +375,8 @@ def trajectory(spec, op, u, times):
             raise ValueError(f"snapshot time {t} outside [0, T]")
         y = semigroup_apply(op, t, u)
         if spec.f_segments:
-            y = op.function(y.values + source_integral(op, spec.f_segments, t).values)
+            y = op.function(y.values + source_integral(
+                op, spec.f_segments, t, spec.fit_tol).values)
         out.append(y)
     return out
 
@@ -387,8 +394,8 @@ def cost_j(spec, op, u):
             t = midp + half * xg
             y = semigroup_apply(op, t, u)
             if spec.f_segments:
-                y = op.function(
-                    y.values + source_integral(op, spec.f_segments, t).values)
+                y = op.function(y.values + source_integral(
+                    op, spec.f_segments, t, spec.fit_tol).values)
             diff = y.values - w.values
             acc += wg * float(np.sum(op.M * diff * diff))
         total += 0.5 * beta * half * acc

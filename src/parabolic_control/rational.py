@@ -1,14 +1,20 @@
 """Partial-fraction rational approximation on (-inf, 0] and operator application.
 
-Pipeline: symbols are sampled on a fixed grid that is Chebyshev-distributed
-in the Moebius-mapped coordinate m^{-1}((-inf,0]) = (-1,1] plus log-spaced
-points near the origin; an adaptive barycentric (AAA-style) iteration picks
-support points and weights; poles come from the generalized eigenvalue
-problem of the barycentric pencil; spurious poles on the half-line are
-pruned by support removal and the fit restarted with those points banned;
-residues are re-fitted by Lawson-reweighted least squares in a
-conjugation-closed real parameterization; the result is validated on a
-denser independent grid.
+Pipeline: symbols are sampled on a fixed training grid _TRAIN that is
+Chebyshev-distributed in the Moebius-mapped coordinate
+m^{-1}((-inf,0]) = (-1,1] plus log-spaced points near the origin.  An
+adaptive barycentric (AAA-style) iteration picks support points and weights
+by least squares on a row subset of _TRAIN: every _STRIDE-th point, refined
+around each support point; once the approximant meets half the target on
+the subset it is checked on the whole of _TRAIN, and the points that miss
+join the subset before the iteration goes on (Driscoll, Nakatsukasa &
+Trefethen, AAA rational approximation on a continuum, SISC 2024).  Poles
+come from the generalized eigenvalue problem of the barycentric pencil;
+spurious poles on the half-line are pruned by support removal and the fit
+restarted with those points banned; residues are re-fitted on the same
+subset by Lawson-reweighted least squares in a conjugation-closed real
+parameterization; the result is validated on a denser independent grid
+_VALID.
 
 Pure exponentials exp(t*lambda) bypass the adaptive fit: a frozen table of
 near-best approximants of exp(x) (Caratheodory-Fejer, see
@@ -33,6 +39,8 @@ from .operators import MeshFunction, solve_shifted, _dist_to_interval
 
 POLE_EXCLUSION = 1e-6   # practical no-pole zone around (-inf, 0]; contract is 1e-8
 _MAX_LAWSON = 8
+_STRIDE = 4             # a fit's row set starts as every 4th training point
+_RADIUS = 4             # and gains the 4 grid neighbours on each side of a point
 
 
 def moebius(z):
@@ -167,78 +175,141 @@ def _norm_estimate(values):
 # adaptive barycentric fit
 # ---------------------------------------------------------------------------
 
-class _Loewner:
-    """Stacked Loewner matrix of the normalized samples, one column per
-    support point, kept across the greedy steps.
+def _initial_rows():
+    """The row set S a fit starts from: every _STRIDE-th training point."""
+    rows = np.zeros(len(_TRAIN), bool)
+    rows[::_STRIDE] = True
+    return rows
 
-    Rows of support points and banned points are zeroed rather than deleted:
-    zero rows change neither the singular values nor the right singular
-    vectors, so each new support point costs one O(m) column plus the
-    zeroing of its own rows.  The weights still factor the whole matrix
-    (O(m k^2)), but only its k x k triangular factor goes into the SVD.
-    Rows are ordered point-major (point i, component c at row i * nc + c).
+
+class _Loewner:
+    """Stacked Loewner matrix of the normalized samples on the row set S of
+    the training grid, one column per support point, kept across the greedy
+    steps.
+
+    S is the boolean mask `rows`, owned by the fit, so it only grows: every
+    support point brings its _RADIUS grid neighbours on each side, and
+    `include` adds further points.  The matrix holds one block of nc rows
+    per live point of S (neither a support nor a banned point), in the
+    order `live`; a new support point's block is overwritten by the last
+    one.  Each support point so costs one column over S plus the rows of its
+    new neighbours, and the weights come from the SVD of the k x k
+    triangular factor R of the matrix.  The Cauchy matrix C, the mapped
+    nodes and the samples of the live points are kept in the same order.
     """
 
-    def __init__(self, Fn, banned, kmax):
+    def __init__(self, Ft, Fn, banned, kmax, rows):
         npts, nc = Fn.shape
-        self.Fn = Fn
-        self.zero = np.zeros(npts, bool)
-        self.zero[list(banned)] = True
+        self.Ft, self.Fn, self.rows = Ft, Fn, rows
+        self.dead = np.zeros(npts, bool)
+        self.dead[list(banned)] = True
         self.support = []
-        self.C = np.zeros((npts, kmax), order="F")        # 1 / (z_i - z_k)
-        self.A = np.zeros((npts * nc, kmax), order="F")
+        self.m = 0
+        self.live = np.empty(npts, int)          # the live points, in matrix order,
+        self.z = np.empty(npts)                  # their nodes z_i,
+        self.F = np.empty_like(Ft)               # their samples
+        self.G = np.empty_like(Fn)               # and normalized samples
+        self.C = np.zeros((kmax, npts))          # 1 / (z_i - z_k)
+        self.A = np.zeros((kmax, npts, nc))      # (G_i - G_k) / (z_i - z_k)
+        self._append(np.flatnonzero(rows & ~self.dead))
+
+    def _append(self, pts):
+        m, n, k = self.m, len(pts), len(self.support)
+        self.m = m + n
+        new = slice(m, m + n)
+        self.live[new], self.z[new] = pts, _Z[pts]
+        self.F[new], self.G[new] = self.Ft[pts], self.Fn[pts]
+        if k and n:
+            sup = self.support
+            C = 1.0 / (self.z[None, new] - _Z[sup][:, None])
+            self.C[:k, new] = C
+            self.A[:k, new] = \
+                (self.G[None, new] - self.Fn[sup][:, None]) * C[:, :, None]
+
+    def include(self, points):
+        """Add the points and their grid neighbours to S."""
+        for j in points:
+            lo = max(j - _RADIUS, 0)
+            new = lo + np.flatnonzero(~self.rows[lo:j + _RADIUS + 1])
+            self.rows[new] = True
+            self._append(new[~self.dead[new]])
 
     def add(self, j):
+        self.include([j])
+        self.dead[j] = True
+        p = int(np.flatnonzero(self.live[:self.m] == j)[0])
+        m = self.m = self.m - 1
+        for X in (self.live, self.z, self.F, self.G):
+            X[p] = X[m]
+        self.C[:, p], self.A[:, p] = self.C[:, m], self.A[:, m]
         k = len(self.support)
-        nc = self.Fn.shape[1]
         self.support.append(j)
-        self.zero[j] = True
-        self.C[j, :k] = 0.0
-        self.A[j * nc:(j + 1) * nc, :k] = 0.0
-        live = ~self.zero
-        self.C[live, k] = 1.0 / (_Z[live] - _Z[j])
-        self.A[:, k] = ((self.Fn - self.Fn[j]) * self.C[:, k, None]).ravel()
+        self.C[k, :m] = 1.0 / (self.z[:m] - _Z[j])
+        self.A[k, :m] = (self.G[:m] - self.Fn[j]) * self.C[k, :m, None]
 
     def weights(self):
         """Right singular vector of the smallest singular value, taken from
         the SVD of the small triangular factor R of A = QR."""
-        R = np.linalg.qr(self.A[:, :len(self.support)], mode="r")
+        k = len(self.support)
+        R = np.linalg.qr(self.A[:k, :self.m].reshape(k, -1).T, mode="r")
         _, _, Vh = np.linalg.svd(R)
         return Vh[-1, :].conj()
 
-    def values(self, Ft, w):
-        """Barycentric approximant on the training grid; support and banned
-        points keep their sample values."""
-        C = self.C[:, :len(self.support)]
-        den = C @ w
-        den[self.zero] = 1.0
-        R = (C @ (w[:, None] * Ft[self.support, :])) / den[:, None]
-        R[self.zero] = Ft[self.zero]
+    def values(self, w, idx=None):
+        """Barycentric approximant at the live points of S, or at the
+        training points idx, where support and banned points keep their
+        sample values."""
+        sup = self.support
+        Fw = w[:, None] * self.Ft[sup]
+        if idx is None:
+            C = self.C[:len(sup), :self.m]
+            return (C.T @ Fw) / (C.T @ w)[:, None]
+        keep = ~self.dead[idx]
+        R = self.Ft[idx]
+        C = 1.0 / (_Z[idx[keep], None] - _Z[sup][None, :])
+        R[keep] = (C @ Fw) / (C @ w)[:, None]
         return R
 
 
-def _greedy_barycentric(Ft, Fn, targets, d_max, banned):
-    """Greedy support selection until the target or the degree budget is hit;
-    returns the best state seen (late iterations can degrade on noise)."""
+def _greedy_barycentric(Ft, Fn, targets, d_max, banned, rows):
+    """Greedy support selection on the row set S until the target or the
+    degree budget is hit; returns the best state seen (late iterations can
+    degrade on noise).
+
+    Once the approximant meets half the target on S it is judged on the
+    whole training grid; the points that miss there join S, with their
+    neighbours, and the greedy goes on.  So it stops on the full-grid test.
+    """
     kmax = min(d_max + 1, int(np.count_nonzero(_TRAIN_CAND)))
-    L = _Loewner(Fn, banned, kmax)
-    R = np.tile(Ft.mean(axis=0), (len(_Z), 1))
+    L = _Loewner(Ft, Fn, banned, kmax, rows)
+    every = np.arange(len(_Z))
     w = None
     best = (np.inf, [], None)
+
+    def relerr(idx=None):
+        F = L.F[:L.m] if idx is None else Ft[idx]
+        R = Ft.mean(axis=0) if w is None else L.values(w, idx)
+        return np.max(np.abs(F - R) / targets[None, :], axis=1)
+
     while len(L.support) <= d_max:
-        sel = np.max(np.abs(Ft - R) / targets[None, :], axis=1)
-        relerr = float(np.max(sel))
-        if relerr < best[0] and L.support:
-            best = (relerr, list(L.support), w.copy())
-        if relerr <= 0.5 and L.support:
+        sel = relerr()
+        err = float(np.max(sel))
+        if err <= 0.5 and L.support:
+            full = relerr(every)
+            err = float(np.max(full))
+            if err > 0.5:
+                L.include(np.flatnonzero(full > 0.5))
+                sel = relerr()
+        if err < best[0] and L.support:
+            best = (err, list(L.support), w.copy())
+        if err <= 0.5 and L.support:
             break
-        sel[~_TRAIN_CAND | L.zero] = 0.0
-        j = int(np.argmax(sel))
-        if sel[j] == 0.0:
+        sel[~_TRAIN_CAND[L.live[:L.m]]] = 0.0
+        k = int(np.argmax(sel))
+        if sel[k] == 0.0:
             break
-        L.add(j)
+        L.add(int(L.live[k]))
         w = L.weights()
-        R = L.values(Ft, w)
     _, support, w = best
     return support, w
 
@@ -291,13 +362,19 @@ def _residue_design(lams, poles):
     return np.stack(cols, axis=1), realp, pos
 
 
-def _residues_lawson(values, poles):
-    """Conjugation-closed residues by column-scaled Lawson least squares."""
-    A, realp, pos = _residue_design(_TRAIN, poles)
+def _residues_lawson(F, poles, rows):
+    """Conjugation-closed residues of every column of F by column-scaled
+    Lawson least squares on the row set S, all columns on one design."""
+    idx = np.flatnonzero(rows)
+    A, realp, pos = _residue_design(_TRAIN[idx], poles)
     cn = np.linalg.norm(A, axis=0)
     cn[cn == 0] = 1.0
     An = A / cn[None, :]
-    wts = np.ones(len(_TRAIN))
+    return [_lawson(An, values, realp, pos, cn) for values in F[idx].T]
+
+
+def _lawson(An, values, realp, pos, cn):
+    wts = np.ones(len(values))
     best = None
     stalled = 0
     for _ in range(_MAX_LAWSON):
@@ -333,7 +410,7 @@ def _residues_lawson(values, poles):
     return PartialFractionRational(r0, tuple(pole_list), tuple(res_list))
 
 
-def _drop_bad_poles(support, w, banned, Fn):
+def _drop_bad_poles(support, w, banned, Ft, Fn, rows):
     """Remove support points breeding half-line poles; recompute weights."""
     lamp, zp = _poles_of(support, w)
     for _ in range(6):
@@ -348,7 +425,7 @@ def _drop_bad_poles(support, w, banned, Fn):
             support.pop(k)
         if not support:
             return np.array([], dtype=complex), support, None
-        L = _Loewner(Fn, banned, len(support))
+        L = _Loewner(Ft, Fn, banned, len(support), rows)
         for j in support:
             L.add(j)
         w = L.weights()
@@ -371,16 +448,16 @@ def _fit_adaptive(samples, d_max, targets):
         return fits, _validate(fits, samples)
     Fn = Ft[:, active] / comp_scale[active][None, :]
     banned = set()
+    rows = _initial_rows()
     result = None
     for _ in range(4):
-        support, w = _greedy_barycentric(Ft, Fn, targets, d_max, banned)
+        support, w = _greedy_barycentric(Ft, Fn, targets, d_max, banned, rows)
         if not support:
             break
-        lamp, support, w = _drop_bad_poles(support, w, banned, Fn)
+        lamp, support, w = _drop_bad_poles(support, w, banned, Ft, Fn, rows)
         if not support:
             break
-        poles = [complex(p) for p in lamp]
-        fits = [_residues_lawson(F[:, c], poles) for c in range(F.shape[1])]
+        fits = _residues_lawson(F, [complex(p) for p in lamp], rows)
         errs = _validate(fits, samples)
         if result is None or float(np.max(errs / targets)) \
                 < float(np.max(result[1] / targets)):

@@ -17,13 +17,13 @@ M-weighted operator norm of delta A equals nu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .control import ProblemSpec, homogenize, optimal_control, solve_mu
+from .control import homogenize, optimal_control, solve_mu
 from .operators import DiscreteOperator, norm_m
 
 CHANNELS = ("alpha", "beta", "w", "ystar", "f", "operator")
@@ -64,7 +64,7 @@ def perturb(spec, op, p):
         # relative step delta_alpha = nu * alpha: admissible for every nu < 1
         # (the stability assumption is one-sided, delta_alpha < nu) and inside
         # the linear-response regime across the whole nu sweep
-        new_spec = _replace(spec, alpha=spec.alpha * (1.0 + nu))
+        new_spec = replace(spec, alpha=spec.alpha * (1.0 + nu))
     elif p.channel == "beta":
         d = rng.standard_normal(len(spec.beta_segments))
         betas = np.array([b for (_, _, b) in spec.beta_segments])
@@ -74,7 +74,7 @@ def perturb(spec, op, p):
                      for (a, b, beta), di in zip(spec.beta_segments, d))
         if any(b < 0 for (_, _, b) in segs):
             raise ValueError("projected beta perturbation left the cone")
-        new_spec = _replace(spec, beta_segments=segs)
+        new_spec = replace(spec, beta_segments=segs)
     elif p.channel == "w":
         dirs = _unit_vectors(rng, op, len(spec.w_segments))
         lens = np.array([b - a for (a, b, _) in spec.beta_segments])
@@ -82,11 +82,11 @@ def perturb(spec, op, p):
                             for L, d in zip(lens, dirs)))
         ws = tuple(op.function(w.values + (nu / total) * d)
                    for w, d in zip(spec.w_segments, dirs))
-        new_spec = _replace(spec, w_segments=ws)
+        new_spec = replace(spec, w_segments=ws)
     elif p.channel == "ystar":
         d = rng.standard_normal(op.n)
         d /= norm_m(op, d)
-        new_spec = _replace(spec, ystar=op.function(spec.ystar.values + nu * d))
+        new_spec = replace(spec, ystar=op.function(spec.ystar.values + nu * d))
     elif p.channel == "f":
         segs = spec.f_segments if spec.f_segments else tuple(
             (a, b, op.function(np.zeros(op.n))) for (a, b, _) in spec.beta_segments)
@@ -96,18 +96,10 @@ def perturb(spec, op, p):
                             for L, d in zip(lens, dirs)))
         fs = tuple((a, b, op.function(f.values + (nu / total) * d))
                    for (a, b, f), d in zip(segs, dirs))
-        new_spec = _replace(spec, f_segments=fs)
+        new_spec = replace(spec, f_segments=fs)
     elif p.channel == "operator":
         new_op = _perturb_operator(op, nu, rng)
     return new_spec, new_op
-
-
-def _replace(spec, **kw):
-    fields = dict(T=spec.T, alpha=spec.alpha, beta_segments=spec.beta_segments,
-                  w_segments=spec.w_segments, ystar=spec.ystar, eps=spec.eps,
-                  f_segments=spec.f_segments)
-    fields.update(kw)
-    return ProblemSpec(**fields)
 
 
 def _perturb_operator(op, nu, rng):

@@ -110,6 +110,29 @@ def test_phi_curve_run(tmp_path, small_1d_cfg):
     assert "non_monotone_flagged = 0" in (out / "run_meta.txt").read_text()
 
 
+def test_fit_tol_override_stays_in_its_run(tmp_path, monkeypatch):
+    """The fit tolerance travels in the problem spec: an INI override of
+    fit_tol reaches every fit of its own run, rebinds nothing in the control
+    module, and a later run without it fits at the default."""
+    tols = []
+
+    def recorded(gs, d, tol, _fit=ctl.fit_cached):
+        tols.append(tol)
+        return _fit(gs, d, tol)
+    monkeypatch.setattr(ctl, "fit_cached", recorded)
+    small = "[example1d]\nn_el = 24\neps_fractions = 0.5\nphi_curve_points = 3\n"
+    loose, plain = tmp_path / "loose.ini", tmp_path / "plain.ini"
+    loose.write_text(small + "fit_tol = 1e-9\n")
+    plain.write_text(small)
+    for path, want in ((loose, 1e-9), (plain, 1e-12)):
+        before = dict(vars(ctl))
+        tols.clear()
+        assert cli.main(["example1d", "--config", str(path),
+                         "--out", str(tmp_path / path.stem)]) == 0
+        assert tols and set(tols) == {want}
+        assert [k for k, v in vars(ctl).items() if before.get(k) is not v] == []
+
+
 def test_phi_curve_continuity_and_decay(hd62, op62, phi0_62):
     # first default sample within 1e-4 of Phi(0); last below 1e-3 Phi(0)
     cfg = load_config("phi-curve")

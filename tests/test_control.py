@@ -47,7 +47,7 @@ def test_constant_source_matches_resolvent_formula(op64):
     lam = ds.eigenvalues
     rng = np.random.default_rng(21)
     f = op64.function(rng.standard_normal(op64.n))
-    got = ctl.source_integral(op64, ((0.0, T_1D, f),), T_1D).values
+    got = ctl.source_integral(op64, ((0.0, T_1D, f),), T_1D, 1e-12).values
     want = ds.from_eig((np.expm1(T_1D * lam) / lam) * ds.to_eig(f)).values
     assert ops.norm_m(op64, got - want) <= 1e-8 * ops.norm_m(op64, want)
 
@@ -93,8 +93,11 @@ def test_u_min_reduces_to_psi_over_alpha(op20):
     # with beta = 0 the gradient data is Psi = alpha*I: u_min = psi/alpha
     rng = np.random.default_rng(22)
     psi_vec = rng.standard_normal(op20.n)
+    zero = op20.function(np.zeros(op20.n))
+    spec = ctl.ProblemSpec(T=T_1D, alpha=ALPHA, beta_segments=((0.0, T_1D, 0.0),),
+                           w_segments=(zero,), ystar=zero, eps=1.0)
     hd = ctl.HomogenizedData(
-        spec=None, op=op20, ystar_hom=op20.function(np.zeros(op20.n)),
+        spec=spec, op=op20, ystar_hom=zero,
         w_hom=(), psi=op20.function(psi_vec), psi_symbol_terms=(),
         big_psi_symbol=sym.const(ALPHA))
     got = ctl.u_min(hd, op20).values

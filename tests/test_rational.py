@@ -104,9 +104,10 @@ def test_fit_report_contract():
 
 
 def test_incremental_loewner_matches_rebuilt_matrix():
-    """Zeroed rows leave the right singular vectors unchanged: the weights of
-    the column-by-column Loewner matrix equal those of a matrix rebuilt from
-    scratch with the support and banned rows deleted."""
+    """The weights of the column-by-column Loewner matrix, with its rows
+    grown around each support point and the support and banned rows
+    dropped, equal those of a matrix rebuilt from scratch on the same row
+    set."""
     F = np.stack([g(rat._TRAIN) for g in _phi_pair(1.0)], axis=1)
     Ft = F - F[0]
     Fn = Ft / np.max(np.abs(Ft), axis=0)
@@ -114,22 +115,98 @@ def test_incremental_loewner_matches_rebuilt_matrix():
     support = [int(j) for j in cand[100::240][:6]]
     banned = {int(cand[1500])}
     Z = rat._Z
-    L = rat._Loewner(Fn, banned, len(support))
+    rows = rat._initial_rows()
+    L = rat._Loewner(Ft, Fn, banned, len(support), rows)
     for k, j in enumerate(support, 1):
         L.add(j)
         w = L.weights()
         sup = support[:k]
-        keep = np.ones(len(Z), bool)
+        keep = rows.copy()
         keep[sup + sorted(banned)] = False
+        assert rows[support[k - 1] + rat._RADIUS]     # neighbours joined the rows
+        # point-major rows (F_i - F_j) / (z_i - z_j), differenced first as
+        # in _Loewner: at k = 6 the weights are determined only to about
+        # 5e-13 (against a 40-digit reference), so a reference with other
+        # rounding (F_i C - C F_j, or component-major rows) lands 1e-12 away
         C = 1.0 / (Z[keep, None] - Z[sup][None, :])
-        A = np.vstack([Fn[keep, c:c + 1] * C - C * Fn[sup, c][None, :]
-                       for c in range(Fn.shape[1])])
+        A = ((Fn[keep, :, None] - Fn[sup].T[None]) * C[:, None, :]).reshape(-1, k)
         sv, Vh = np.linalg.svd(A, full_matrices=False)[1:]
         # the smallest singular value stays above 1e-9 of the largest here,
         # so both unit weight vectors are determined to about 1e-13
         assert sv[-1] >= 1e-9 * sv[0]
         w_ref = Vh[-1]
         assert np.max(np.abs(w * np.sign(w @ w_ref) - w_ref)) <= 1e-12
+
+
+def _record_rows(monkeypatch):
+    """Record the row-set size of every residue refit from now on."""
+    sizes = []
+
+    def recorded(F, poles, rows, _refit=rat._residues_lawson):
+        sizes.append(int(np.count_nonzero(rows)))
+        return _refit(F, poles, rows)
+    monkeypatch.setattr(rat, "_residues_lawson", recorded)
+    return sizes
+
+
+def test_large_mu_fits_refine_their_row_set(monkeypatch):
+    sizes = _record_rows(monkeypatch)
+    start = int(np.count_nonzero(rat._initial_rows()))
+    assert start == 551
+    for mu in (1e10, 1e11, 1e12):
+        sizes.clear()
+        fits, rep = rat.fit_rational_shared(_phi_pair(mu), ctl.DEGREE_CAP, 1e-12)
+        assert rep.success, mu
+        assert rep.max_error <= rep.tol * rep.norm_estimate
+        assert rep.sample_count == len(rat._TRAIN)
+        assert sizes and sizes[-1] > start, mu
+
+
+def test_full_grid_check_finds_what_the_row_set_misses():
+    """A sample that lies off the row set is seen only by the full-grid
+    stopping test; the greedy adds it to the rows, takes it as a support
+    point and stops on the full grid."""
+    lam = rat._TRAIN
+    cand = np.flatnonzero(rat._TRAIN_CAND & ~rat._initial_rows())
+    for i0 in cand[[300, 1400]]:
+        F = np.exp(lam)[:, None]
+        F[i0] += 1e-6
+        Ft = F - F[0]
+        target = np.array([1e-9])
+        rows = rat._initial_rows()
+        support, w = rat._greedy_barycentric(Ft, Ft / np.max(np.abs(Ft)), target,
+                                             30, set(), rows)
+        assert rows[i0] and i0 in support
+        with np.errstate(divide="ignore", invalid="ignore"):
+            C = 1.0 / (rat._Z[:, None] - rat._Z[support][None, :])
+            R = (C @ (w * Ft[support, 0])) / (C @ w)
+        R[support] = Ft[support, 0]
+        assert np.max(np.abs(R - Ft[:, 0])) <= 0.5 * target[0]
+
+
+# Phi-pair degrees on the whole training grid, before fits ran on a row set
+_FULL_GRID_DEGREES = {0.0: 14, 1e-3: 18, 1.0: 19, 1e2: 20, 1e5: 21, 1e8: 22,
+                      1e11: 23}
+
+
+def test_row_set_fits_keep_their_degree():
+    for mu, degree in _FULL_GRID_DEGREES.items():
+        fits, rep = rat.fit_rational_shared(_phi_pair(mu), ctl.DEGREE_CAP, 1e-12)
+        assert rep.success, mu
+        assert rep.degree <= degree + 1, mu
+
+
+def test_shared_fit_builds_one_residue_design_per_pole_set(monkeypatch):
+    designs, pole_sets = [], []
+    for name, calls in (("_residue_design", designs), ("_drop_bad_poles", pole_sets)):
+        def counted(*args, _f=getattr(rat, name), _calls=calls):
+            _calls.append(args)
+            return _f(*args)
+        monkeypatch.setattr(rat, name, counted)
+    fits, rep = rat.fit_rational_shared(_phi_pair(1e3), ctl.DEGREE_CAP, 1e-12)
+    assert rep.success and len(fits) == 2
+    assert len(pole_sets) >= 1
+    assert len(designs) == len(pole_sets)
 
 
 def test_fit_failure_report_carries_best_error():
