@@ -118,13 +118,14 @@ def cmd_example1d(cfg, out):
     umin = ctl.u_min(hd, op)
     umin_n = ops.norm_m(op, umin)
 
-    summary = []
+    summary, evals = [], []
     for i, frac in enumerate(cfg.eps_fractions):
         eps = frac * phi0
         spec = build_problem_1d(cfg, op, eps)
         t0 = time.perf_counter()
         sol = ctl.solve_problem(spec, op, hd=hd)
         timings.append((f"solve_eps{i}", time.perf_counter() - t0))
+        evals.append(f"phi_evals_eps{i} = {sol.phi_evals}")
         y_half = ctl.trajectory(spec, op, sol.u_opt, [spec.T / 2])[0]
         w = spec.w_segments[0]
         du = ops.norm_m(op, sol.u_opt.values - umin.values) / max(umin_n, 1e-300)
@@ -142,7 +143,7 @@ def cmd_example1d(cfg, out):
     rows, _ = _phi_curve_rows(hd, op, cfg)
     timings.append(("phi_curve", time.perf_counter() - t0))
     _write_csv(out / "phi_curve.csv", ["mu", "phi", "monotone_ok"], rows)
-    _write_meta(out, cfg, timings, [f"phi0 = {phi0!r}", f"n = {op.n}"])
+    _write_meta(out, cfg, timings, [f"phi0 = {phi0!r}", f"n = {op.n}", *evals])
 
 
 def cmd_example2d(cfg, out):
@@ -157,13 +158,14 @@ def cmd_example2d(cfg, out):
     phi0 = ctl.phi(hd, op, 0.0)
     timings.append(("phi0", time.perf_counter() - t0))
 
-    summary = []
+    summary, evals = [], []
     for i, frac in enumerate(cfg.eps_fractions):
         eps = frac * phi0
         spec = build_problem_2d(cfg, op, eps)
         t0 = time.perf_counter()
         sol = ctl.solve_problem(spec, op, hd=hd)
         timings.append((f"solve_eps{i}", time.perf_counter() - t0))
+        evals.append(f"phi_evals_eps{i} = {sol.phi_evals}")
         snaps = ctl.trajectory(spec, op, sol.u_opt, [0.0, spec.T / 2, spec.T])
         for j, snap in enumerate(snaps):
             _write_csv(out / f"snapshot_eps{i}_t{j}.csv", ["x", "y", "value"],
@@ -176,7 +178,7 @@ def cmd_example2d(cfg, out):
                summary)
     _write_meta(out, cfg, timings,
                 [f"phi0 = {phi0!r}", f"n = {op.n}",
-                 "reference_phi0_seconds = 0.9828"])
+                 "reference_phi0_seconds = 0.9828", *evals])
 
 
 def cmd_phi_curve(cfg, out):

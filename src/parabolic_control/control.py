@@ -10,7 +10,10 @@ with Psi = alpha I + int beta(t) S_2t dt, psi = int beta(t) S_t w_hom dt,
 and mu >= 0 the root of Phi(mu) = eps (zero when the unconstrained
 minimizer is already feasible).  Every operator function is evaluated as a
 fitted partial-fraction rational applied through shifted solves; Phi needs
-one shared-pole fit and about a dozen complex solves per evaluation.
+one shared-pole fit and about a dozen complex solves per evaluation, and its
+exact slope in mu another application on the same poles.  The root is found
+by Newton's method on 1/Phi in log mu, safeguarded by the sign-change
+bracket (the trust-region secular equation of Moré & Sorensen, 1983).
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ class HomogenizedData:
     psi: MeshFunction
     psi_symbol_terms: tuple         # (beta_i, segment-integral symbol) pairs
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
+    # mu -> (Phi(mu), d log Phi / d log mu); no slope (None) at mu = 0 or Phi = 0
     _phi_values: dict = field(default_factory=dict, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)  # st_ystar_hom; PCG reports
 
@@ -120,6 +124,9 @@ class ControlSolution:
     # and its true residual, normalized as kkt
     pcg_stop: str = "not run"
     pcg_residual: float = math.nan
+    # Phi values this solve computed (cached ones from earlier solves on the
+    # same HomogenizedData are not counted)
+    phi_evals: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -204,40 +211,68 @@ def u_min(hd, op):
 
 
 def phi(hd, op, mu):
-    """Phi(mu) = || ystar_hom - (mu S_2T + Psi)^{-1}(mu S_2T ystar_hom + S_T psi) ||_M."""
+    """Phi(mu) = ||r||_M with r = ystar_hom - (mu S_2T + Psi)^{-1}(mu S_2T ystar_hom + S_T psi).
+
+    The value is cached in hd._phi_values with its exact slope
+    d log Phi / d log mu = -<r, f1(A) r>_M / Phi^2, where f1 = mu e^{2T lam}
+    / (mu e^{2T lam} + Psi) is the first fit of the Phi pair: A is
+    M-self-adjoint and mu dr/dmu = -f1(A) r, so the slope costs one more
+    application on the pair's poles and no new fit or factorization.  There
+    is no slope at mu = 0, nor where Phi vanishes.
+    """
     if mu < 0:
         raise ValueError("mu must be >= 0")
     mu = float(mu)
-    val = hd._phi_values.get(mu)
-    if val is None:
+    cached = hd._phi_values.get(mu)
+    if cached is None:
         T = hd.spec.T
         denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
         fits = _fit_capped(hd, [(sym.const(mu) * sym.expm(2 * T)) / denom,
                                 sym.expm(T) / denom], f"phi fit at mu={mu}")
         x = apply_rational_shared(op, fits, [hd.ystar_hom, hd.psi])
-        val = hd._phi_values[mu] = norm_m(op, hd.ystar_hom.values - x.values)
-    return val
+        r = hd.ystar_hom.values - x.values
+        val = norm_m(op, r)
+        slope = None
+        if mu > 0.0 and val > 0.0:
+            slope = -inner_m(op, r, apply_rational(op, fits[0], r)) / val ** 2
+        cached = hd._phi_values[mu] = (val, slope)
+    return cached[0]
 
 
 def _root(f, target, tol, mu, slope=None, xtol=1e-10):
-    """mu with |f(mu) - target| <= tol for a positive, decreasing f.
+    """mu with |f(mu) - target| <= tol for a positive, decreasing f, from mu.
 
-    Modified regula falsi (Illinois, Dowell & Jarratt, BIT 11, 1971, with
-    the Anderson-Bjorck factor) in x = log mu on y = log(f / target), from
-    mu.  Until a sign change brackets the root, the first step is Newton's
-    on the given slope dy/dx (a factor 10 without one), later ones follow
-    the secant, by a factor between 10 and 10^3.  Returns the last mu once
-    it meets tol and the secant correction or the bracket is within xtol in
-    x (relative in mu); raises past MU_BRACKET_CAP or _ROOT_EVALS.
+    Works in x = log mu on y = log(f / target).  When f returns a pair
+    (value, s) with the exact slope s = d log f / d log mu, every step is
+    Newton's on 1/f, x <- x + (1 - f/target)/s (Moré & Sorensen, SIAM J.
+    Sci. Stat. Comput. 4, 1983), clamped to 3 decades and kept inside the
+    sign-change bracket, which it bisects when the step would leave it.
+    When f returns its value only, the steps are modified regula falsi
+    (Illinois, Dowell & Jarratt, BIT 11, 1971, with the Anderson-Bjorck
+    factor): until a sign change brackets the root, the first step is
+    Newton's on y with the given slope (a factor 10 without one), later ones
+    follow the secant, by a factor between 10 and 10^3.  Returns the last mu
+    once it meets tol and the Newton or secant correction or the bracket is
+    within xtol in x (relative in mu); raises past MU_BRACKET_CAP or
+    _ROOT_EVALS.
     """
     x, prev, xa, ya = math.log(mu), None, None, 0.0
+    lo, hi = -math.inf, math.inf    # sign-change bracket of the Newton steps
     for _ in range(_ROOT_EVALS):
         if abs(x) > math.log(MU_BRACKET_CAP):
             raise RuntimeError(f"no root of f(mu) = {target:.6g} for mu in [1/cap, cap],"
                                f" cap = {MU_BRACKET_CAP:g}: problem data is inconsistent")
         v = f(mu)
+        newton = isinstance(v, tuple)
+        if newton:
+            v, slope = v
         y = math.log(v / target)
-        if prev is not None:
+        if newton:
+            if y > 0:
+                lo = x
+            else:
+                hi = x
+        elif prev is not None:
             slope = (y - prev[1]) / (x - prev[0])
             if y * prev[1] < 0:
                 xa, ya = prev
@@ -246,9 +281,16 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
                 ya *= m if m > 0 else 0.5
         if abs(v - target) <= tol and (
                 (slope is not None and abs(y) <= xtol * abs(slope))
-                or (xa is not None and abs(x - xa) <= xtol)):
+                or (xa is not None and abs(x - xa) <= xtol)
+                or hi - lo <= xtol):
             return mu
-        if xa is not None:
+        if newton:
+            step = (1.0 - v / target) / slope if slope is not None and slope < 0 \
+                else math.copysign(_LN10, y)
+            x_new = x + min(max(step, -3 * _LN10), 3 * _LN10)
+            if not lo < x_new < hi:
+                x_new = 0.5 * (lo + hi)
+        elif xa is not None:
             x_new = x - y * (x - xa) / (y - ya)
         elif prev is None and slope is not None:
             x_new = x - y / slope
@@ -264,7 +306,8 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
 def solve_mu(hd, op, eps, hint=None):
     """Root of Phi(mu) = eps; zero when eps >= Phi(0).
 
-    _root starts from hint, a known nearby root (the sensitivity sweeps pass
+    Newton's method on 1/Phi (see _root), with each value and slope from
+    phi, starts from hint, a known nearby root (the sensitivity sweeps pass
     the unperturbed one), or from mu = 1, and stops at |Phi(mu) - eps| <=
     1e-8 Phi(0) with mu resolved to about 1e-10 relative.
     """
@@ -273,16 +316,12 @@ def solve_mu(hd, op, eps, hint=None):
     phi0 = phi(hd, op, 0.0)
     if eps >= phi0:
         return 0.0
+
+    def value_and_slope(m):
+        return phi(hd, op, m), hd._phi_values[m][1]
+
     start = hint if hint is not None and hint > 0 else 1.0
-    return _root(lambda m: phi(hd, op, m), eps, 1e-8 * phi0, float(start))
-
-
-def _phi_log_slope(hd, mu):
-    """d log Phi / d log mu at mu > 0 from the nearest other cached sample."""
-    near = min((m for m in hd._phi_values if m > 0 and m != mu),
-               key=lambda m: abs(math.log(m / mu)))
-    return (math.log(hd._phi_values[near] / hd._phi_values[mu])
-            / math.log(near / mu))
+    return _root(value_and_slope, eps, 1e-8 * phi0, float(start))
 
 
 def _apply_stationarity_op(hd, op, mu, v):
@@ -412,12 +451,13 @@ def solve_problem(spec, op, hd=None):
     """End-to-end solve; returns the solution bundle with diagnostics.
 
     The multiplier from the Phi root find is polished, when needed, by the
-    same root find on the realized final miss ||y(T) - ystar||_M (from the
-    Phi-route mu, with the slope of the Phi samples there) so the constraint
-    holds to 1e-7 * Phi(0) even where mu amplifies the route difference.
+    secant root find on the realized final miss ||y(T) - ystar||_M (from the
+    Phi-route mu, with the exact Phi slope there) so the constraint holds to
+    1e-7 * Phi(0) even where mu amplifies the route difference.
     """
     if hd is None:
         hd = homogenize(spec, op)
+    phi_count = len(hd._phi_values)
     mu = solve_mu(hd, op, spec.eps)
     phi0 = phi(hd, op, 0.0)
     seen = {}
@@ -430,7 +470,7 @@ def solve_problem(spec, op, hd=None):
 
     if mu > 0.0:
         mu = _root(miss_at, spec.eps, 1e-7 * phi0, mu,
-                   slope=_phi_log_slope(hd, mu), xtol=math.inf)
+                   slope=hd._phi_values[mu][1], xtol=math.inf)
     else:
         miss_at(mu)
     miss, u, y = seen[mu]
@@ -445,7 +485,8 @@ def solve_problem(spec, op, hd=None):
         kkt=pcg_residual if mu > 0.0 else kkt_residual(hd, op, u, mu),
         final_miss=miss,
         phi0=phi0,
-        phi_samples=tuple(sorted(hd._phi_values.items())),
+        phi_samples=tuple(sorted((m, v) for m, (v, _) in hd._phi_values.items())),
         pcg_stop=pcg_stop,
         pcg_residual=pcg_residual,
+        phi_evals=len(hd._phi_values) - phi_count,
     )

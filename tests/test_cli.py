@@ -97,6 +97,17 @@ def test_example1d_artifacts_and_determinism(tmp_path, small_1d_cfg):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     meta = (out1 / "run_meta.txt").read_text()
     assert "n_el = 24" in meta and "time_phi0_s" in meta
+    assert 0 < meta_phi_evals(out1)[0] <= 11
+
+
+def meta_phi_evals(out):
+    """The phi_evals_eps{i} lines of run_meta.txt, by i."""
+    found = {}
+    for line in (out / "run_meta.txt").read_text().splitlines():
+        key, _, value = line.partition(" = ")
+        if key.startswith("phi_evals_eps"):
+            found[int(key[len("phi_evals_eps"):])] = int(value)
+    return [found[i] for i in range(len(found))]
 
 
 def test_phi_curve_run(tmp_path, small_1d_cfg):
@@ -148,6 +159,7 @@ def test_example2d_coarse_run(tmp_path):
     out = tmp_path / "out2d"
     res = run_cli(["example2d", "--config", str(p), "--out", str(out)])
     assert res.returncode == 0, res.stderr
+    assert 0 < meta_phi_evals(out)[0] <= 11
     rows = read_csv(out / "summary.csv")
     assert float(rows[0]["kkt_residual"]) <= 1e-6
     for j in range(3):
@@ -217,6 +229,7 @@ def test_variant_differs_only_through_operator(tmp_path):
         cfg_lines[name] = {ln for ln in (out / "run_meta.txt").read_text().splitlines()
                            if " = " in ln and not ln.startswith("time_")
                            and not ln.startswith("phi0")
+                           and not ln.startswith("phi_evals_")
                            and not ln.startswith("out_dir")}
     diff = cfg_lines["iso"] ^ cfg_lines["disc"]
     assert diff == {"variant = 'isotropic'", "variant = 'discontinuous'"}

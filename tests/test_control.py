@@ -169,6 +169,23 @@ def test_phi_strictly_decreasing(hd62, op62):
         assert b < a
 
 
+@pytest.mark.parametrize("mu", [1e-3, 1e-1, 10.0])
+def test_phi_slope_matches_oracle(op64, hd64, mu):
+    # d log Phi / d log mu = -sum r_k^2 f1(lam_k) / sum r_k^2 in the
+    # eigenbasis, with f1 = mu e^{2T lam} / (mu e^{2T lam} + Psi)
+    ds = orc.decompose(op64)
+    lam = ds.eigenvalues
+    e_t, e_2t = np.exp(T_1D * lam), np.exp(2 * T_1D * lam)
+    denom = mu * e_2t + np.asarray(hd64.big_psi_symbol(lam))
+    y = ds.to_eig(hd64.ystar_hom)
+    r = y - (mu * e_2t * y + e_t * ds.to_eig(hd64.psi)) / denom
+    want = -np.sum(r ** 2 * mu * e_2t / denom) / np.sum(r ** 2)
+    ctl.phi(hd64, op64, mu)
+    ctl.phi(hd64, op64, 0.0)
+    assert hd64._phi_values[mu][1] == pytest.approx(want, rel=1e-8)
+    assert hd64._phi_values[0.0][1] is None
+
+
 def test_phi_rejects_negative_mu(hd62, op62):
     with pytest.raises(ValueError):
         ctl.phi(hd62, op62, -1.0)
@@ -204,6 +221,39 @@ def test_root_find_resolves_known_root(root):
     assert mu == pytest.approx(root, rel=1e-10)
 
 
+@pytest.mark.parametrize("root", [3.7e4, 2.5e-3])
+def test_newton_root_find_resolves_known_root(root):
+    # Phi's secular form ||(mu + sigma)^{-1} c|| on the spectrum lam_k = -k^2
+    # of the 1D problem, sigma_k = Psi e^{-2T lam_k}, scaled so that f(root)
+    # = 1.  (On the power law of the secant twin above, 1/f grows like
+    # mu^0.7 past the root and Newton on 1/f in log mu is no faster.)
+    k = np.arange(1, 61)
+    sigma = 3.4e-3 * np.exp(2 * T_1D * k ** 2)
+    c = sigma / k
+
+    def value_and_slope(mu):
+        t = c / (mu + sigma)
+        v = np.sqrt(np.sum(t * t))
+        return v, -mu * np.sum(t * t / (mu + sigma)) / v ** 2
+
+    scale = value_and_slope(root)[0]
+    calls = {"newton": 0, "secant": 0}
+
+    def newton(mu):
+        calls["newton"] += 1
+        v, s = value_and_slope(mu)
+        return v / scale, s
+
+    def secant(mu):
+        calls["secant"] += 1
+        return value_and_slope(mu)[0] / scale
+
+    mu = ctl._root(newton, 1.0, 2e-8, 1.0)
+    assert mu == pytest.approx(root, rel=1e-10)
+    assert ctl._root(secant, 1.0, 2e-8, 1.0) == pytest.approx(root, rel=1e-10)
+    assert calls["newton"] < calls["secant"]
+
+
 @pytest.mark.parametrize("target", [0.5, 2.5])
 def test_root_find_raises_without_root_within_cap(target):
     # 1 + 1/(1 + mu) decreases from 2 to 1: no root of f = 0.5 (mu grows
@@ -214,8 +264,9 @@ def test_root_find_raises_without_root_within_cap(target):
 
 def test_solve_mu_phi_evaluation_counts(op62):
     # Phi evaluations are counted by the growth of hd._phi_values.  Measured
-    # here: 10 from scratch and 6 hinted; the brentq root find with its
-    # x10 bracket expansion and guard bisection took 14 and 12.
+    # here: 8 from scratch and 4 hinted with the Newton steps; the secant
+    # root find took 10 and 6, and brentq with its x10 bracket expansion
+    # and guard bisection 14 and 12.
     hd = ctl.homogenize(make_spec_51(op62, 1.0), op62)
     eps = 0.5 * ctl.phi(hd, op62, 0.0)
     n = len(hd._phi_values)
@@ -229,6 +280,33 @@ def test_solve_mu_phi_evaluation_counts(op62):
     mu_d = ctl.solve_mu(hd_d, op_d, eps, hint=mu0)
     assert len(hd_d._phi_values) - n <= 7
     assert abs(ctl.phi(hd_d, op_d, mu_d) - eps) <= 1e-8 * ctl.phi(hd_d, op_d, 0.0)
+
+
+def test_newton_root_find_phi_evaluations(op62):
+    # Newton on 1/Phi with the exact slope: 8 Phi values from mu = 1 and 4
+    # from the unperturbed root as hint (the secant steps took 10 and 6)
+    hd = ctl.homogenize(make_spec_51(op62, 1.0), op62)
+    eps = 0.5 * ctl.phi(hd, op62, 0.0)
+    n = len(hd._phi_values)
+    mu0 = ctl.solve_mu(hd, op62, eps)
+    assert len(hd._phi_values) - n <= 8
+    spec_d, op_d = sens.perturb(make_spec_51(op62, eps), op62,
+                                sens.PerturbationSpec(1e-2, "beta", 0))
+    hd_d = ctl.homogenize(spec_d, op_d)
+    phi0_d = ctl.phi(hd_d, op_d, 0.0)
+    n = len(hd_d._phi_values)
+    mu_d = ctl.solve_mu(hd_d, op_d, eps, hint=mu0)
+    assert len(hd_d._phi_values) - n <= 4
+    assert abs(ctl.phi(hd_d, op_d, mu_d) - eps) <= 1e-8 * phi0_d
+
+
+def test_solution_counts_its_phi_evaluations(op62):
+    hd = ctl.homogenize(make_spec_51(op62, 1.0), op62)
+    phi0 = ctl.phi(hd, op62, 0.0)
+    first = ctl.solve_problem(make_spec_51(op62, 0.5 * phi0), op62, hd=hd)
+    assert first.phi_evals == len(hd._phi_values) - 1 > 0
+    again = ctl.solve_problem(make_spec_51(op62, 0.5 * phi0), op62, hd=hd)
+    assert again.phi_evals == 0 and again.mu_eps == first.mu_eps
 
 
 def test_mu_monotone_in_eps(hd62, op62, phi0_62):
