@@ -11,9 +11,11 @@ and mu >= 0 the root of Phi(mu) = eps (zero when the unconstrained
 minimizer is already feasible).  Every operator function is evaluated as a
 fitted partial-fraction rational applied through shifted solves; Phi needs
 one shared-pole fit and about a dozen complex solves per evaluation, and its
-exact slope in mu another application on the same poles.  The root is found
-by Newton's method on 1/Phi in log mu, safeguarded by the sign-change
-bracket (the trust-region secular equation of Moré & Sorensen, 1983).
+exact slope in mu, where the root find asks for it, another application on
+the same poles.  The root is found by Newton's method on 1/Phi in log mu,
+safeguarded by the sign-change bracket (the trust-region secular equation
+of Moré & Sorensen, 1983).  Once the steps contract quadratically, the
+last Newton point is returned without its confirming Phi evaluation.
 """
 
 from __future__ import annotations
@@ -104,9 +106,10 @@ class HomogenizedData:
     psi: MeshFunction
     psi_symbol_terms: tuple         # (beta_i, segment-integral symbol) pairs
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
-    # mu -> (Phi(mu), d log Phi / d log mu); no slope (None) at mu = 0 or Phi = 0
+    # mu -> [Phi(mu), residual r, None] from phi; _phi_slope replaces r by the slope
     _phi_values: dict = field(default_factory=dict, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)  # st_ystar_hom; PCG reports
+    # st_ystar_hom; PCG reports; the Phi slope each solve_mu root is polished from
+    _cache: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -210,33 +213,45 @@ def u_min(hd, op):
     return apply_rational(op, r, hd.psi)
 
 
+def _phi_pair(hd, mu):
+    T = hd.spec.T
+    denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
+    return _fit_capped(hd, [(sym.const(mu) * sym.expm(2 * T)) / denom,
+                            sym.expm(T) / denom], f"phi fit at mu={mu}")
+
+
 def phi(hd, op, mu):
     """Phi(mu) = ||r||_M with r = ystar_hom - (mu S_2T + Psi)^{-1}(mu S_2T ystar_hom + S_T psi).
 
-    The value is cached in hd._phi_values with its exact slope
-    d log Phi / d log mu = -<r, f1(A) r>_M / Phi^2, where f1 = mu e^{2T lam}
-    / (mu e^{2T lam} + Psi) is the first fit of the Phi pair: A is
-    M-self-adjoint and mu dr/dmu = -f1(A) r, so the slope costs one more
-    application on the pair's poles and no new fit or factorization.  There
-    is no slope at mu = 0, nor where Phi vanishes.
+    The value is cached in hd._phi_values with r, from which _phi_slope
+    computes the slope when a root find asks for it.
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
     mu = float(mu)
-    cached = hd._phi_values.get(mu)
-    if cached is None:
-        T = hd.spec.T
-        denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
-        fits = _fit_capped(hd, [(sym.const(mu) * sym.expm(2 * T)) / denom,
-                                sym.expm(T) / denom], f"phi fit at mu={mu}")
-        x = apply_rational_shared(op, fits, [hd.ystar_hom, hd.psi])
+    entry = hd._phi_values.get(mu)
+    if entry is None:
+        x = apply_rational_shared(op, _phi_pair(hd, mu), [hd.ystar_hom, hd.psi])
         r = hd.ystar_hom.values - x.values
-        val = norm_m(op, r)
-        slope = None
-        if mu > 0.0 and val > 0.0:
-            slope = -inner_m(op, r, apply_rational(op, fits[0], r)) / val ** 2
-        cached = hd._phi_values[mu] = (val, slope)
-    return cached[0]
+        entry = hd._phi_values[mu] = [norm_m(op, r), r, None]
+    return entry[0]
+
+
+def _phi_slope(hd, op, mu):
+    """d log Phi / d log mu = -<r, f1(A) r>_M / Phi^2 at a mu phi has evaluated.
+
+    f1 = mu e^{2T lam} / (mu e^{2T lam} + Psi) is the first fit of the Phi
+    pair: A is M-self-adjoint and mu dr/dmu = -f1(A) r, so the slope costs
+    one more application on the pair's poles and no new fit or
+    factorization.  It is computed on first request and replaces r in the
+    cache.  There is no slope (None) at mu = 0, nor where Phi vanishes.
+    """
+    entry = hd._phi_values[mu]
+    val, r, slope = entry
+    if slope is None and mu > 0.0 and val > 0.0:
+        f1 = _phi_pair(hd, mu)[0]
+        entry[1:] = None, -inner_m(op, r, apply_rational(op, f1, r)) / val ** 2
+    return entry[2]
 
 
 def _root(f, target, tol, mu, slope=None, xtol=1e-10):
@@ -251,13 +266,28 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
     (Illinois, Dowell & Jarratt, BIT 11, 1971, with the Anderson-Bjorck
     factor): until a sign change brackets the root, the first step is
     Newton's on y with the given slope (a factor 10 without one), later ones
-    follow the secant, by a factor between 10 and 10^3.  Returns the last mu
-    once it meets tol and the Newton or secant correction or the bracket is
-    within xtol in x (relative in mu); raises past MU_BRACKET_CAP or
+    follow the secant, by a factor between 10 and 10^3.
+
+    Returns the last mu once it meets tol and the correction y / s (also by
+    the secant slope over the last step), the secant correction or the
+    bracket is within xtol in x (relative in mu).  A Newton step that lands
+    inside the bracket is returned unevaluated when the predicted next
+    correction C step^2 is within xtol; the error of that point is about
+    C step^2 in x and target |s| C step^2 in f.  After a Newton step, C =
+    |step| / |last step|^2 is the observed quadratic contraction, trusted
+    only when the trapezoid rule on the two reported slopes reproduces the
+    change of y over the last step: an inexact slope contracts linearly and
+    gets no such return.  Without a last Newton step (the first evaluation,
+    say from a nearby root), C = 3/2 bounds the contraction of every f of
+    Phi's form: s = -<r, f1 r> / ||r||^2 averages f1 in (0, 1) with weights
+    r^2 whose log derivative is -2 f1, so |s| < 1 and |ds/dx| <= 2 |s|, and
+    Newton on 1/f contracts by |s^2 - ds/dx| / (2 |s|) <= 3/2; the slope
+    itself cannot be checked there.  Raises past MU_BRACKET_CAP or
     _ROOT_EVALS.
     """
     x, prev, xa, ya = math.log(mu), None, None, 0.0
     lo, hi = -math.inf, math.inf    # sign-change bracket of the Newton steps
+    last = None     # (step, slope at its start) of a Newton step that led to x
     for _ in range(_ROOT_EVALS):
         if abs(x) > math.log(MU_BRACKET_CAP):
             raise RuntimeError(f"no root of f(mu) = {target:.6g} for mu in [1/cap, cap],"
@@ -267,29 +297,43 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
         if newton:
             v, slope = v
         y = math.log(v / target)
+        sec = slope if prev is None else (y - prev[1]) / (x - prev[0])
         if newton:
             if y > 0:
                 lo = x
             else:
                 hi = x
         elif prev is not None:
-            slope = (y - prev[1]) / (x - prev[0])
+            slope = sec
             if y * prev[1] < 0:
                 xa, ya = prev
             elif xa is not None:
                 m = 1.0 - y / prev[1]
                 ya *= m if m > 0 else 0.5
+        # the correction y / slope, also by the secant over the last step,
+        # so that an inexact reported slope cannot shrink it
         if abs(v - target) <= tol and (
-                (slope is not None and abs(y) <= xtol * abs(slope))
+                (slope is not None and abs(y) <= xtol * min(abs(slope), abs(sec)))
                 or (xa is not None and abs(x - xa) <= xtol)
                 or hi - lo <= xtol):
             return mu
         if newton:
-            step = (1.0 - v / target) / slope if slope is not None and slope < 0 \
-                else math.copysign(_LN10, y)
+            pure = slope is not None and slope < 0
+            step = (1.0 - v / target) / slope if pure else math.copysign(_LN10, y)
             x_new = x + min(max(step, -3 * _LN10), 3 * _LN10)
             if not lo < x_new < hi:
-                x_new = 0.5 * (lo + hi)
+                x_new, pure = 0.5 * (lo + hi), False
+            pure = pure and x_new == x + step
+            # the next correction is C step^2: C = |step| / last^2 once the
+            # trapezoid rule on the two slopes reproduces the change of y (an
+            # inexact slope leaves a mismatch of the size of y); C <= 3/2
+            # without a last step
+            if pure and (last is None or abs(
+                    y - prev[1] - 0.5 * (slope + last[1]) * last[0]) <= 0.5 * abs(y)):
+                c = 1.5 if last is None else abs(step) / last[0] ** 2
+                if c * step ** 2 <= xtol:
+                    return math.exp(x_new)
+            last = (step, slope) if pure else None
         elif xa is not None:
             x_new = x - y * (x - xa) / (y - ya)
         elif prev is None and slope is not None:
@@ -306,10 +350,16 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
 def solve_mu(hd, op, eps, hint=None):
     """Root of Phi(mu) = eps; zero when eps >= Phi(0).
 
-    Newton's method on 1/Phi (see _root), with each value and slope from
-    phi, starts from hint, a known nearby root (the sensitivity sweeps pass
-    the unperturbed one), or from mu = 1, and stops at |Phi(mu) - eps| <=
-    1e-8 Phi(0) with mu resolved to about 1e-10 relative.
+    Newton's method on 1/Phi (see _root), with each value from phi and its
+    slope from _phi_slope, starts from hint, a known nearby root (the
+    sensitivity sweeps pass the unperturbed one), or from mu = 1.  It stops
+    at |Phi(mu) - eps| <= 1e-8 Phi(0) with mu resolved to about 1e-10
+    relative.  The returned mu is usually the last Newton point, not
+    evaluated: its error is the predicted next correction, within 1e-10 in
+    log mu, so |Phi(mu) - eps| is about 1e-10 eps at most, since
+    d log Phi / d log mu lies in (-1, 0).  The slope of the last Phi
+    evaluated is kept in hd._cache[("root slope", mu)] for the polish in
+    solve_problem.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -317,11 +367,17 @@ def solve_mu(hd, op, eps, hint=None):
     if eps >= phi0:
         return 0.0
 
+    slope = [None]
+
     def value_and_slope(m):
-        return phi(hd, op, m), hd._phi_values[m][1]
+        v = phi(hd, op, m)
+        slope[0] = _phi_slope(hd, op, m)
+        return v, slope[0]
 
     start = hint if hint is not None and hint > 0 else 1.0
-    return _root(value_and_slope, eps, 1e-8 * phi0, float(start))
+    mu = _root(value_and_slope, eps, 1e-8 * phi0, float(start))
+    hd._cache[("root slope", mu)] = slope[0]
+    return mu
 
 
 def _apply_stationarity_op(hd, op, mu, v):
@@ -451,9 +507,11 @@ def solve_problem(spec, op, hd=None):
     """End-to-end solve; returns the solution bundle with diagnostics.
 
     The multiplier from the Phi root find is polished, when needed, by the
-    secant root find on the realized final miss ||y(T) - ystar||_M (from the
-    Phi-route mu, with the exact Phi slope there) so the constraint holds to
-    1e-7 * Phi(0) even where mu amplifies the route difference.
+    secant root find on the realized final miss ||y(T) - ystar||_M so the
+    constraint holds to 1e-7 * Phi(0) even where mu amplifies the route
+    difference.  The polish starts from the Phi-route mu, which need not
+    have a Phi value of its own, with the exact slope of the last Phi the
+    root find evaluated, one small Newton step away.
     """
     if hd is None:
         hd = homogenize(spec, op)
@@ -470,7 +528,7 @@ def solve_problem(spec, op, hd=None):
 
     if mu > 0.0:
         mu = _root(miss_at, spec.eps, 1e-7 * phi0, mu,
-                   slope=hd._phi_values[mu][1], xtol=math.inf)
+                   slope=hd._cache[("root slope", mu)], xtol=math.inf)
     else:
         miss_at(mu)
     miss, u, y = seen[mu]
@@ -485,7 +543,7 @@ def solve_problem(spec, op, hd=None):
         kkt=pcg_residual if mu > 0.0 else kkt_residual(hd, op, u, mu),
         final_miss=miss,
         phi0=phi0,
-        phi_samples=tuple(sorted((m, v) for m, (v, _) in hd._phi_values.items())),
+        phi_samples=tuple(sorted((m, e[0]) for m, e in hd._phi_values.items())),
         pcg_stop=pcg_stop,
         pcg_residual=pcg_residual,
         phi_evals=len(hd._phi_values) - phi_count,
