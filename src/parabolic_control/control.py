@@ -104,7 +104,6 @@ class HomogenizedData:
     ystar_hom: MeshFunction
     w_hom: tuple
     psi: MeshFunction
-    psi_symbol_terms: tuple         # (beta_i, segment-integral symbol) pairs
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
     # mu -> [Phi(mu), residual r, None] from phi; _phi_slope replaces r by the slope
     _phi_values: dict = field(default_factory=dict, repr=False)
@@ -173,19 +172,16 @@ def homogenize(spec, op):
         w_hom.append(op.function(
             w.values - source_integral(op, spec.f_segments, mid, tol).values))
     psi_vals = np.zeros(op.n)
-    terms = []
     big_psi = sym.const(spec.alpha)
     for (a, b, beta), wh in zip(spec.beta_segments, w_hom):
         if beta == 0.0:
             continue
-        terms.append((beta, sym.segment_integral(a, b, 1)))
         r = _segint_fit(a, b, 1, tol)
         psi_vals = psi_vals + beta * apply_rational(op, r, wh).values
         big_psi = big_psi + sym.const(beta) * sym.segment_integral(a, b, 2)
     return HomogenizedData(
         spec=spec, op=op, ystar_hom=ystar_hom, w_hom=tuple(w_hom),
-        psi=op.function(psi_vals), psi_symbol_terms=tuple(terms),
-        big_psi_symbol=big_psi)
+        psi=op.function(psi_vals), big_psi_symbol=big_psi)
 
 
 # ---------------------------------------------------------------------------

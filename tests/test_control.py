@@ -98,8 +98,7 @@ def test_u_min_reduces_to_psi_over_alpha(op20):
                            w_segments=(zero,), ystar=zero, eps=1.0)
     hd = ctl.HomogenizedData(
         spec=spec, op=op20, ystar_hom=zero,
-        w_hom=(), psi=op20.function(psi_vec), psi_symbol_terms=(),
-        big_psi_symbol=sym.const(ALPHA))
+        w_hom=(), psi=op20.function(psi_vec), big_psi_symbol=sym.const(ALPHA))
     got = ctl.u_min(hd, op20).values
     assert np.allclose(got, psi_vec / ALPHA, rtol=1e-10)
 
