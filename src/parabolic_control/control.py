@@ -16,6 +16,11 @@ the same poles.  The root is found by Newton's method on 1/Phi in log mu,
 safeguarded by the sign-change bracket (the trust-region secular equation
 of Moré & Sorensen, 1983).  Once the steps contract quadratically, the
 last Newton point is returned without its confirming Phi evaluation.
+Without a nearby known root, the root find starts from the root of a Ritz
+surrogate of Phi, a rational Gauss quadrature on a rational Krylov space
+built once per problem from the factors the solve holds anyway (the
+semigroup, Psi and Phi(0) poles), so a cold solve usually needs one or two
+exact Phi values.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symbols as sym
-from .operators import DimensionError, MeshFunction, inner_m, norm_m
+from .operators import DimensionError, MeshFunction, inner_m, norm_m, solve_shifted
 # every fit goes through fit_cached; fit_rational and fit_rational_shared stay
 # bound here because perfbench's tracer self-test checks these bindings
 from .rational import (  # noqa: F401
@@ -37,6 +42,8 @@ from .rational import (  # noqa: F401
     fit_rational,
     fit_rational_shared,
     semigroup_apply,
+    semigroup_fit,
+    _paired,
 )
 
 DEGREE_CAP = 40
@@ -107,7 +114,8 @@ class HomogenizedData:
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
     # mu -> [Phi(mu), residual r, None] from phi; _phi_slope replaces r by the slope
     _phi_values: dict = field(default_factory=dict, repr=False)
-    # st_ystar_hom; PCG reports; the Phi slope each solve_mu root is polished from
+    # st_ystar_hom; PCG reports; the Phi slope each solve_mu root is polished
+    # from; the Ritz values, weights and Psi values of the Phi surrogate
     _cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -203,6 +211,11 @@ def _uopt_pair(hd, mu):
                             sym.const(1.0) / denom], f"control fit at mu={mu}")
 
 
+def _psi_fit(hd):
+    r, = _fit_capped(hd, [hd.big_psi_symbol], "Psi fit")
+    return r
+
+
 def u_min(hd, op):
     """Unconstrained minimizer Psi^{-1} psi."""
     r, = _fit_capped(hd, [sym.const(1.0) / hd.big_psi_symbol], "inverse-Psi fit")
@@ -257,7 +270,9 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
     (value, s) with the exact slope s = d log f / d log mu, every step is
     Newton's on 1/f, x <- x + (1 - f/target)/s (Moré & Sorensen, SIAM J.
     Sci. Stat. Comput. 4, 1983), clamped to 3 decades and kept inside the
-    sign-change bracket, which it bisects when the step would leave it.
+    sign-change bracket, which it bisects when the step would leave it, or
+    when the last Newton step crossed the root without halving |y| (a too
+    shallow slope lands near the mirror point of the root every step).
     When f returns its value only, the steps are modified regula falsi
     (Illinois, Dowell & Jarratt, BIT 11, 1971, with the Anderson-Bjorck
     factor): until a sign change brackets the root, the first step is
@@ -270,20 +285,20 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
     inside the bracket is returned unevaluated when the predicted next
     correction C step^2 is within xtol; the error of that point is about
     C step^2 in x and target |s| C step^2 in f.  After a Newton step, C =
-    |step| / |last step|^2 is the observed quadratic contraction, trusted
-    only when the trapezoid rule on the two reported slopes reproduces the
-    change of y over the last step: an inexact slope contracts linearly and
-    gets no such return.  Without a last Newton step (the first evaluation,
-    say from a nearby root), C = 3/2 bounds the contraction of every f of
-    Phi's form: s = -<r, f1 r> / ||r||^2 averages f1 in (0, 1) with weights
-    r^2 whose log derivative is -2 f1, so |s| < 1 and |ds/dx| <= 2 |s|, and
-    Newton on 1/f contracts by |s^2 - ds/dx| / (2 |s|) <= 3/2; the slope
-    itself cannot be checked there.  Raises past MU_BRACKET_CAP or
-    _ROOT_EVALS.
+    |step| / |last step|^2 is the observed quadratic contraction.  After a
+    clamped or bisected step, and at the first evaluation (say from a
+    nearby root), C = 3/2 bounds the contraction of every f of Phi's form:
+    s = -<r, f1 r> / ||r||^2 averages f1 in (0, 1) with weights r^2 whose
+    log derivative is -2 f1, so |s| < 1 and |ds/dx| <= 2 |s|, and Newton on
+    1/f contracts by |s^2 - ds/dx| / (2 |s|) <= 3/2.  C is trusted only when
+    the trapezoid rule on the two reported slopes reproduces the change of
+    y over the last step: an inexact slope contracts linearly and gets no
+    such return.  At the first evaluation the slope cannot be checked.
+    Raises past MU_BRACKET_CAP or _ROOT_EVALS.
     """
     x, prev, xa, ya = math.log(mu), None, None, 0.0
     lo, hi = -math.inf, math.inf    # sign-change bracket of the Newton steps
-    last = None     # (step, slope at its start) of a Newton step that led to x
+    last = None     # (step, slope at its start, Newton's?) of the step to x
     for _ in range(_ROOT_EVALS):
         if abs(x) > math.log(MU_BRACKET_CAP):
             raise RuntimeError(f"no root of f(mu) = {target:.6g} for mu in [1/cap, cap],"
@@ -317,19 +332,25 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
             pure = slope is not None and slope < 0
             step = (1.0 - v / target) / slope if pure else math.copysign(_LN10, y)
             x_new = x + min(max(step, -3 * _LN10), 3 * _LN10)
-            if not lo < x_new < hi:
+            # a Newton step that crossed the root without halving |y| came
+            # from a too shallow slope: it lands near the mirror point of
+            # the root, inside the bracket, so the bracket is bisected
+            crossed = last is not None and last[2] and y * prev[1] < 0 \
+                and abs(y) > 0.5 * abs(prev[1])
+            if crossed or not lo < x_new < hi:
                 x_new, pure = 0.5 * (lo + hi), False
             pure = pure and x_new == x + step
-            # the next correction is C step^2: C = |step| / last^2 once the
-            # trapezoid rule on the two slopes reproduces the change of y (an
-            # inexact slope leaves a mismatch of the size of y); C <= 3/2
-            # without a last step
-            if pure and (last is None or abs(
+            # the next correction is C step^2: C = |step| / last^2 after a
+            # Newton step, C <= 3/2 otherwise; trusted once the trapezoid
+            # rule on the slopes at both ends of the last step reproduces the
+            # change of y (an inexact slope leaves a mismatch of the size of
+            # y), or for the first evaluation
+            if pure and (last is None or last[1] is not None and abs(
                     y - prev[1] - 0.5 * (slope + last[1]) * last[0]) <= 0.5 * abs(y)):
-                c = 1.5 if last is None else abs(step) / last[0] ** 2
+                c = abs(step) / last[0] ** 2 if last is not None and last[2] else 1.5
                 if c * step ** 2 <= xtol:
                     return math.exp(x_new)
-            last = (step, slope) if pure else None
+            last = (x_new - x, slope, pure)
         elif xa is not None:
             x_new = x - y * (x - xa) / (y - ya)
         elif prev is None and slope is not None:
@@ -343,12 +364,80 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
     raise RuntimeError(f"root find did not converge in {_ROOT_EVALS} evaluations")
 
 
+def _phi_surrogate(hd, op):
+    """Phi_s, the Ritz surrogate of Phi, as mu -> (Phi_s(mu), d log Phi_s / d log mu).
+
+    The residual of phi is r = (mu S_2T + Psi)^{-1} g with g = Psi ystar_hom
+    - S_T psi, so Phi^2 is a quadratic form in g.  Its Ritz value on the
+    rational Krylov space of g with the poles of the S_T, S_2T, Psi and
+    Phi(0) fits, which solve_problem factors anyway, is a rational Gauss
+    quadrature, accurate to about the square of the vector error (Golub &
+    Meurant, Matrices, Moments and Quadrature, 2010; Güttel, GAMM-Mitt. 36,
+    2013):
+
+        Phi_s(mu)^2 = sum_i c_i^2 / (mu e^{2T theta_i} + Psi(theta_i))^2
+
+    over the Ritz pairs (theta_i, w_i) of A on the space, c_i = <w_i, g>_M.
+    Every term decreases in mu, so Phi_s is monotone.  theta, c^2 and
+    Psi(theta) are computed on first use and kept in hd._cache.
+    """
+    ritz = hd._cache.get("phi surrogate")
+    if ritz is None:
+        T = hd.spec.T
+        r_psi = _psi_fit(hd)
+        g = apply_rational(op, r_psi, hd.ystar_hom).values \
+            - semigroup_apply(op, T, hd.psi).values
+        fits = (semigroup_fit(T), semigroup_fit(2 * T), r_psi, _phi_pair(hd, 0.0)[0])
+        poles = [p for r in fits for p, _ in _paired(r.poles, r.residues)]
+        # rational Arnoldi: each pole's solve continues from the last basis
+        # vector; orthonormal in the coordinates sqrt(M) v, where A is
+        # symmetric, by two Gram-Schmidt passes, dropping numerically
+        # dependent directions
+        sqrt_m = np.sqrt(op.M)
+        Q, k = np.empty((op.n, 1 + 2 * len(poles))), 0
+
+        def extend(q):
+            nonlocal k
+            size = np.linalg.norm(q)
+            for _ in range(2):
+                q = q - Q[:, :k] @ (Q[:, :k].T @ q)
+            if np.linalg.norm(q) > 1e-8 * size:
+                Q[:, k] = q / np.linalg.norm(q)
+                k += 1
+
+        extend(sqrt_m * g)
+        for p in poles:
+            x = solve_shifted(op, p, Q[:, k - 1] / sqrt_m).values
+            for part in (x.real, x.imag) if p.imag else (x.real,):
+                extend(sqrt_m * part)
+        Q = Q[:, :k]
+        V = Q / sqrt_m[:, None]     # M-orthonormal
+        theta, W = np.linalg.eigh(-(V.T @ (op.K @ V)))
+        c = W.T @ (Q.T @ (sqrt_m * g))
+        ritz = hd._cache["phi surrogate"] = (
+            theta, c ** 2, np.asarray(hd.big_psi_symbol(theta)))
+    theta, c2, psi_theta = ritz
+    e2 = np.exp(2 * hd.spec.T * theta)
+
+    def value_and_slope(mu):
+        d = mu * e2 + psi_theta
+        t = c2 / d ** 2
+        v2 = float(np.sum(t))
+        return math.sqrt(v2), -mu * float(np.sum(t * e2 / d)) / v2
+    return value_and_slope
+
+
 def solve_mu(hd, op, eps, hint=None):
     """Root of Phi(mu) = eps; zero when eps >= Phi(0).
 
     Newton's method on 1/Phi (see _root), with each value from phi and its
     slope from _phi_slope, starts from hint, a known nearby root (the
-    sensitivity sweeps pass the unperturbed one), or from mu = 1.  It stops
+    sensitivity sweeps pass the unperturbed one).  Without a hint it starts
+    from the root of the Ritz surrogate Phi_s (see _phi_surrogate), found by
+    the same root find on Phi_s and its exact slope; it depends on the
+    problem data only, never on earlier calls.  Where Phi_s has no root
+    within MU_BRACKET_CAP, the start is mu = 1, so that only the root find
+    on Phi decides whether a root exists.  It stops
     at |Phi(mu) - eps| <= 1e-8 Phi(0) with mu resolved to about 1e-10
     relative.  The returned mu is usually the last Newton point, not
     evaluated: its error is the predicted next correction, within 1e-10 in
@@ -370,7 +459,16 @@ def solve_mu(hd, op, eps, hint=None):
         slope[0] = _phi_slope(hd, op, m)
         return v, slope[0]
 
-    start = hint if hint is not None and hint > 0 else 1.0
+    if hint is not None and hint > 0:
+        start = hint
+    else:
+        surrogate = _phi_surrogate(hd, op)
+        try:
+            start = _root(surrogate, eps, 1e-8 * phi0, 1.0)
+        except RuntimeError:
+            # no root of Phi_s within the cap: whether Phi has one is for
+            # the exact root find to decide
+            start = 1.0
     mu = _root(value_and_slope, eps, 1e-8 * phi0, float(start))
     hd._cache[("root slope", mu)] = slope[0]
     return mu
@@ -378,8 +476,7 @@ def solve_mu(hd, op, eps, hint=None):
 
 def _apply_stationarity_op(hd, op, mu, v):
     """(mu S_2T + Psi) v through the realized operator fits."""
-    r, = _fit_capped(hd, [hd.big_psi_symbol], "Psi fit")
-    out = apply_rational(op, r, v).values
+    out = apply_rational(op, _psi_fit(hd), v).values
     if mu != 0.0:
         out = out + mu * semigroup_apply(op, 2 * hd.spec.T, v).values
     return out

@@ -284,6 +284,20 @@ def test_newton_root_find_guards_against_inexact_slope(root):
 
 
 @pytest.mark.parametrize("root", [3.7e4, 2.5e-3])
+def test_newton_root_find_bisects_after_shallow_slope(root):
+    # a slope reported half as steep doubles every Newton step, which lands
+    # near the mirror point of the root inside the bracket; a step that
+    # crosses the root without halving |y| is replaced by a bisection
+    twin = _secular_twin(root)
+
+    def shallow_slope(mu):
+        v, s = twin(mu)
+        return v, 0.5 * s
+
+    assert ctl._root(shallow_slope, 1.0, 2e-8, 1.0) == pytest.approx(root, rel=1e-10)
+
+
+@pytest.mark.parametrize("root", [3.7e4, 2.5e-3])
 def test_newton_root_find_trusts_one_short_step(root):
     # with no last step, the bound C <= 3/2 on the contraction of Phi's form
     # predicts the next correction 1.5 step^2: from 3e-6 off the root the
@@ -311,15 +325,15 @@ def test_root_find_raises_without_root_within_cap(target):
 
 def test_solve_mu_phi_evaluation_counts(op62):
     # Phi evaluations are counted by the growth of hd._phi_values.  Measured
-    # here: 7 from scratch and 3 hinted with the Newton steps (8 and 4 when
-    # the returned root was evaluated too); the secant root find took 10 and
-    # 6, and brentq with its x10 bracket expansion and guard bisection 14
-    # and 12.
+    # here: 1 from scratch, started from the root of the Ritz surrogate, and
+    # 3 hinted (7 from mu = 1 with the Newton steps, 8 and 4 when the
+    # returned root was evaluated too); the secant root find took 10 and 6,
+    # and brentq with its x10 bracket expansion and guard bisection 14 and 12.
     hd = ctl.homogenize(make_spec_51(op62, 1.0), op62)
     eps = 0.5 * ctl.phi(hd, op62, 0.0)
     n = len(hd._phi_values)
     mu0 = ctl.solve_mu(hd, op62, eps)
-    assert len(hd._phi_values) - n <= 11
+    assert len(hd._phi_values) - n <= 1
     spec_d, op_d = sens.perturb(make_spec_51(op62, eps), op62,
                                 sens.PerturbationSpec(1e-2, "beta", 0))
     hd_d = ctl.homogenize(spec_d, op_d)
@@ -331,14 +345,15 @@ def test_solve_mu_phi_evaluation_counts(op62):
 
 
 def test_newton_root_find_phi_evaluations(op62):
-    # Newton on 1/Phi with the exact slope: 7 Phi values from mu = 1 and 3
-    # from the unperturbed root as hint, the returned root unevaluated (8
-    # and 4 with it evaluated; the secant steps took 10 and 6)
+    # Newton on 1/Phi with the exact slope: 1 Phi value from the root of
+    # the Ritz surrogate (7 from mu = 1) and 3 from the unperturbed root as
+    # hint, the returned root unevaluated (8 and 4 with it evaluated; the
+    # secant steps took 10 and 6)
     hd = ctl.homogenize(make_spec_51(op62, 1.0), op62)
     eps = 0.5 * ctl.phi(hd, op62, 0.0)
     n = len(hd._phi_values)
     mu0 = ctl.solve_mu(hd, op62, eps)
-    assert len(hd._phi_values) - n <= 7
+    assert len(hd._phi_values) - n <= 1
     spec_d, op_d = sens.perturb(make_spec_51(op62, eps), op62,
                                 sens.PerturbationSpec(1e-2, "beta", 0))
     hd_d = ctl.homogenize(spec_d, op_d)
@@ -368,6 +383,54 @@ def test_solve_mu_meets_the_value_tolerance(experiment, variant):
     for frac in cfg.eps_fractions:
         mu = ctl.solve_mu(hd, op, frac * phi0)
         assert abs(ctl.phi(hd, op, mu) - frac * phi0) <= 1e-8 * phi0
+
+
+def test_phi_surrogate_is_monotone(hd62, op62, phi0_62):
+    surrogate = ctl._phi_surrogate(hd62, op62)
+    vals = [surrogate(m)[0] for m in np.concatenate([[0.0], np.logspace(-8, 16, 97)])]
+    assert vals[0] == pytest.approx(phi0_62, rel=1e-8)
+    assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("variant", ["isotropic", "discontinuous"])
+def test_phi_surrogate_root_matches_oracle(variant):
+    # on n = 61 the rational Krylov space of the surrogate (55 directions)
+    # holds nearly all of g, and its root meets the exact one at every eps
+    cfg = load_config("example1d", variant=variant)
+    op = cli.build_operator_1d(cfg)
+    hd = ctl.homogenize(cli.build_problem_1d(cfg, op, 1.0), op)
+    phi0 = ctl.phi(hd, op, 0.0)
+    surrogate = ctl._phi_surrogate(hd, op)
+    ds = orc.decompose(op)
+    for frac in (0.9, 0.5, 0.2, 0.1, 0.01, 0.001):
+        eps = frac * phi0
+        want = orc.oracle_solve_control(cli.build_problem_1d(cfg, op, eps), op, ds).mu_eps
+        mu = ctl._root(surrogate, eps, 1e-8 * phi0, 1.0)
+        assert mu == pytest.approx(want, rel=1e-8), frac
+
+
+def test_solve_mu_without_surrogate_root_starts_from_one(op62, monkeypatch):
+    # a surrogate that levels off above eps has no root within the cap: the
+    # exact root find then starts from mu = 1 and returns what the Newton
+    # root find from there returns
+    spec = make_spec_51(op62, 1.0)
+    hd = ctl.homogenize(spec, op62)
+    phi0 = ctl.phi(hd, op62, 0.0)
+    eps = 0.5 * phi0
+
+    def rootless(mu):
+        level = 1.5 + 1.0 / (1.0 + mu)
+        return eps * level, -mu / (1.0 + mu) ** 2 / level
+
+    with pytest.raises(RuntimeError, match="no root"):
+        ctl._root(rootless, eps, 1e-8 * phi0, 1.0)
+    fresh = ctl.homogenize(spec, op62)
+    want = ctl._root(lambda m: (ctl.phi(fresh, op62, m), ctl._phi_slope(fresh, op62, m)),
+                     eps, 1e-8 * phi0, 1.0)
+    monkeypatch.setattr(ctl, "_phi_surrogate", lambda hd, op: rootless)
+    mu = ctl.solve_mu(hd, op62, eps)
+    assert list(hd._phi_values)[1] == 1.0
+    assert mu == want
 
 
 def test_solution_counts_its_phi_evaluations(op62):
