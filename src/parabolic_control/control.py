@@ -2,17 +2,22 @@
 
 Solves min J(u) subject to || S_T u + source - ystar || <= eps, where
 J(u) = alpha/2 ||u||^2 + 1/2 int_0^T beta(t) ||y(t) - w(t)||^2 dt and the
-control u is the initial state.  The closed-form solution is
+control u is the initial state.  J is the quadratic form
+
+    J(u) = 1/2 <u, Psi u> - <u, psi> + c,
+
+with Psi = alpha I + int beta(t) S_2t dt, psi = int beta(t) S_t (w(t) -
+p(t)) dt, p(t) = int_0^t S_{t-tau} f(tau) dtau the source response, and c
+= J(0).  The closed-form solution is
 
     u_opt = (mu S_2T + Psi)^{-1} (mu S_T ystar_hom + psi),
 
-with Psi = alpha I + int beta(t) S_2t dt, psi = int beta(t) S_t w_hom dt,
-and mu >= 0 the root of Phi(mu) = eps (zero when the unconstrained
-minimizer is already feasible).  Every operator function is evaluated as a
-fitted partial-fraction rational applied through shifted solves; Phi needs
-one shared-pole fit and about a dozen complex solves per evaluation, and its
-exact slope in mu, where the root find asks for it, another application on
-the same poles.  The root is found by Newton's method on 1/Phi in log mu,
+with ystar_hom = ystar - p(T) and mu >= 0 the root of Phi(mu) = eps (zero
+when the unconstrained minimizer is already feasible).  Every operator
+function is evaluated as a fitted partial-fraction rational applied through
+shifted solves; Phi needs one shared-pole fit and about a dozen complex
+solves per evaluation, and its exact slope in mu, where the root find asks
+for it, another application on the same poles.  The root is found by Newton's method on 1/Phi in log mu,
 safeguarded by the sign-change bracket (the trust-region secular equation
 of Moré & Sorensen, 1983).  Once the steps contract quadratically, the
 last Newton point is returned without its confirming Phi evaluation.
@@ -50,9 +55,6 @@ DEGREE_CAP = 40
 MU_BRACKET_CAP = 1e30
 _ROOT_EVALS = 100
 _LN10 = math.log(10.0)
-GAUSS_POINTS = 8
-
-_gauss_x, _gauss_w = np.polynomial.legendre.leggauss(GAUSS_POINTS)
 
 
 @dataclass(frozen=True)
@@ -104,18 +106,19 @@ class ProblemSpec:
 
 @dataclass
 class HomogenizedData:
-    """Source-free reformulation: shifted targets plus the cost gradient data."""
+    """Source-free reformulation: the shifted final target plus the cost
+    gradient data psi and Psi."""
 
     spec: ProblemSpec
     op: object
     ystar_hom: MeshFunction
-    w_hom: tuple
     psi: MeshFunction
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
     # mu -> [Phi(mu), residual r, None] from phi; _phi_slope replaces r by the slope
     _phi_values: dict = field(default_factory=dict, repr=False)
     # st_ystar_hom; PCG reports; the Phi slope each solve_mu root is polished
-    # from; the Ritz values, weights and Psi values of the Phi surrogate
+    # from; the Ritz values, weights and Psi values of the Phi surrogate; the
+    # constant c = J(0) of cost_j
     _cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -143,10 +146,11 @@ class ControlSolution:
 # homogenization
 # ---------------------------------------------------------------------------
 
-def _segint_fit(a, b, scale, tol):
-    r, report = fit_cached(sym.segment_integral(a, b, scale), 32, tol)
+def _time_fit(g, tol):
+    """The fit of a segment-integral or source-response symbol."""
+    r, report = fit_cached(g, 32, tol)
     if not report.success:
-        raise FitError(f"segment-integral fit failed: {report}", report)
+        raise FitError(f"{type(g).__name__} fit failed: {report}", report)
     return r
 
 
@@ -161,34 +165,42 @@ def source_integral(op, f_segments, t, tol):
             continue
         lo = t - min(b, t)
         hi = t - a
-        r = _segint_fit(lo, hi, 1, tol)
+        r = _time_fit(sym.segment_integral(lo, hi, 1), tol)
         out = op.function(out.values + apply_rational(op, r, fvec).values)
     return out
 
 
 def homogenize(spec, op):
-    """Absorb the source into the targets and assemble psi and the Psi symbol."""
+    """Absorb the source into the final target and assemble psi and the Psi
+    symbol, both exact in time.
+
+    psi = sum_k beta_k [I_k(A) w_k - sum_j G_kj(A) f_j] over the beta
+    segments [a_k, b_k] and the source segments [c_j, d_j], with I_k =
+    int_{a_k}^{b_k} e^{t lam} dt and G_kj = int_{a_k}^{b_k}
+    int_{c_j}^{min(d_j, t)} e^{(2t - tau) lam} dtau dt
+    (symbols.SourceResponseIntegral), so J(u) = 1/2 <u, Psi u> - <u, psi> +
+    J(0) holds with a source too.
+    """
     for mf in (spec.ystar, *spec.w_segments, *(f for _, _, f in spec.f_segments)):
         if len(mf.values) != op.n:
             raise DimensionError("problem data does not match operator dimension")
     tol = spec.fit_tol
     ystar_hom = op.function(
         spec.ystar.values - source_integral(op, spec.f_segments, spec.T, tol).values)
-    w_hom = []
-    for (a, b, _beta), w in zip(spec.beta_segments, spec.w_segments):
-        mid = 0.5 * (a + b)
-        w_hom.append(op.function(
-            w.values - source_integral(op, spec.f_segments, mid, tol).values))
     psi_vals = np.zeros(op.n)
     big_psi = sym.const(spec.alpha)
-    for (a, b, beta), wh in zip(spec.beta_segments, w_hom):
+    for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
         if beta == 0.0:
             continue
-        r = _segint_fit(a, b, 1, tol)
-        psi_vals = psi_vals + beta * apply_rational(op, r, wh).values
+        r = _time_fit(sym.segment_integral(a, b, 1), tol)
+        psi_vals = psi_vals + beta * apply_rational(op, r, w).values
+        for (c, d, fvec) in spec.f_segments:
+            if c < b:   # a source that starts after b has no response before it
+                r = _time_fit(sym.source_response_integral(a, b, c, d), tol)
+                psi_vals = psi_vals - beta * apply_rational(op, r, fvec).values
         big_psi = big_psi + sym.const(beta) * sym.segment_integral(a, b, 2)
     return HomogenizedData(
-        spec=spec, op=op, ystar_hom=ystar_hom, w_hom=tuple(w_hom),
+        spec=spec, op=op, ystar_hom=ystar_hom,
         psi=op.function(psi_vals), big_psi_symbol=big_psi)
 
 
@@ -569,25 +581,46 @@ def trajectory(spec, op, u, times):
     return out
 
 
-def cost_j(spec, op, u):
-    """J(u) by 8-point Gauss quadrature in time on every beta segment."""
-    total = 0.5 * spec.alpha * inner_m(op, u, u)
+def _cost_constant(hd, op):
+    """c = J(0) = 1/2 sum_k beta_k int_{a_k}^{b_k} ||w_k - p(t)||_M^2 dt.
+
+    Without a source it is 1/2 sum_k beta_k (b_k - a_k) ||w_k||_M^2.  With
+    one, an 8-point Gauss rule on every panel between the source breakpoints
+    inside [a_k, b_k] integrates the data-only integrand; p(t) is smooth on
+    each panel.  Kept in hd._cache on first use.
+    """
+    c = hd._cache.get("cost constant")
+    if c is not None:
+        return c
+    spec = hd.spec
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    c = 0.0
     for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
         if beta == 0.0:
             continue
-        half = 0.5 * (b - a)
-        midp = 0.5 * (a + b)
-        acc = 0.0
-        for xg, wg in zip(_gauss_x, _gauss_w):
-            t = midp + half * xg
-            y = semigroup_apply(op, t, u)
-            if spec.f_segments:
-                y = op.function(y.values + source_integral(
-                    op, spec.f_segments, t, spec.fit_tol).values)
-            diff = y.values - w.values
-            acc += wg * float(np.sum(op.M * diff * diff))
-        total += 0.5 * beta * half * acc
-    return total
+        if not spec.f_segments:
+            c += 0.5 * beta * (b - a) * inner_m(op, w, w)
+            continue
+        cuts = sorted({a, b, *(t for c_j, d_j, _ in spec.f_segments
+                               for t in (c_j, d_j) if a < t < b)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+            for x, wt in zip(nodes, weights):
+                p = source_integral(op, spec.f_segments, mid + half * x, spec.fit_tol)
+                diff = w.values - p.values
+                c += 0.5 * beta * half * wt * inner_m(op, diff, diff)
+    hd._cache["cost constant"] = c
+    return c
+
+
+def cost_j(hd, op, u):
+    """J(u) = 1/2 <u, Psi u> - <u, psi> + J(0).
+
+    Psi is applied through the fit that the Phi surrogate, PCG and the KKT
+    residual share, so J costs no fit and no factorization of its own.
+    """
+    psi_u = apply_rational(op, _psi_fit(hd), u)
+    return 0.5 * inner_m(op, u, psi_u) - inner_m(op, u, hd.psi) + _cost_constant(hd, op)
 
 
 def kkt_residual(hd, op, u, mu):
@@ -632,7 +665,7 @@ def solve_problem(spec, op, hd=None):
         mu_eps=mu,
         u_opt=u,
         y_opt=y,
-        cost=cost_j(spec, op, u),
+        cost=cost_j(hd, op, u),
         kkt=pcg_residual if mu > 0.0 else kkt_residual(hd, op, u, mu),
         final_miss=miss,
         phi0=phi0,

@@ -3,23 +3,31 @@
 Solves the same control problem through an explicit generalized symmetric
 eigendecomposition K v = theta M v (so A has eigenvalues -theta in the
 M-orthonormal eigenbasis), evaluating every operator function exactly on
-the eigenvalues.  Trusted for dimensions up to 200 and used by the tests
-to validate the rational-calculus production path; never the production
-path itself.
+the eigenvalues.  Time integrals take their own route: the source term of
+psi by a composite Gauss-Legendre rule fine enough for every mode, and J
+by a GAUSS_POINTS-point Gauss rule on every panel between the source
+breakpoints, so J stays an independent check of the production quadratic
+form.  Trusted for dimensions up to 200 and used by the tests to validate
+the rational-calculus production path; never the production path itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import symbols as sym
-from .control import ControlSolution, _gauss_w, _gauss_x
+from .control import ControlSolution
 from .operators import DimensionError
 
 MAX_DENSE_N = 200
+GAUSS_POINTS = 8
+
+_gauss_x, _gauss_w = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+_psi_x, _psi_w = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,56 @@ def _source_eig(ds, f_segments, t):
     return out
 
 
+def _panels(a, b, f_segments):
+    """[a, b] cut at the source breakpoints inside it: p(t) is smooth on
+    each piece."""
+    cuts = sorted({a, b, *(t for c, d, _ in f_segments for t in (c, d) if a < t < b)})
+    return list(zip(cuts, cuts[1:]))
+
+
+def _source_response_eig(ds, f_segments, a, b):
+    """int_a^b S_t p(t) dt, modes exact, for the source response p.
+
+    A composite 16-point Gauss-Legendre rule on pieces of every panel no
+    longer than 1 / max |lambda|, over which each mode's integrand, a sum of
+    exponentials of rate at most 2 |lambda|, varies by less than e^2: exact
+    to rounding.
+    """
+    lam = ds.eigenvalues
+    out = np.zeros(len(lam))
+    if not f_segments:
+        return out
+    for lo, hi in _panels(a, b, f_segments):
+        edges = np.linspace(lo, hi, 1 + math.ceil((hi - lo) * np.max(np.abs(lam))))
+        for left, right in zip(edges, edges[1:]):
+            half, midp = 0.5 * (right - left), 0.5 * (right + left)
+            for xg, wg in zip(_psi_x, _psi_w):
+                t = midp + half * xg
+                out = out + wg * half * np.exp(t * lam) * _source_eig(ds, f_segments, t)
+    return out
+
+
+def oracle_cost(spec, ds, u_hat):
+    """J of the eigen-coefficients u_hat: the GAUSS_POINTS-point Gauss rule
+    in time on every panel between the source breakpoints of each beta
+    segment, the modes exact."""
+    lam = ds.eigenvalues
+    cost = 0.5 * spec.alpha * float(np.sum(u_hat**2))
+    for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
+        if beta == 0.0:
+            continue
+        w_eig = ds.to_eig(w)
+        for lo, hi in _panels(a, b, spec.f_segments):
+            half, midp = 0.5 * (hi - lo), 0.5 * (hi + lo)
+            acc = 0.0
+            for xg, wg in zip(_gauss_x, _gauss_w):
+                t = midp + half * xg
+                y_t = np.exp(t * lam) * u_hat + _source_eig(ds, spec.f_segments, t)
+                acc += wg * float(np.sum((y_t - w_eig) ** 2))
+            cost += 0.5 * beta * half * acc
+    return cost
+
+
 def oracle_solve_control(spec, op, ds=None):
     """End-to-end dense solve of the control problem (bisection for mu)."""
     if ds is None:
@@ -83,13 +141,11 @@ def oracle_solve_control(spec, op, ds=None):
     T, alpha, eps = spec.T, spec.alpha, spec.eps
 
     ystar_hom = ds.to_eig(spec.ystar) - _source_eig(ds, spec.f_segments, T)
-    w_hom, psi = [], np.zeros(len(lam))
-    big_psi = np.full(len(lam), alpha)
+    psi, big_psi = np.zeros(len(lam)), np.full(len(lam), alpha)
     for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
-        wh = ds.to_eig(w) - _source_eig(ds, spec.f_segments, 0.5 * (a + b))
-        w_hom.append(wh)
         if beta != 0.0:
-            psi = psi + beta * _segint_vals(lam, a, b, 1) * wh
+            psi = psi + beta * (_segint_vals(lam, a, b, 1) * ds.to_eig(w)
+                                - _source_response_eig(ds, spec.f_segments, a, b))
             big_psi = big_psi + beta * _segint_vals(lam, a, b, 2)
 
     e_t = np.exp(T * lam)
@@ -121,19 +177,7 @@ def oracle_solve_control(spec, op, ds=None):
     y_hat = e_t * u_hat + _source_eig(ds, spec.f_segments, T)
     miss = float(np.linalg.norm(y_hat - ds.to_eig(spec.ystar)))
 
-    # cost by the same Gauss rule as the production path, modes exact
-    cost = 0.5 * alpha * float(np.sum(u_hat**2))
-    for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
-        if beta == 0.0:
-            continue
-        half, midp = 0.5 * (b - a), 0.5 * (a + b)
-        w_eig = ds.to_eig(w)
-        acc = 0.0
-        for xg, wg in zip(_gauss_x, _gauss_w):
-            t = midp + half * xg
-            y_t = np.exp(t * lam) * u_hat + _source_eig(ds, spec.f_segments, t)
-            acc += wg * float(np.sum((y_t - w_eig) ** 2))
-        cost += 0.5 * beta * half * acc
+    cost = oracle_cost(spec, ds, u_hat)
 
     grad = big_psi * u_hat - psi + mu * (e_2t * u_hat - e_t * ystar_hom)
     kkt = float(np.linalg.norm(grad)) / max(1.0, float(np.linalg.norm(psi)))

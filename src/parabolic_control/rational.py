@@ -19,7 +19,8 @@ _VALID.
 Pure exponentials exp(t*lambda) bypass the adaptive fit: a frozen table of
 near-best approximants of exp(x) (Caratheodory-Fejer, see
 scripts/gen_exp_table.py) is rescaled by t, which preserves the sup error
-on the half-line exactly.
+on the half-line exactly.  Segment integrals from 0, SI(0, h, s)(lambda)
+= h U(s h lambda), are served the same way by the fit of U = SI(0, 1, 1).
 
 Applying r(A)v costs one complex shifted solve per conjugate pole pair:
 r(A)v = r0 v + sum_i res_i (A - pole_i)^{-1} v.
@@ -514,6 +515,17 @@ def _exp_table_candidate(a, d_max, target):
     return best
 
 
+def _segint_candidate(g, d_max, tol):
+    """SI(0, h, s) = h U(s h lam), U = SI(0, 1, 1): the cached fit of U,
+    rescaled, with its validation error.  The adaptive fit of SI(0, h, s)
+    itself misses its target below h ~ 3e-5 (by a factor 6.6e5 at 1e-6)."""
+    h, s = g.b, g.scale
+    u, _ = fit_cached(sym.segment_integral(0.0, 1.0, 1), d_max, tol)
+    cand = PartialFractionRational(
+        u.r0 * h, tuple(p / (s * h) for p in u.poles), tuple(r / s for r in u.residues))
+    return cand, float(np.max(np.abs(cand(_VALID) - g(_VALID))))
+
+
 def fit_rational(g, d, tol):
     """Fit symbol g by a degree <= d partial-fraction rational on (-inf, 0].
 
@@ -545,6 +557,9 @@ def fit_rational(g, d, tol):
         cand = _exp_table_candidate(g.a, d, target_int)
         if cand is not None:
             best_fit, best_err = cand
+    elif isinstance(g, sym.SegmentIntegral) and g.a == 0 \
+            and (g.b, g.scale) != (1.0, 1.0):   # U itself takes the adaptive fit
+        best_fit, best_err = _segint_candidate(g, d, tol)
     if best_err > target_int:
         fits, errs = _fit_adaptive([sample], d, np.array([target_int]))
         if errs[0] < best_err:

@@ -8,6 +8,8 @@ removable singularity of the generic algebra fails at lambda = 0 (a point of
 every fit's sampling grid) rather than returning nan.  A form that cancels
 near 0, such as (exp(b*lam) - exp(a*lam))/lam, needs its own class with an
 expm1 form and its exact value at lambda = 0, as SegmentIntegral has.
+SourceResponseIntegral, the double time integral that weights a source
+segment in psi, takes a Gauss rule where its closed form cancels.
 """
 
 from __future__ import annotations
@@ -181,3 +183,53 @@ class SegmentIntegral(SymbolExpr):
 
 def segment_integral(a, b, scale):
     return SegmentIntegral(a, b, scale)
+
+
+_GL16 = np.polynomial.legendre.leggauss(16)
+
+
+class SourceResponseIntegral(SymbolExpr):
+    """int_a^b int_c^{min(d,t)} exp((2t - tau)*lambda) dtau dt, for t > c.
+
+    The weight of a source segment [c, d] in psi over the beta segment
+    [a, b]: int_a^b S_t int_c^{min(d,t)} S_{t-tau} f dtau dt = G(A) f.  The
+    domain splits at t = d.  Over the rectangle t in [m, b], m = max(a, d),
+    tau in [c, d] it is e^{(2m-d) lam} SI(0, b-m, 2) SI(0, d-c, 1), every
+    factor bounded.  Over the triangle t in [t1, t2] = [max(a, c), min(b,
+    d)], c <= tau <= t it is [SI(2t1-c, 2t2-c, 1)/2 - SI(t1, t2, 1)] / lam
+    where |lam| (t2 - c) >= 1; below that the difference cancels, and a
+    16 x 16 Gauss-Legendre rule on the triangle takes over: there the
+    integrand is entire and varies by less than e^2, so the rule is exact
+    to rounding.  SI is SegmentIntegral.
+    """
+
+    def __init__(self, a, b, c, d):
+        if not (0 <= a < b and 0 <= c < d and c < b):
+            raise SymbolError(f"need 0 <= a < b, 0 <= c < d and c < b, got "
+                              f"a={a}, b={b}, c={c}, d={d}")
+        self.a, self.b, self.c, self.d = float(a), float(b), float(c), float(d)
+
+    def _value(self, lam):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        out = np.zeros_like(lam)
+        m = max(a, d)
+        if m < b:
+            out += np.exp((2 * m - d) * lam) * SegmentIntegral(0.0, b - m, 2)._value(lam) \
+                * SegmentIntegral(0.0, d - c, 1)._value(lam)
+        t1, t2 = max(a, c), min(b, d)
+        if t1 < t2:
+            far = np.abs(lam) * (t2 - c) >= 1.0
+            lf = lam[far]
+            out[far] += (0.5 * SegmentIntegral(2 * t1 - c, 2 * t2 - c, 1)._value(lf)
+                         - SegmentIntegral(t1, t2, 1)._value(lf)) / lf
+            x, w = _GL16
+            t = t1 + 0.5 * (t2 - t1) * (1.0 + x)
+            tau = c + 0.5 * (t - c)[:, None] * (1.0 + x)[None, :]
+            wts = 0.25 * (t2 - t1) * (w * (t - c))[:, None] * w[None, :]
+            expo = (2 * t[:, None] - tau).ravel()
+            out[~far] += np.exp(np.multiply.outer(lam[~far], expo)) @ wts.ravel()
+        return out
+
+
+def source_response_integral(a, b, c, d):
+    return SourceResponseIntegral(a, b, c, d)

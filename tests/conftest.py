@@ -3,6 +3,8 @@ import pytest
 
 from parabolic_control import control as ctl
 from parabolic_control import operators as ops
+from parabolic_control import rational as rat
+from parabolic_control import symbols as sym
 
 T_1D = 0.01
 ALPHA = 1e-4
@@ -15,6 +17,17 @@ def make_spec_51(op, eps, T=T_1D, alpha=ALPHA):
     segs = ((0.0, T / 3, 0.0), (T / 3, 2 * T / 3, 1.0), (2 * T / 3, T, 0.0))
     return ctl.ProblemSpec(T=T, alpha=alpha, beta_segments=segs,
                            w_segments=(w, w, w), ystar=ystar, eps=eps)
+
+
+def psi_without_source(spec, op):
+    """sum_k beta_k I_k(A) w_k, the psi of a problem without a source, by the
+    operations homogenize performs, in its order."""
+    psi = np.zeros(op.n)
+    for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
+        if beta != 0.0:
+            r = ctl._time_fit(sym.segment_integral(a, b, 1), spec.fit_tol)
+            psi = psi + beta * rat.apply_rational(op, r, w).values
+    return psi
 
 
 @pytest.fixture(scope="session")

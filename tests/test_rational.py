@@ -224,6 +224,16 @@ def test_shared_fit_builds_one_residue_design_per_pole_set(monkeypatch):
     assert len(designs) == len(pole_sets)
 
 
+@pytest.mark.parametrize("scale", [1, 2])
+def test_short_segment_integral_fits(scale):
+    # SI(0, h, s) is the fit of SI(0, 1, 1) rescaled: measured err/target
+    # <= 0.009 from h = 1e-1 down to 1e-9; the adaptive fit of SI(0, h, s)
+    # itself missed from h = 3e-5 (2.3) to 1e-6 (6.6e5)
+    for h in np.logspace(-1, -9, 9):
+        _, rep = rat.fit_rational(sym.segment_integral(0.0, h, scale), 32, 1e-12)
+        assert rep.max_error <= 0.05 * rep.tol * rep.norm_estimate, h
+
+
 def test_fit_failure_report_carries_best_error():
     r, rep = rat.fit_rational(sym.expm(1.0), 4, 1e-14)
     assert not rep.success
