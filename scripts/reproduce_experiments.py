@@ -1,17 +1,19 @@
 """Reproduce all experiments end to end.
 
 Runs the CLI verbs with their built-in (published) parameters and collects
-the artifacts under out/.  Expect a few minutes total on a desktop machine;
+the artifacts under out/.  Each verb runs in its own child process; the
+script prints each verb's wall time and its own peak RSS, read from the
+child's resource usage.  Expect a few minutes total on a desktop machine;
 progress and timings land in each run_meta.txt.
 
 Usage: python scripts/reproduce_experiments.py [--out OUT]
 """
 
 import argparse
+import os
+import subprocess
 import sys
 import time
-
-from parabolic_control.cli import main as cli_main
 
 RUNS = (
     ["example1d"],
@@ -32,9 +34,17 @@ def main():
         name = "_".join(run).replace("--", "")
         out = f"{args.out}/{name}"
         t0 = time.perf_counter()
-        code = cli_main([*run, "--out", out])
-        status = "ok" if code == 0 else f"FAILED ({code})"
-        print(f"{name:28s} {status:12s} {time.perf_counter() - t0:7.1f}s -> {out}")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "parabolic_control.cli", *run, "--out", out])
+        _, status, usage = os.wait4(proc.pid, 0)
+        code = proc.returncode = os.waitstatus_to_exitcode(status)
+        wall = time.perf_counter() - t0
+        result = "ok" if code == 0 else f"FAILED ({code})"
+        # ru_maxrss is in kilobytes on Linux, and Linux carries this
+        # script's own peak into the child's at exec: the script imports
+        # none of the package, so that adds only the interpreter's few MB
+        print(f"{name:28s} {result:12s} {wall:7.1f}s "
+              f"{usage.ru_maxrss / 1024:8.1f} MB -> {out}", flush=True)
         if code != 0:
             return code
     return 0

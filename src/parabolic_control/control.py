@@ -439,17 +439,15 @@ def _phi_surrogate(hd, op):
     return value_and_slope
 
 
-def solve_mu(hd, op, eps, hint=None):
+def solve_mu(hd, op, eps):
     """Root of Phi(mu) = eps; zero when eps >= Phi(0).
 
     Newton's method on 1/Phi (see _root), with each value from phi and its
-    slope from _phi_slope, starts from hint, a known nearby root (the
-    sensitivity sweeps pass the unperturbed one).  Without a hint it starts
-    from the root of the Ritz surrogate Phi_s (see _phi_surrogate), found by
-    the same root find on Phi_s and its exact slope; it depends on the
-    problem data only, never on earlier calls.  Where Phi_s has no root
-    within MU_BRACKET_CAP, the start is mu = 1, so that only the root find
-    on Phi decides whether a root exists.  It stops
+    slope from _phi_slope, starts from the root of the Ritz surrogate Phi_s
+    (see _phi_surrogate), found by the same root find on Phi_s and its exact
+    slope; it depends on the problem data only, never on earlier calls.
+    Where Phi_s has no root within MU_BRACKET_CAP, the start is mu = 1, so
+    that only the root find on Phi decides whether a root exists.  It stops
     at |Phi(mu) - eps| <= 1e-8 Phi(0) with mu resolved to about 1e-10
     relative.  The returned mu is usually the last Newton point, not
     evaluated: its error is the predicted next correction, within 1e-10 in
@@ -471,16 +469,12 @@ def solve_mu(hd, op, eps, hint=None):
         slope[0] = _phi_slope(hd, op, m)
         return v, slope[0]
 
-    if hint is not None and hint > 0:
-        start = hint
-    else:
-        surrogate = _phi_surrogate(hd, op)
-        try:
-            start = _root(surrogate, eps, 1e-8 * phi0, 1.0)
-        except RuntimeError:
-            # no root of Phi_s within the cap: whether Phi has one is for
-            # the exact root find to decide
-            start = 1.0
+    try:
+        start = _root(_phi_surrogate(hd, op), eps, 1e-8 * phi0, 1.0)
+    except RuntimeError:
+        # no root of Phi_s within the cap: whether Phi has one is for the
+        # exact root find to decide
+        start = 1.0
     mu = _root(value_and_slope, eps, 1e-8 * phi0, float(start))
     hd._cache[("root slope", mu)] = slope[0]
     return mu

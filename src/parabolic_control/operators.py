@@ -8,10 +8,13 @@ mass matrix; A is self-adjoint in the M-weighted inner product and its
 spectrum lies in [lam_min, kappa] with kappa < 0.
 
 Shifted systems (z - A) x = v are solved as (z M + K) x = M v with one
-sparse LU factorization per shift, cached on the operator; the LU pivots
-on the diagonal in a symmetric fill-reducing order.  Each shifted matrix
-is written into a complex copy of K that carries an explicit slot on
-every diagonal entry, built once per operator.
+sparse LU factorization per shift, cached on the operator for its whole
+life; the LU pivots on the diagonal in a symmetric fill-reducing order.
+Each shifted matrix is written into a complex copy of K that carries an
+explicit slot on every diagonal entry, built once per operator.  A cached
+factor costs far more memory than its L and U values: measured as growth of
+the peak RSS, about 25 KB for the 1D n = 61 operator (whose L+U takes 4 KB)
+and 1.3 MB for the 2D h = 1/30 one, with SuperLU's panel size set to 1.
 """
 
 from __future__ import annotations
@@ -264,9 +267,14 @@ def solve_shifted(op, z, v):
         mat.data[op._shift_diag] += z * op.M
         # z M + K is complex symmetric with a definite imaginary part Im(z) M,
         # or definite for the real poles z > 0: diagonal pivots are stable,
-        # so a symmetric ordering serves L and U alike
+        # so a symmetric ordering serves L and U alike.  panel_size=1: every
+        # cached SuperLU object keeps memory sized by its supernodal panel.
+        # Measured as peak-RSS growth per cached factor, SuperLU's default
+        # panel of 10 costs 157 KB for the 1D n = 61 operator (whose L+U
+        # takes 4 KB) and 2.3 MB at 2D h = 1/30; a panel of 1 costs 25 KB
+        # and 1.3 MB, with the same fill and a faster factorization
         solver = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
+                           panel_size=1, options=dict(SymmetricMode=True))
         op._solvers[z] = solver
     x = solver.solve(rhs)
     resid, scale = _backward_error_terms(op, z, x, rhs)

@@ -131,10 +131,10 @@ def sensitivity_sweep(spec, op, channel, nu_list, seed=0, base=None):
         try:
             spec_d, op_d = perturb(spec, op, PerturbationSpec(nu, channel, seed))
             hd_d = homogenize(spec_d, op_d)
-            # the nu = 0 row must run the identical pipeline (no bracket
-            # hint) so the fixed-point check is bit-exact
-            mu_d = solve_mu(hd_d, op_d, spec.eps,
-                            hint=mu0 if nu > 0 else None)
+            # every row starts its root find from its own Ritz surrogate,
+            # never from mu0, so the nu = 0 row runs the identical pipeline
+            # and its fixed-point check is bit-exact
+            mu_d = solve_mu(hd_d, op_d, spec.eps)
             u_d = optimal_control(hd_d, op_d, mu_d)
             drift = norm_m(op, u_d.values - u0.values)
             rows.append({"channel": channel, "nu": nu, "drift": drift,

@@ -30,6 +30,19 @@ def psi_without_source(spec, op):
     return psi
 
 
+# Source of peak_rss_kb() for the fresh child processes of the memory tests.
+# It reads VmHWM from /proc/self/status (Linux).  ru_maxrss would not do:
+# Linux carries the peak of the memory image replaced at exec into it, so a
+# child of a test process that has grown to 1 GB reports at least 1 GB.
+PEAK_RSS_SOURCE = """
+def peak_rss_kb():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+"""
+
+
 @pytest.fixture(scope="session")
 def op62():
     return ops.assemble_1d(62)

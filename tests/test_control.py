@@ -329,22 +329,23 @@ def test_root_find_raises_without_root_within_cap(target):
 def test_newton_root_find_phi_evaluations(op62):
     # Phi evaluations are counted by the growth of hd._phi_values.  Newton on
     # 1/Phi with the exact slope: 1 Phi value from the root of the Ritz
-    # surrogate (7 from mu = 1) and 3 from the unperturbed root as hint, the
-    # returned root unevaluated (8 and 4 with it evaluated).  The secant root
-    # find took 10 and 6, and brentq with its x10 bracket expansion and guard
-    # bisection 14 and 12.
+    # surrogate (7 from mu = 1), for the problem and for its perturbed copy
+    # alike, the returned root unevaluated (8 with it evaluated).  Started
+    # from the unperturbed root instead, the perturbed copy took 3; the
+    # secant root find took 10 and 6, and brentq with its x10 bracket
+    # expansion and guard bisection 14 and 12.
     hd = ctl.homogenize(make_spec_51(op62, 1.0), op62)
     eps = 0.5 * ctl.phi(hd, op62, 0.0)
     n = len(hd._phi_values)
-    mu0 = ctl.solve_mu(hd, op62, eps)
+    ctl.solve_mu(hd, op62, eps)
     assert len(hd._phi_values) - n <= 1
     spec_d, op_d = sens.perturb(make_spec_51(op62, eps), op62,
                                 sens.PerturbationSpec(1e-2, "beta", 0))
     hd_d = ctl.homogenize(spec_d, op_d)
     phi0_d = ctl.phi(hd_d, op_d, 0.0)
     n = len(hd_d._phi_values)
-    mu_d = ctl.solve_mu(hd_d, op_d, eps, hint=mu0)
-    assert len(hd_d._phi_values) - n <= 3
+    mu_d = ctl.solve_mu(hd_d, op_d, eps)
+    assert len(hd_d._phi_values) - n <= 1
     assert abs(ctl.phi(hd_d, op_d, mu_d) - eps) <= 1e-8 * phi0_d
 
 

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parabolic_control import operators as ops
+
+from conftest import PEAK_RSS_SOURCE
 
 
 def dense_pair_eigs(op):
@@ -191,6 +196,33 @@ def test_shifted_lu_is_symmetric_and_pivot_free():
     mat = op._shift_base.copy()
     mat.data[op._shift_diag] += z * op.M
     assert lu.nnz <= 0.7 * spla.splu(mat).nnz
+
+
+# Factors 500 distinct shifts of the n_el = 62 operator after one warm-up
+# solve and prints the growth of the peak RSS per cached factor, in KB.
+_FACTOR_RSS_CHILD = PEAK_RSS_SOURCE + """
+import numpy as np
+from parabolic_control import operators as ops
+op = ops.assemble_1d(62)
+v = np.ones(op.n)
+ops.solve_shifted(op, 1.0 + 1.0j, v)
+before = peak_rss_kb()
+for k in range(500):
+    ops.solve_shifted(op, complex(-1.0 - k, 1.0 + 0.01 * k), v)
+assert len(op._solvers) == 501
+print((peak_rss_kb() - before) / 500)
+"""
+
+
+def test_cached_factor_memory_per_shift():
+    # every cached SuperLU object keeps memory sized by its supernodal panel:
+    # about 160 KB per factor with the default panel of 10, whose L+U takes
+    # 4 KB here, and 25 KB with the panel of 1 that solve_shifted uses.  A
+    # fresh process, so that no other test's allocations set the peak
+    proc = subprocess.run([sys.executable, "-c", _FACTOR_RSS_CHILD],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 64.0
 
 
 def test_shifted_solve_rejects_spectral_shift(op20):

@@ -95,7 +95,7 @@ def test_orthogonal_ystar_direction_same_bound(op62, hd62, phi0_62):
                              w_segments=spec.w_segments,
                              ystar=op62.function(ys + nu * d), eps=eps)
     hd_o = ctl.homogenize(spec_o, op62)
-    mu_o = ctl.solve_mu(hd_o, op62, eps, hint=mu0)
+    mu_o = ctl.solve_mu(hd_o, op62, eps)
     u_o = ctl.optimal_control(hd_o, op62, mu_o)
     drift_orth = ops.norm_m(op62, u_o.values - u0.values) / nu
     rows = sens.sensitivity_sweep(spec, op62, "ystar", (nu,), seed=0,
