@@ -285,7 +285,9 @@ def cmd_sensitivity(cfg, out):
                    ["channel", "nu", "drift", "ratio", "mu_eps", "mu_eps_delta"],
                    ((r["channel"], r["nu"], r["drift"], r["ratio"],
                      r["mu_eps"], r["mu_eps_delta"]) for r in rows))
-    _write_meta(out, cfg, timings, [f"phi0 = {phi0!r}", f"eps = {eps!r}"])
+    failed = sum(not r["ok"] for rows in all_rows for r in rows)
+    _write_meta(out, cfg, timings, [f"phi0 = {phi0!r}", f"eps = {eps!r}",
+                                    f"rows_failed = {failed}"])
 
 
 def cmd_oracle_check(cfg, out):

@@ -38,6 +38,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .sensitivity import CHANNELS
+
 PI = np.pi
 
 EXPERIMENTS = ("example1d", "example2d", "phi-curve", "convergence",
@@ -64,7 +66,7 @@ class RunConfig:
     mu_max: float = 1e12
     nu_list: tuple = (1e-2, 1e-3, 1e-4)
     fit_tol: float = 1e-12
-    channels: tuple = ("alpha", "beta", "w", "ystar", "f", "operator")
+    channels: tuple = CHANNELS
     n_el_oracle: int = 65
     seed: int = 0
     out_dir: str = "out"
@@ -77,6 +79,10 @@ class RunConfig:
                 raise ValueError("eps fractions must lie in (0, 1]")
         if not 0 <= self.beta_lo < self.beta_hi <= 1:
             raise ValueError("beta window fractions must satisfy 0 <= lo < hi <= 1")
+        unknown = [c for c in self.channels if c not in CHANNELS]
+        if unknown:
+            raise ValueError(f"unknown sensitivity channels {unknown}; "
+                             f"expected some of {CHANNELS}")
 
 
 _DEFAULT_OVERRIDES = {

@@ -16,16 +16,12 @@ with ystar_hom = ystar - p(T) and mu >= 0 the root of Phi(mu) = eps (zero
 when the unconstrained minimizer is already feasible).  Every operator
 function is evaluated as a fitted partial-fraction rational applied through
 shifted solves; Phi needs one shared-pole fit and about a dozen complex
-solves per evaluation, and its exact slope in mu, where the root find asks
-for it, another application on the same poles.  The root is found by Newton's method on 1/Phi in log mu,
-safeguarded by the sign-change bracket (the trust-region secular equation
-of Moré & Sorensen, 1983).  Once the steps contract quadratically, the
-last Newton point is returned without its confirming Phi evaluation.
-Without a nearby known root, the root find starts from the root of a Ritz
-surrogate of Phi, a rational Gauss quadrature on a rational Krylov space
-built once per problem from the factors the solve holds anyway (the
-semigroup, Psi and Phi(0) poles), so a cold solve usually needs one or two
-exact Phi values.
+solves per evaluation.  The root is found on a Ritz surrogate of Phi, a
+rational Gauss quadrature on a rational Krylov space built once per problem
+from the factors the solve holds anyway (the semigroup, Psi and Phi(0)
+poles), where a value costs microseconds.  The exact Phi only certifies that
+root; where it misses, the poles of the Phi pair just fitted there join the
+space, so a cold solve usually needs one or two exact Phi values.
 """
 
 from __future__ import annotations
@@ -54,6 +50,7 @@ from .rational import (  # noqa: F401
 DEGREE_CAP = 40
 MU_BRACKET_CAP = 1e30
 _ROOT_EVALS = 100
+_POLE_ROUNDS = 3    # Phi pairs whose poles one solve_mu may add to the surrogate
 _LN10 = math.log(10.0)
 
 
@@ -114,11 +111,11 @@ class HomogenizedData:
     ystar_hom: MeshFunction
     psi: MeshFunction
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
-    # mu -> [Phi(mu), residual r, None] from phi; _phi_slope replaces r by the slope
+    # mu -> Phi(mu), every value phi computed
     _phi_values: dict = field(default_factory=dict, repr=False)
-    # st_ystar_hom; PCG reports; the Phi slope each solve_mu root is polished
-    # from; the Ritz values, weights and Psi values of the Phi surrogate; the
-    # constant c = J(0) of cost_j
+    # st_ystar_hom; PCG reports; the rational Arnoldi basis, the projected g
+    # and the Ritz data of the Phi surrogate's base space; the constant
+    # c = J(0) of cost_j
     _cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -244,126 +241,50 @@ def _phi_pair(hd, mu):
 def phi(hd, op, mu):
     """Phi(mu) = ||r||_M with r = ystar_hom - (mu S_2T + Psi)^{-1}(mu S_2T ystar_hom + S_T psi).
 
-    The value is cached in hd._phi_values with r, from which _phi_slope
-    computes the slope when a root find asks for it.
+    The value is cached in hd._phi_values.
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
     mu = float(mu)
-    entry = hd._phi_values.get(mu)
-    if entry is None:
+    val = hd._phi_values.get(mu)
+    if val is None:
         x = apply_rational_shared(op, _phi_pair(hd, mu), [hd.ystar_hom, hd.psi])
-        r = hd.ystar_hom.values - x.values
-        entry = hd._phi_values[mu] = [norm_m(op, r), r, None]
-    return entry[0]
-
-
-def _phi_slope(hd, op, mu):
-    """d log Phi / d log mu = -<r, f1(A) r>_M / Phi^2 at a mu phi has evaluated.
-
-    f1 = mu e^{2T lam} / (mu e^{2T lam} + Psi) is the first fit of the Phi
-    pair: A is M-self-adjoint and mu dr/dmu = -f1(A) r, so the slope costs
-    one more application on the pair's poles and no new fit or
-    factorization.  It is computed on first request and replaces r in the
-    cache.  There is no slope (None) at mu = 0, nor where Phi vanishes.
-    """
-    entry = hd._phi_values[mu]
-    val, r, slope = entry
-    if slope is None and mu > 0.0 and val > 0.0:
-        f1 = _phi_pair(hd, mu)[0]
-        entry[1:] = None, -inner_m(op, r, apply_rational(op, f1, r)) / val ** 2
-    return entry[2]
+        val = hd._phi_values[mu] = norm_m(op, hd.ystar_hom.values - x.values)
+    return val
 
 
 def _root(f, target, tol, mu, slope=None, xtol=1e-10):
     """mu with |f(mu) - target| <= tol for a positive, decreasing f, from mu.
 
-    Works in x = log mu on y = log(f / target).  When f returns a pair
-    (value, s) with the exact slope s = d log f / d log mu, every step is
-    Newton's on 1/f, x <- x + (1 - f/target)/s (Moré & Sorensen, SIAM J.
-    Sci. Stat. Comput. 4, 1983), clamped to 3 decades and kept inside the
-    sign-change bracket, which it bisects when the step would leave it, or
-    when the last Newton step crossed the root without halving |y| (a too
-    shallow slope lands near the mirror point of the root every step).
-    When f returns its value only, the steps are modified regula falsi
-    (Illinois, Dowell & Jarratt, BIT 11, 1971, with the Anderson-Bjorck
-    factor): until a sign change brackets the root, the first step is
-    Newton's on y with the given slope (a factor 10 without one), later ones
-    follow the secant, by a factor between 10 and 10^3.
-
-    Returns the last mu once it meets tol and the correction y / s (also by
-    the secant slope over the last step), the secant correction or the
-    bracket is within xtol in x (relative in mu).  A Newton step that lands
-    inside the bracket is returned unevaluated when the predicted next
-    correction C step^2 is within xtol; the error of that point is about
-    C step^2 in x and target |s| C step^2 in f.  After a Newton step, C =
-    |step| / |last step|^2 is the observed quadratic contraction.  After a
-    clamped or bisected step, and at the first evaluation (say from a
-    nearby root), C = 3/2 bounds the contraction of every f of Phi's form:
-    s = -<r, f1 r> / ||r||^2 averages f1 in (0, 1) with weights r^2 whose
-    log derivative is -2 f1, so |s| < 1 and |ds/dx| <= 2 |s|, and Newton on
-    1/f contracts by |s^2 - ds/dx| / (2 |s|) <= 3/2.  C is trusted only when
-    the trapezoid rule on the two reported slopes reproduces the change of
-    y over the last step: an inexact slope contracts linearly and gets no
-    such return.  At the first evaluation the slope cannot be checked.
-    Raises past MU_BRACKET_CAP or _ROOT_EVALS.
+    Modified regula falsi (Illinois, Dowell & Jarratt, BIT 11, 1971, with the
+    Anderson-Bjorck factor) in x = log mu on y = log(f / target): until a
+    sign change brackets the root, the first step is Newton's on y with the
+    given slope d log f / d log mu (a factor 10 without one), later ones
+    follow the secant, by a factor between 10 and 10^3.  Returns the last mu
+    once it meets tol and either the correction y / slope (the given slope
+    at the first value, the secant over the last step after it) or the
+    bracket is within xtol in x (relative in mu).  Raises past
+    MU_BRACKET_CAP or _ROOT_EVALS.
     """
     x, prev, xa, ya = math.log(mu), None, None, 0.0
-    lo, hi = -math.inf, math.inf    # sign-change bracket of the Newton steps
-    last = None     # (step, slope at its start, Newton's?) of the step to x
     for _ in range(_ROOT_EVALS):
         if abs(x) > math.log(MU_BRACKET_CAP):
             raise RuntimeError(f"no root of f(mu) = {target:.6g} for mu in [1/cap, cap],"
                                f" cap = {MU_BRACKET_CAP:g}: problem data is inconsistent")
         v = f(mu)
-        newton = isinstance(v, tuple)
-        if newton:
-            v, slope = v
         y = math.log(v / target)
-        sec = slope if prev is None else (y - prev[1]) / (x - prev[0])
-        if newton:
-            if y > 0:
-                lo = x
-            else:
-                hi = x
-        elif prev is not None:
-            slope = sec
+        if prev is not None:
+            slope = (y - prev[1]) / (x - prev[0])
             if y * prev[1] < 0:
                 xa, ya = prev
             elif xa is not None:
                 m = 1.0 - y / prev[1]
                 ya *= m if m > 0 else 0.5
-        # the correction y / slope, also by the secant over the last step,
-        # so that an inexact reported slope cannot shrink it
         if abs(v - target) <= tol and (
-                (slope is not None and abs(y) <= xtol * min(abs(slope), abs(sec)))
-                or (xa is not None and abs(x - xa) <= xtol)
-                or hi - lo <= xtol):
+                (slope is not None and abs(y) <= xtol * abs(slope))
+                or (xa is not None and abs(x - xa) <= xtol)):
             return mu
-        if newton:
-            pure = slope is not None and slope < 0
-            step = (1.0 - v / target) / slope if pure else math.copysign(_LN10, y)
-            x_new = x + min(max(step, -3 * _LN10), 3 * _LN10)
-            # a Newton step that crossed the root without halving |y| came
-            # from a too shallow slope: it lands near the mirror point of
-            # the root, inside the bracket, so the bracket is bisected
-            crossed = last is not None and last[2] and y * prev[1] < 0 \
-                and abs(y) > 0.5 * abs(prev[1])
-            if crossed or not lo < x_new < hi:
-                x_new, pure = 0.5 * (lo + hi), False
-            pure = pure and x_new == x + step
-            # the next correction is C step^2: C = |step| / last^2 after a
-            # Newton step, C <= 3/2 otherwise; trusted once the trapezoid
-            # rule on the slopes at both ends of the last step reproduces the
-            # change of y (an inexact slope leaves a mismatch of the size of
-            # y), or for the first evaluation
-            if pure and (last is None or last[1] is not None and abs(
-                    y - prev[1] - 0.5 * (slope + last[1]) * last[0]) <= 0.5 * abs(y)):
-                c = abs(step) / last[0] ** 2 if last is not None and last[2] else 1.5
-                if c * step ** 2 <= xtol:
-                    return math.exp(x_new)
-            last = (x_new - x, slope, pure)
-        elif xa is not None:
+        if xa is not None:
             x_new = x - y * (x - xa) / (y - ya)
         elif prev is None and slope is not None:
             x_new = x - y / slope
@@ -376,59 +297,72 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
     raise RuntimeError(f"root find did not converge in {_ROOT_EVALS} evaluations")
 
 
-def _phi_surrogate(hd, op):
+def _rational_arnoldi(op, Q, poles):
+    """Q, whose columns are orthonormal in the coordinates sqrt(M) v where A
+    is symmetric, extended by one shifted solve per pole, each continuing
+    from the last basis vector, with two Gram-Schmidt passes that drop
+    numerically dependent directions."""
+    sqrt_m = np.sqrt(op.M)
+    k = Q.shape[1]
+    Q = np.hstack([Q, np.empty((op.n, 2 * len(poles)))])
+
+    def extend(q):
+        nonlocal k
+        size = np.linalg.norm(q)
+        for _ in range(2):
+            q = q - Q[:, :k] @ (Q[:, :k].T @ q)
+        if np.linalg.norm(q) > 1e-8 * size:
+            Q[:, k] = q / np.linalg.norm(q)
+            k += 1
+
+    for p in poles:
+        x = solve_shifted(op, p, Q[:, k - 1] / sqrt_m).values
+        for part in (x.real, x.imag) if p.imag else (x.real,):
+            extend(sqrt_m * part)
+    return Q[:, :k]
+
+
+def _phi_surrogate(hd, op, poles=()):
     """Phi_s, the Ritz surrogate of Phi, as mu -> (Phi_s(mu), d log Phi_s / d log mu).
 
     The residual of phi is r = (mu S_2T + Psi)^{-1} g with g = Psi ystar_hom
-    - S_T psi, so Phi^2 is a quadratic form in g.  Its Ritz value on the
-    rational Krylov space of g with the poles of the S_T, S_2T, Psi and
-    Phi(0) fits, which solve_problem factors anyway, is a rational Gauss
-    quadrature, accurate to about the square of the vector error (Golub &
-    Meurant, Matrices, Moments and Quadrature, 2010; Güttel, GAMM-Mitt. 36,
-    2013):
+    - S_T psi, so Phi^2 is a quadratic form in g.  Its Ritz value on a
+    rational Krylov space of g is a rational Gauss quadrature, accurate to
+    about the square of the vector error (Golub & Meurant, Matrices, Moments
+    and Quadrature, 2010; Güttel, GAMM-Mitt. 36, 2013):
 
         Phi_s(mu)^2 = sum_i c_i^2 / (mu e^{2T theta_i} + Psi(theta_i))^2
 
     over the Ritz pairs (theta_i, w_i) of A on the space, c_i = <w_i, g>_M.
-    Every term decreases in mu, so Phi_s is monotone.  theta, c^2 and
-    Psi(theta) are computed on first use and kept in hd._cache.
+    Every term decreases in mu, so Phi_s is monotone.  The base space has the
+    poles of the S_T, S_2T, Psi and Phi(0) fits, which solve_problem factors
+    anyway; its rational Arnoldi state, the basis and g projected on it, and
+    its theta, c^2 and Psi(theta) are computed on first use and kept in
+    hd._cache.  poles, one per conjugate pair, continue that Arnoldi into a
+    larger space for this call only, so Phi_s depends on the problem data
+    and poles, never on earlier calls.
     """
-    ritz = hd._cache.get("phi surrogate")
-    if ritz is None:
-        T = hd.spec.T
-        r_psi = _psi_fit(hd)
-        g = apply_rational(op, r_psi, hd.ystar_hom).values \
-            - semigroup_apply(op, T, hd.psi).values
-        fits = (semigroup_fit(T), semigroup_fit(2 * T), r_psi, _phi_pair(hd, 0.0)[0])
-        poles = [p for r in fits for p, _ in _paired(r.poles, r.residues)]
-        # rational Arnoldi: each pole's solve continues from the last basis
-        # vector; orthonormal in the coordinates sqrt(M) v, where A is
-        # symmetric, by two Gram-Schmidt passes, dropping numerically
-        # dependent directions
-        sqrt_m = np.sqrt(op.M)
-        Q, k = np.empty((op.n, 1 + 2 * len(poles))), 0
+    sqrt_m = np.sqrt(op.M)
 
-        def extend(q):
-            nonlocal k
-            size = np.linalg.norm(q)
-            for _ in range(2):
-                q = q - Q[:, :k] @ (Q[:, :k].T @ q)
-            if np.linalg.norm(q) > 1e-8 * size:
-                Q[:, k] = q / np.linalg.norm(q)
-                k += 1
-
-        extend(sqrt_m * g)
-        for p in poles:
-            x = solve_shifted(op, p, Q[:, k - 1] / sqrt_m).values
-            for part in (x.real, x.imag) if p.imag else (x.real,):
-                extend(sqrt_m * part)
-        Q = Q[:, :k]
+    def ritz(Q, gq):
         V = Q / sqrt_m[:, None]     # M-orthonormal
         theta, W = np.linalg.eigh(-(V.T @ (op.K @ V)))
-        c = W.T @ (Q.T @ (sqrt_m * g))
-        ritz = hd._cache["phi surrogate"] = (
-            theta, c ** 2, np.asarray(hd.big_psi_symbol(theta)))
-    theta, c2, psi_theta = ritz
+        # g lies in the base space, so the added directions carry none of it
+        return theta, (W[:len(gq)].T @ gq) ** 2, np.asarray(hd.big_psi_symbol(theta))
+
+    base = hd._cache.get("phi surrogate")
+    if base is None:
+        T = hd.spec.T
+        r_psi = _psi_fit(hd)
+        g = sqrt_m * (apply_rational(op, r_psi, hd.ystar_hom).values
+                      - semigroup_apply(op, T, hd.psi).values)
+        fits = (semigroup_fit(T), semigroup_fit(2 * T), r_psi, _phi_pair(hd, 0.0)[0])
+        Q = _rational_arnoldi(op, (g / np.linalg.norm(g))[:, None],
+                              [p for r in fits for p, _ in _paired(r.poles, r.residues)])
+        base = hd._cache["phi surrogate"] = (Q, Q.T @ g, ritz(Q, Q.T @ g))
+    Q, gq, (theta, c2, psi_theta) = base
+    if poles:
+        theta, c2, psi_theta = ritz(_rational_arnoldi(op, Q, poles), gq)
     e2 = np.exp(2 * hd.spec.T * theta)
 
     def value_and_slope(mu):
@@ -442,42 +376,36 @@ def _phi_surrogate(hd, op):
 def solve_mu(hd, op, eps):
     """Root of Phi(mu) = eps; zero when eps >= Phi(0).
 
-    Newton's method on 1/Phi (see _root), with each value from phi and its
-    slope from _phi_slope, starts from the root of the Ritz surrogate Phi_s
-    (see _phi_surrogate), found by the same root find on Phi_s and its exact
-    slope; it depends on the problem data only, never on earlier calls.
-    Where Phi_s has no root within MU_BRACKET_CAP, the start is mu = 1, so
-    that only the root find on Phi decides whether a root exists.  It stops
-    at |Phi(mu) - eps| <= 1e-8 Phi(0) with mu resolved to about 1e-10
-    relative.  The returned mu is usually the last Newton point, not
-    evaluated: its error is the predicted next correction, within 1e-10 in
-    log mu, so |Phi(mu) - eps| is about 1e-10 eps at most, since
-    d log Phi / d log mu lies in (-1, 0).  The slope of the last Phi
-    evaluated is kept in hd._cache[("root slope", mu)] for the polish in
-    solve_problem.
+    The root is found on the Ritz surrogate Phi_s (see _phi_surrogate), whose
+    values cost microseconds, and certified by one exact Phi value there: it
+    is returned once |Phi(mu) - eps| <= 1e-8 Phi(0), the tolerance the root
+    find on Phi_s stops on.  On a miss, the poles of the Phi pair that phi
+    has just fitted and factored at that mu join the surrogate's space, at
+    the cost of shifted solves but of no fit and no factorization, and the
+    root is taken again, at most _POLE_ROUNDS times (Güttel, GAMM-Mitt. 36,
+    2013, on choosing poles adaptively).  Where Phi_s has no root within
+    MU_BRACKET_CAP, or the rounds run out, the root find runs on the exact
+    Phi from mu = 1, so that only exact values decide whether a root exists.
+    The result depends on the problem data only, never on earlier calls.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     phi0 = phi(hd, op, 0.0)
     if eps >= phi0:
         return 0.0
-
-    slope = [None]
-
-    def value_and_slope(m):
-        v = phi(hd, op, m)
-        slope[0] = _phi_slope(hd, op, m)
-        return v, slope[0]
-
-    try:
-        start = _root(_phi_surrogate(hd, op), eps, 1e-8 * phi0, 1.0)
-    except RuntimeError:
-        # no root of Phi_s within the cap: whether Phi has one is for the
-        # exact root find to decide
-        start = 1.0
-    mu = _root(value_and_slope, eps, 1e-8 * phi0, float(start))
-    hd._cache[("root slope", mu)] = slope[0]
-    return mu
+    tol = 1e-8 * phi0
+    poles = []
+    for _ in range(1 + _POLE_ROUNDS):
+        surrogate = _phi_surrogate(hd, op, poles)
+        try:
+            mu = _root(lambda m: surrogate(m)[0], eps, tol, 1.0)
+        except RuntimeError:
+            break
+        if abs(phi(hd, op, mu) - eps) <= tol:
+            return mu
+        r = _phi_pair(hd, mu)[0]
+        poles += [p for p, _ in _paired(r.poles, r.residues)]
+    return _root(lambda m: phi(hd, op, m), eps, tol, 1.0)
 
 
 def _apply_stationarity_op(hd, op, mu, v):
@@ -629,9 +557,8 @@ def solve_problem(spec, op, hd=None):
     The multiplier from the Phi root find is polished, when needed, by the
     secant root find on the realized final miss ||y(T) - ystar||_M so the
     constraint holds to 1e-7 * Phi(0) even where mu amplifies the route
-    difference.  The polish starts from the Phi-route mu, which need not
-    have a Phi value of its own, with the exact slope of the last Phi the
-    root find evaluated, one small Newton step away.
+    difference.  The polish starts from the Phi-route mu with the slope of
+    the Ritz surrogate there.
     """
     if hd is None:
         hd = homogenize(spec, op)
@@ -648,7 +575,7 @@ def solve_problem(spec, op, hd=None):
 
     if mu > 0.0:
         mu = _root(miss_at, spec.eps, 1e-7 * phi0, mu,
-                   slope=hd._cache[("root slope", mu)], xtol=math.inf)
+                   slope=_phi_surrogate(hd, op)(mu)[1], xtol=math.inf)
     else:
         miss_at(mu)
     miss, u, y = seen[mu]
@@ -663,7 +590,7 @@ def solve_problem(spec, op, hd=None):
         kkt=pcg_residual if mu > 0.0 else kkt_residual(hd, op, u, mu),
         final_miss=miss,
         phi0=phi0,
-        phi_samples=tuple(sorted((m, e[0]) for m, e in hd._phi_values.items())),
+        phi_samples=tuple(sorted(hd._phi_values.items())),
         pcg_stop=pcg_stop,
         pcg_residual=pcg_residual,
         phi_evals=len(hd._phi_values) - phi_count,

@@ -177,6 +177,25 @@ def test_sensitivity_cli(tmp_path, small_1d_cfg):
     assert [r["channel"] for r in rows] == ["ystar"]
     assert set(rows[0]) == {"channel", "nu", "drift", "ratio", "mu_eps",
                             "mu_eps_delta"}
+    assert "rows_failed = 0" in (out / "run_meta.txt").read_text()
+
+
+def test_sensitivity_cli_rejects_unknown_channel_and_counts_failed_rows(tmp_path):
+    # a misspelled channel is a config error (exit 2, JSON line), not a CSV
+    # of nan rows; a row that fails inside the sweep (nu outside [0, 1)) is
+    # counted in run_meta.txt, since its CSV row cannot say so
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[sensitivity]\nn_el = 24\nnu_list = 0.01\nchannels = alpah, w\n")
+    res = run_cli(["sensitivity", "--config", str(bad), "--out", str(tmp_path / "bad")])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ValueError" and "alpah" in err["message"]
+    assert not (tmp_path / "bad" / "sensitivity_alpah.csv").exists()
+    big = tmp_path / "big.ini"
+    big.write_text("[sensitivity]\nn_el = 24\nnu_list = 0.01, 1.5\nchannels = ystar\n")
+    res = run_cli(["sensitivity", "--config", str(big), "--out", str(tmp_path / "big")])
+    assert res.returncode == 0, res.stderr
+    assert "rows_failed = 1" in (tmp_path / "big" / "run_meta.txt").read_text()
 
 
 def test_oracle_check_cli(tmp_path, small_1d_cfg):
