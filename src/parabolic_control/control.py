@@ -264,7 +264,8 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
     once it meets tol and either the correction y / slope (the given slope
     at the first value, the secant over the last step after it) or the
     bracket is within xtol in x (relative in mu).  Raises past
-    MU_BRACKET_CAP or _ROOT_EVALS.
+    MU_BRACKET_CAP or _ROOT_EVALS, and when the next step would not move mu
+    (the bracket has collapsed onto floats where f still misses tol).
     """
     x, prev, xa, ya = math.log(mu), None, None, 0.0
     for _ in range(_ROOT_EVALS):
@@ -292,6 +293,9 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
             step = _LN10 if slope is None or slope >= 0 else \
                 min(max(abs(y / slope), _LN10), 3 * _LN10)
             x_new = x + math.copysign(step, y)
+        if x_new == x:
+            raise RuntimeError(f"root find stalled at mu = {mu!r}: |f(mu) - target|"
+                               f" = {abs(v - target):.3e} exceeds tol = {tol:.3e}")
         prev = (x, y)
         x, mu = x_new, math.exp(x_new)
     raise RuntimeError(f"root find did not converge in {_ROOT_EVALS} evaluations")

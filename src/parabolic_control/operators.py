@@ -7,14 +7,21 @@ is A = -M^{-1} K with K the P1 stiffness matrix and M the row-sum lumped
 mass matrix; A is self-adjoint in the M-weighted inner product and its
 spectrum lies in [lam_min, kappa] with kappa < 0.
 
+Assembly is array arithmetic without per-element loops; it sums every
+entry in the order of a per-element loop, so K and M are bit-identical to
+that loop's.
+
 Shifted systems (z - A) x = v are solved as (z M + K) x = M v with one
 sparse LU factorization per shift, cached on the operator for its whole
-life; the LU pivots on the diagonal in a symmetric fill-reducing order.
-Each shifted matrix is written into a complex copy of K that carries an
-explicit slot on every diagonal entry, built once per operator.  A cached
-factor costs far more memory than its L and U values: measured as growth of
-the peak RSS, about 25 KB for the 1D n = 61 operator (whose L+U takes 4 KB)
-and 1.3 MB for the 2D h = 1/30 one, with SuperLU's panel size set to 1.
+life; the LU pivots on the diagonal.  Each operator has one fill-reducing
+order: the minimum-degree column order of one real symmetric-mode LU of K,
+which also serves the spectral enclosure.  Each shifted matrix is written
+into a complex copy of K that carries an explicit slot on every diagonal
+entry and is stored in that order, built once per operator, so no
+factorization reorders.  A cached factor costs far more memory than its L
+and U values: measured as growth of the peak RSS, about 25 KB for the 1D
+n = 61 operator (whose L+U takes 4 KB) and 1.3 MB for the 2D h = 1/30 one,
+with SuperLU's panel size set to 1.
 """
 
 from __future__ import annotations
@@ -89,8 +96,17 @@ class DiscreteOperator:
 
     def __post_init__(self):
         self._solvers = {}
-        self.lam_min, self.kappa = _spectral_enclosure(self.K, self.M)
-        self._shift_base, self._shift_diag = _diagonal_slots(self.K)
+        # one symmetric-mode factor of K serves the enclosure, and its column
+        # order is the fill-reducing order of every shifted matrix, whose
+        # pattern is that of K with its diagonal
+        base, _ = _diagonal_slots(self.K, np.arange(self.n))
+        lu = spla.splu(base, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+        self.lam_min, self.kappa = _spectral_enclosure(self.K, self.M, lu)
+        self._perm = lu.perm_c
+        self._order = np.argsort(self._perm)
+        base, self._shift_diag = _diagonal_slots(self.K, self._perm)
+        self._shift_base = base.astype(complex)
         self._norm_m = float(np.max(self.M))
         self._norm_k = float(spla.norm(self.K, 1))
 
@@ -142,19 +158,14 @@ def assemble_1d(n_el, a=0.0, gamma=2.2):
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     coeff = np.where(mids >= gamma_snapped, 1.0 + a, 1.0)
 
-    nn = n_el + 1
-    K = np.zeros((nn, nn))
-    M = np.zeros(nn)
-    for e in range(n_el):
-        ke = coeff[e] / h[e]
-        K[e, e] += ke
-        K[e + 1, e + 1] += ke
-        K[e, e + 1] -= ke
-        K[e + 1, e] -= ke
-        M[e] += 0.5 * h[e]
-        M[e + 1] += 0.5 * h[e]
-    Ki = sp.csc_matrix(K[1:-1, 1:-1])
-    return DiscreteOperator(K=Ki, M=M[1:-1], mesh=mesh, coords=mesh.interior)
+    # interior node i collects element i-1, then element i: the sums are
+    # taken in that order
+    ke = coeff / h
+    half = 0.5 * h
+    off = -ke[1:-1]
+    K = sp.diags([off, ke[:-1] + ke[1:], off], [-1, 0, 1], format="csc")
+    return DiscreteOperator(K=K, M=half[:-1] + half[1:], mesh=mesh,
+                            coords=mesh.interior)
 
 
 def lshape_mesh(h):
@@ -162,35 +173,27 @@ def lshape_mesh(h):
     m = int(round(1.0 / h))
     if abs(m * h - 1.0) > 1e-12 or m < 2:
         raise ValueError(f"h must be 1/m with integer m >= 2, got {h}")
-    coords = {}
-
-    def vid(i, j):
-        if (i, j) not in coords:
-            coords[(i, j)] = len(coords)
-        return coords[(i, j)]
-
-    tris = []
-    for ci in range(-m, m):
-        for cj in range(-m, m):
-            if ci < 0 and cj >= 0:
-                continue  # cell in the removed square
-            v00 = vid(ci, cj)
-            v10 = vid(ci + 1, cj)
-            v01 = vid(ci, cj + 1)
-            v11 = vid(ci + 1, cj + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    nv = len(coords)
-    verts = np.empty((nv, 2))
-    for (i, j), k in coords.items():
-        verts[k] = (i * h, j * h)
-    boundary = np.zeros(nv, dtype=bool)
-    for (i, j), k in coords.items():
-        on_outer = abs(i) == m or abs(j) == m
-        on_reentrant = (i == 0 and j >= 0) or (j == 0 and i <= 0)
-        boundary[k] = on_outer or on_reentrant
-    return MeshLShape(h=h, vertices=verts, triangles=np.array(tris, dtype=int),
-                      boundary=boundary)
+    # cells of [-m, m)^2 in row-major order, the removed square left out;
+    # each visits its grid points as v00, v10, v01, v11, and a vertex is
+    # numbered by its first visit
+    ci, cj = np.meshgrid(np.arange(-m, m), np.arange(-m, m), indexing="ij")
+    keep = ~((ci < 0) & (cj >= 0))
+    ci, cj = ci[keep], cj[keep]
+    gi = np.stack([ci, ci + 1, ci, ci + 1], axis=1).ravel()
+    gj = np.stack([cj, cj, cj + 1, cj + 1], axis=1).ravel()
+    _, first, visit = np.unique((gi + m) * (2 * m + 1) + gj + m,
+                                return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    v = number[visit].reshape(-1, 4)
+    tris = np.stack([v[:, [0, 1, 3]], v[:, [0, 3, 2]]], axis=1).reshape(-1, 3)
+    i, j = gi[first[order]], gj[first[order]]
+    verts = np.column_stack([i * h, j * h])
+    on_outer = (np.abs(i) == m) | (np.abs(j) == m)
+    on_reentrant = ((i == 0) & (j >= 0)) | ((j == 0) & (i <= 0))
+    return MeshLShape(h=h, vertices=verts, triangles=tris,
+                      boundary=on_outer | on_reentrant)
 
 
 def assemble_2d_lshape(h):
@@ -200,27 +203,25 @@ def assemble_2d_lshape(h):
     mesh = lshape_mesh(h)
     verts, tris = mesh.vertices, mesh.triangles
     nv = len(verts)
-    rows, cols, vals = [], [], []
-    M = np.zeros(nv)
-    for t in tris:
-        p = verts[t]
-        d1 = p[1] - p[0]
-        d2 = p[2] - p[0]
-        area2 = d1[0] * d2[1] - d1[1] * d2[0]
-        if area2 <= 0:
-            raise ValueError("triangle with non-positive oriented area")
-        area = 0.5 * area2
-        # gradients of the three barycentric hats
-        b = np.array([p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]])
-        c = np.array([p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]])
-        ke = (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-        for a_ in range(3):
-            M[t[a_]] += area / 3.0
-            for b_ in range(3):
-                rows.append(t[a_])
-                cols.append(t[b_])
-                vals.append(ke[a_, b_])
-    K = sp.csr_matrix((vals, (rows, cols)), shape=(nv, nv))
+    p = verts[tris]                                   # (nt, 3, 2)
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    if np.any(area2 <= 0):
+        raise ValueError("triangle with non-positive oriented area")
+    area = 0.5 * area2
+    # gradients of the three barycentric hats
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
+        / (4.0 * area)[:, None, None]
+    # triplets in (triangle, a, b) order and M summed in (triangle, a) order:
+    # duplicates add up in the order of a per-triangle loop
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    K = sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv))
+    M = np.bincount(tris.ravel(), weights=np.repeat(area / 3.0, 3), minlength=nv)
     idx = mesh.interior_index
     Ki = sp.csc_matrix(K[np.ix_(idx, idx)])
     return DiscreteOperator(K=Ki, M=M[idx], mesh=mesh, coords=verts[idx])
@@ -272,15 +273,16 @@ def solve_shifted(op, z, v):
         # Measured as peak-RSS growth per cached factor, SuperLU's default
         # panel of 10 costs 157 KB for the 1D n = 61 operator (whose L+U
         # takes 4 KB) and 2.3 MB at 2D h = 1/30; a panel of 1 costs 25 KB
-        # and 1.3 MB, with the same fill and a faster factorization
-        solver = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        # and 1.3 MB, with the same fill and a faster factorization.  The
+        # rows and columns are already in the operator's fill-reducing order
+        solver = spla.splu(mat, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                            panel_size=1, options=dict(SymmetricMode=True))
         op._solvers[z] = solver
-    x = solver.solve(rhs)
+    x = _factor_solve(op, solver, rhs)
     resid, scale = _backward_error_terms(op, z, x, rhs)
     if resid > 1e-12 * scale:
         # one step of iterative refinement before giving up
-        x = x + solver.solve(rhs - (z * (op.M * x) + op.K @ x))
+        x = x + _factor_solve(op, solver, rhs - (z * (op.M * x) + op.K @ x))
         resid, scale = _backward_error_terms(op, z, x, rhs)
         if resid > 1e-12 * scale:
             raise ShiftError(f"shifted solve residual {resid:.3e} exceeds "
@@ -298,22 +300,31 @@ def _backward_error_terms(op, z, x, rhs):
     return resid, scale
 
 
-def _diagonal_slots(K):
-    """Complex copy of K with an explicit entry on every diagonal position and
-    no other stored zeros (which would enter the LU's sparsity pattern), and
-    the indices of the diagonal entries in its data array."""
+def _factor_solve(op, lu, b):
+    """Solve with a cached factor of op's shifted matrix, which is stored in
+    the operator's fill-reducing order: b and the solution in the original
+    order."""
+    return lu.solve(b[op._order])[op._perm]
+
+
+def _diagonal_slots(K, perm):
+    """Copy of K, row and column i renumbered perm[i], with an explicit entry
+    on every diagonal position and no other stored zeros (which would enter
+    the LU's sparsity pattern), and the indices of the diagonal entries in its
+    data array, entry i holding the diagonal of original row i."""
     n = K.shape[0]
     Kc = K.tocoo()
     nz = Kc.data != 0
     i = np.arange(n)
     base = sp.csc_matrix(
-        (np.concatenate([Kc.data[nz], np.zeros(n)]).astype(complex),
-         (np.concatenate([Kc.row[nz], i]), np.concatenate([Kc.col[nz], i]))),
+        (np.concatenate([Kc.data[nz], np.zeros(n)]),
+         (perm[np.concatenate([Kc.row[nz], i])],
+          perm[np.concatenate([Kc.col[nz], i])])),
         shape=(n, n))
     base.sum_duplicates()
     base.sort_indices()
     cols = np.repeat(np.arange(n), np.diff(base.indptr))
-    return base, np.flatnonzero(base.indices == cols)
+    return base, np.flatnonzero(base.indices == cols)[perm]
 
 
 def _vec(op, v, allow_complex=False):
@@ -334,14 +345,14 @@ def _dist_to_interval(z, lo, hi):
     return abs(y)
 
 
-def _spectral_enclosure(K, M):
+def _spectral_enclosure(K, M, lu):
     """Certified enclosure of sigma(-M^{-1}K) in [lam_min, kappa], kappa <= 0.
 
     Lower end by a Gershgorin row-sum bound of M^{-1}K; upper end from
-    inverse power iteration on (K, M) with a 10% margin toward zero.
+    inverse power iteration on (K, M), with lu a factor of K, and a 10%
+    margin toward zero.
     """
     gersh = float(np.max(np.ravel(np.abs(K).sum(axis=1)) / M))
-    lu = spla.splu(sp.csc_matrix(K))
     rng = np.random.default_rng(1234)
     x = rng.standard_normal(K.shape[0])
     x /= np.linalg.norm(x)

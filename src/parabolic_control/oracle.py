@@ -7,8 +7,10 @@ the eigenvalues.  Time integrals take their own route: the source term of
 psi by a composite Gauss-Legendre rule fine enough for every mode, and J
 by a GAUSS_POINTS-point Gauss rule on every panel between the source
 breakpoints, so J stays an independent check of the production quadratic
-form.  Trusted for dimensions up to 200 and used by the tests to validate
-the rational-calculus production path; never the production path itself.
+form.  Trusted for dimensions up to MAX_DENSE_N, which covers the 2D
+L-shape at h = 1/30 (n = 2,581, whose eigendecomposition takes a few
+seconds), and used by the tests to validate the rational-calculus
+production path; never the production path itself.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import symbols as sym
 from .control import ControlSolution
 from .operators import DimensionError
 
-MAX_DENSE_N = 200
+MAX_DENSE_N = 3000
 GAUSS_POINTS = 8
 
 _gauss_x, _gauss_w = np.polynomial.legendre.leggauss(GAUSS_POINTS)

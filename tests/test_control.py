@@ -1,4 +1,5 @@
 from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,19 @@ def test_root_find_raises_without_root_within_cap(target):
     # past the cap) nor of f = 2.5 (mu shrinks past 1/cap)
     with pytest.raises(RuntimeError, match="no root"):
         ctl._root(lambda mu: 1.0 + 1.0 / (1.0 + mu), target, 1e-8, 1.0)
+
+
+@pytest.mark.parametrize("start", [1.0, 1e4])
+def test_root_find_raises_when_its_bracket_collapses(start):
+    # f jumps across the target at mu = 100 by more than tol: the bracket
+    # shrinks onto adjacent floats and the next step would not move mu
+    def f(mu):
+        return 2.0 if mu < 100 else 0.5
+    with pytest.raises(RuntimeError, match=r"stalled at mu = (\S+):.* = 5\.000e-01 "
+                       r"exceeds tol = 1\.000e-03") as info:
+        ctl._root(f, 1.0, 1e-3, start)
+    mu = re.search(r"mu = (\S+):", str(info.value)).group(1)
+    assert float(mu) == pytest.approx(100.0)
 
 
 def test_newton_root_find_phi_evaluations(op62):

@@ -9,7 +9,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parabolic_control import cli
+from parabolic_control import control as ctl
 from parabolic_control import operators as ops
+from parabolic_control import sensitivity as sens
+from parabolic_control.config import load_config
 
 from conftest import PEAK_RSS_SOURCE
 
@@ -79,6 +83,62 @@ def test_1d_rejects_bad_input():
         ops.assemble_1d(10, gamma=4.0)
 
 
+def assemble_1d_loop(n_el, a=0.0, gamma=2.2):
+    """Per-element loop reference of assemble_1d's K and M (dense K)."""
+    nodes = np.linspace(0.0, np.pi, n_el + 1)
+    snapped = nodes[int(np.argmin(np.abs(nodes - gamma)))]
+    h = np.diff(nodes)
+    coeff = np.where(0.5 * (nodes[:-1] + nodes[1:]) >= snapped, 1.0 + a, 1.0)
+    K = np.zeros((n_el + 1, n_el + 1))
+    M = np.zeros(n_el + 1)
+    for e in range(n_el):
+        ke = coeff[e] / h[e]
+        K[e, e] += ke
+        K[e + 1, e + 1] += ke
+        K[e, e + 1] -= ke
+        K[e + 1, e] -= ke
+        M[e] += 0.5 * h[e]
+        M[e + 1] += 0.5 * h[e]
+    return scipy.sparse.csc_matrix(K[1:-1, 1:-1]), M[1:-1]
+
+
+def assert_same_sparse(A, B):
+    """Same format, stored pattern and values, bit for bit."""
+    assert A.format == B.format
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("a", [0.0, -0.8])
+def test_1d_assembly_matches_element_loop(a):
+    op = ops.assemble_1d(62, a=a)
+    K, M = assemble_1d_loop(62, a=a)
+    assert_same_sparse(op.K, K)
+    assert op.M.dtype == M.dtype and np.array_equal(op.M, M)
+
+
+# Assembles the n_el = 5,000 operator after a warm-up and prints the growth
+# of the peak RSS in MB.
+_ASSEMBLE_1D_RSS_CHILD = PEAK_RSS_SOURCE + """
+from parabolic_control import operators as ops
+ops.assemble_1d(62)
+before = peak_rss_kb()
+op = ops.assemble_1d(5000)
+assert op.n == 4999
+print((peak_rss_kb() - before) / 1024)
+"""
+
+
+def test_1d_assembly_memory_is_linear():
+    # a dense (n_el + 1)^2 stiffness matrix would take 200 MB here; the
+    # sparse assembly, its enclosure and its shift pattern measured 2.4 MB
+    proc = subprocess.run([sys.executable, "-c", _ASSEMBLE_1D_RSS_CHILD],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 20.0
+
+
 # ---------------------------------------------------------------------------
 # 2D assembly
 # ---------------------------------------------------------------------------
@@ -144,6 +204,72 @@ def test_2d_mesh_refinement_self_consistency():
     assert abs(vals[0] - vals[1]) <= 0.02 * abs(vals[1])
 
 
+def lshape_loop(h):
+    """Per-cell loop reference of lshape_mesh: vertices numbered by their
+    first visit, cells in row-major order."""
+    m = int(round(1.0 / h))
+    coords = {}
+
+    def vid(i, j):
+        if (i, j) not in coords:
+            coords[(i, j)] = len(coords)
+        return coords[(i, j)]
+
+    tris = []
+    for ci in range(-m, m):
+        for cj in range(-m, m):
+            if ci < 0 and cj >= 0:
+                continue
+            v00, v10 = vid(ci, cj), vid(ci + 1, cj)
+            v01, v11 = vid(ci, cj + 1), vid(ci + 1, cj + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    verts = np.empty((len(coords), 2))
+    boundary = np.zeros(len(coords), dtype=bool)
+    for (i, j), k in coords.items():
+        verts[k] = (i * h, j * h)
+        boundary[k] = (abs(i) == m or abs(j) == m
+                       or (i == 0 and j >= 0) or (j == 0 and i <= 0))
+    return verts, np.array(tris, dtype=int), boundary
+
+
+def assemble_2d_loop(mesh):
+    """Per-triangle loop reference of assemble_2d_lshape's K and M."""
+    verts, tris = mesh.vertices, mesh.triangles
+    nv = len(verts)
+    rows, cols, vals = [], [], []
+    M = np.zeros(nv)
+    for t in tris:
+        p = verts[t]
+        d1, d2 = p[1] - p[0], p[2] - p[0]
+        area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
+        b = np.array([p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]])
+        c = np.array([p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]])
+        ke = (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
+        for a_ in range(3):
+            M[t[a_]] += area / 3.0
+            for b_ in range(3):
+                rows.append(t[a_])
+                cols.append(t[b_])
+                vals.append(ke[a_, b_])
+    K = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(nv, nv))
+    idx = mesh.interior_index
+    return scipy.sparse.csc_matrix(K[np.ix_(idx, idx)]), M[idx]
+
+
+@pytest.mark.parametrize("m", [8, 30])
+def test_2d_assembly_matches_element_loop(m):
+    op = ops.assemble_2d_lshape(1 / m)
+    verts, tris, boundary = lshape_loop(1 / m)
+    mesh = op.mesh
+    for got, want in ((mesh.vertices, verts), (mesh.triangles, tris),
+                      (mesh.boundary, boundary)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    K, M = assemble_2d_loop(mesh)
+    assert_same_sparse(op.K, K)
+    assert op.M.dtype == M.dtype and np.array_equal(op.M, M)
+
+
 def test_2d_rejects_coarse_mesh():
     with pytest.raises(ValueError):
         ops.assemble_2d_lshape(0.5001)
@@ -190,19 +316,68 @@ def test_shifted_lu_is_symmetric_and_pivot_free():
     rhs = op.M * np.random.default_rng(8).standard_normal(op.n)
     ops.solve_shifted(op, z, op.function(rhs / op.M))
     lu = op._solvers[z]
-    x = lu.solve(rhs.astype(complex))       # no refinement step
+    # no refinement step; the factor is stored in the operator's order
+    x = ops._factor_solve(op, lu, rhs.astype(complex))
     resid, scale = ops._backward_error_terms(op, z, x, rhs)
     assert resid <= 1e-12 * scale
-    mat = op._shift_base.copy()
-    mat.data[op._shift_diag] += z * op.M
-    assert lu.nnz <= 0.7 * spla.splu(mat).nnz
+    assert lu.nnz <= 0.7 * spla.splu(shifted_matrix(op, z)).nnz
+
+
+def shifted_matrix(op, z):
+    """z M + K in the original order, with the cached factors' pattern."""
+    base, diag = ops._diagonal_slots(op.K, np.arange(op.n))
+    mat = base.astype(complex)
+    mat.data[diag] += z * op.M
+    return mat
+
+
+def fresh_factor(op, z):
+    """The shifted LU as it was made before operators kept one order: its
+    own minimum-degree ordering of the shift in the original order."""
+    return spla.splu(shifted_matrix(op, z), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, panel_size=1,
+                     options=dict(SymmetricMode=True))
+
+
+def test_cached_factors_keep_the_per_shift_fill():
+    # every factor that a published 2D solve caches on the operator's one
+    # order has the fill of its own minimum-degree order
+    cfg = load_config("example2d")
+    op = cli.build_operator_2d(cfg)
+    hd = ctl.homogenize(cli.build_problem_2d(cfg, op, 1.0), op)
+    eps = 0.5 * ctl.phi(hd, op, 0.0)
+    ctl.solve_problem(cli.build_problem_2d(cfg, op, eps), op, hd=hd)
+    assert len(op._solvers) >= 40
+    for z, lu in op._solvers.items():
+        assert lu.nnz == fresh_factor(op, z).nnz
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: ops.assemble_1d(62, a=-0.8),
+    lambda: ops.assemble_2d_lshape(1 / 30),
+    # a dense dK: every entry of K stored
+    lambda: sens._perturb_operator(ops.assemble_1d(62), 1e-2,
+                                   np.random.default_rng(3)),
+], ids=["1d", "2d", "perturbed"])
+def test_shifted_solve_matches_fresh_factorization(make_op):
+    op = make_op()
+    rng = np.random.default_rng(4)
+    for z in (1.0, 2.0 + 1.5j, 30.0 - 200.0j, 1e4 + 1e4j):
+        v = rng.standard_normal(op.n)
+        x = ops.solve_shifted(op, z, v).values
+        want = fresh_factor(op, z).solve((op.M * v).astype(complex))
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # Factors 500 distinct shifts of the n_el = 62 operator after one warm-up
 # solve and prints the growth of the peak RSS per cached factor, in KB.
 _FACTOR_RSS_CHILD = PEAK_RSS_SOURCE + """
 import numpy as np
+from parabolic_control import cli
+from parabolic_control import control as ctl
 from parabolic_control import operators as ops
+from parabolic_control import sensitivity as sens
+from parabolic_control.config import load_config
 op = ops.assemble_1d(62)
 v = np.ones(op.n)
 ops.solve_shifted(op, 1.0 + 1.0j, v)
