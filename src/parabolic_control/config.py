@@ -79,6 +79,11 @@ class RunConfig:
                 raise ValueError("eps fractions must lie in (0, 1]")
         if not 0 <= self.beta_lo < self.beta_hi <= 1:
             raise ValueError("beta window fractions must satisfy 0 <= lo < hi <= 1")
+        if self.phi_curve_points < 1:
+            raise ValueError(f"phi_curve_points must be >= 1, got {self.phi_curve_points}")
+        if not 0 < self.mu_min < self.mu_max:
+            raise ValueError(f"the Phi-curve range must satisfy 0 < mu_min < mu_max, "
+                             f"got mu_min = {self.mu_min}, mu_max = {self.mu_max}")
         unknown = [c for c in self.channels if c not in CHANNELS]
         if unknown:
             raise ValueError(f"unknown sensitivity channels {unknown}; "
@@ -88,7 +93,6 @@ class RunConfig:
 _DEFAULT_OVERRIDES = {
     "example1d": {"phi_curve_points": 41},
     "example2d": {"T": 0.05, "eps_fractions": (0.1, 0.5, 0.9)},
-    "phi-curve": {"phi_curve_points": 350},
 }
 
 _TUPLE_FLOAT_KEYS = {"w_indicator", "ystar_indicator", "eps_fractions", "nu_list"}

@@ -11,13 +11,13 @@ join the subset before the iteration goes on (Driscoll, Nakatsukasa &
 Trefethen, AAA rational approximation on a continuum, SISC 2024).  Poles
 come from the generalized eigenvalue problem of the barycentric pencil;
 spurious poles on the half-line are pruned by support removal and the fit
-restarted with those points banned; residues are re-fitted on the same
-subset by Lawson-reweighted least squares in a conjugation-closed real
-parameterization; the result is validated on a denser independent grid
-_VALID.
+restarted with those points banned; the residues of all components come
+from one least-squares solve on the same subset, in a conjugation-closed
+real parameterization; the result is validated on a denser independent
+grid _VALID.  A single symbol is fitted as a one-component shared fit.
 
-Pure exponentials exp(t*lambda) bypass the adaptive fit: a frozen table of
-near-best approximants of exp(x) (Caratheodory-Fejer, see
+A lone pure exponential exp(t*lambda) bypasses the adaptive fit: a frozen
+table of near-best approximants of exp(x) (Caratheodory-Fejer, see
 scripts/gen_exp_table.py) is rescaled by t, which preserves the sup error
 on the half-line exactly.  Segment integrals from 0, SI(0, h, s)(lambda)
 = h U(s h lambda), are served the same way by the fit of U = SI(0, 1, 1).
@@ -39,7 +39,6 @@ from . import symbols as sym
 from .operators import MeshFunction, solve_shifted, _dist_to_interval
 
 POLE_EXCLUSION = 1e-6   # practical no-pole zone around (-inf, 0]; contract is 1e-8
-_MAX_LAWSON = 8
 _STRIDE = 4             # a fit's row set starts as every 4th training point
 _RADIUS = 4             # and gains the 4 grid neighbours on each side of a point
 
@@ -88,6 +87,8 @@ class PartialFractionRational:
     residues: tuple
 
     def __post_init__(self):
+        if len(self.residues) != len(self.poles):
+            raise ValueError(f"{len(self.poles)} poles but {len(self.residues)} residues")
         for p in self.poles:
             if _halfline_distance(p) <= 1e-8:
                 raise ValueError(f"pole {p} lies on or within 1e-8 of (-inf, 0]")
@@ -368,52 +369,25 @@ def _residue_design(lams, poles):
     return np.stack(cols, axis=1), realp, pos
 
 
-def _residues_lawson(F, poles, rows):
-    """Conjugation-closed residues of every column of F by column-scaled
-    Lawson least squares on the row set S, all columns on one design."""
+def _residues(F, poles, rows):
+    """Conjugation-closed residues of every column of F by one least-squares
+    solve on the row set S: all columns share the column-scaled design."""
     idx = np.flatnonzero(rows)
     A, realp, pos = _residue_design(_TRAIN[idx], poles)
     cn = np.linalg.norm(A, axis=0)
     cn[cn == 0] = 1.0
-    An = A / cn[None, :]
-    return [_lawson(An, values, realp, pos, cn) for values in F[idx].T]
+    coef, *_ = np.linalg.lstsq(A / cn[None, :], F[idx], rcond=None)
+    return [_rational_of(c, realp, pos) for c in (coef / cn[:, None]).T]
 
 
-def _lawson(An, values, realp, pos, cn):
-    wts = np.ones(len(values))
-    best = None
-    stalled = 0
-    for _ in range(_MAX_LAWSON):
-        sw = np.sqrt(wts / wts.sum())
-        c, *_ = np.linalg.lstsq(An * sw[:, None], values * sw, rcond=None)
-        err = float(np.max(np.abs(An @ c - values)))
-        if best is None or err < 0.9 * best[0]:
-            best = (err, c)
-            stalled = 0
-        else:
-            if err < best[0]:
-                best = (err, c)
-            stalled += 1
-            if stalled >= 2:
-                break
-        wts = np.maximum(wts * np.abs(An @ c - values), 1e-300)
-        wts /= wts.max()
-    coef = best[1] / cn
-    r0 = float(coef[0])
-    pole_list, res_list = [], []
-    i = 1
-    for p in realp:
-        pole_list.append(complex(p))
-        res_list.append(complex(coef[i]))
-        i += 1
-    for p in pos:
-        a, b = coef[i], coef[i + 1]
-        i += 2
-        pole_list.append(complex(p))
-        res_list.append(complex(a, b))
-        pole_list.append(complex(p).conjugate())
-        res_list.append(complex(a, -b))
-    return PartialFractionRational(r0, tuple(pole_list), tuple(res_list))
+def _rational_of(coef, realp, pos):
+    """The rational of the real coefficients of _residue_design's columns."""
+    k = len(realp)
+    poles, res = [complex(p) for p in realp], [complex(c) for c in coef[1:k + 1]]
+    for p, a, b in zip(pos, coef[k + 1::2], coef[k + 2::2]):
+        poles += [complex(p), complex(p).conjugate()]
+        res += [complex(a, b), complex(a, -b)]
+    return PartialFractionRational(float(coef[0]), tuple(poles), tuple(res))
 
 
 def _drop_bad_poles(support, w, banned, Ft, Fn, rows):
@@ -463,7 +437,7 @@ def _fit_adaptive(samples, d_max, targets):
         lamp, support, w = _drop_bad_poles(support, w, banned, Ft, Fn, rows)
         if not support:
             break
-        fits = _residues_lawson(F, [complex(p) for p in lamp], rows)
+        fits = _residues(F, [complex(p) for p in lamp], rows)
         errs = _validate(fits, samples)
         if result is None or float(np.max(errs / targets)) \
                 < float(np.max(result[1] / targets)):
@@ -498,76 +472,17 @@ def _sample(g):
     return {"train": tr, "valid": va}
 
 
-def _exp_table_candidate(a, d_max, target):
-    """Scaled frozen near-best exponential fit meeting target, if any."""
-    best = None
-    for n in sorted(EXP_TABLE):
-        if n > d_max:
-            break
-        r0, pairs = EXP_TABLE[n]
-        cand = PartialFractionRational(
-            r0, tuple(p / a for p, _ in pairs), tuple(r / a for _, r in pairs))
-        err = float(np.max(np.abs(cand(_VALID) - np.exp(a * _VALID))))
-        if best is None or err < best[1]:
-            best = (cand, err)
-        if err <= target:
-            return cand, err
-    return best
-
-
-def _segint_candidate(g, d_max, tol):
-    """SI(0, h, s) = h U(s h lam), U = SI(0, 1, 1): the cached fit of U,
-    rescaled, with its validation error.  The adaptive fit of SI(0, h, s)
-    itself misses its target below h ~ 3e-5 (by a factor 6.6e5 at 1e-6)."""
-    h, s = g.b, g.scale
-    u, _ = fit_cached(sym.segment_integral(0.0, 1.0, 1), d_max, tol)
-    cand = PartialFractionRational(
-        u.r0 * h, tuple(p / (s * h) for p in u.poles), tuple(r / s for r in u.residues))
-    return cand, float(np.max(np.abs(cand(_VALID) - g(_VALID))))
-
-
 def fit_rational(g, d, tol):
-    """Fit symbol g by a degree <= d partial-fraction rational on (-inf, 0].
+    """Fit symbol g by a degree <= d partial-fraction rational on (-inf, 0]:
+    the single fit of fit_rational_shared([g], d, tol).
 
     The error contract is sup-norm against a discrete L2 norm estimate of g:
     success means max validation error <= tol * ||g||_est.  When the target
     is unreachable at degree d the best-effort rational is returned with
     report.success = False (callers may raise the degree).
     """
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
-    sample = _sample(g)
-    norm = _norm_estimate(sample["train"])
-    if norm == 0.0:
-        zero = PartialFractionRational(0.0, (), ())
-        return zero, FitReport(0, 0.0, 0.0, tol, len(_TRAIN), True)
-    # aim for the (tighter) norm of the decaying part; judge success against
-    # the published norm estimate of g itself
-    cnorm = _norm_estimate(sample["train"] - sample["train"][0])
-    target_int = tol * max(cnorm, 1e-300)
-    target_pub = tol * norm
-
-    best_fit, best_err = None, np.inf
-    if isinstance(g, sym.Exp):
-        if g.a == 0:
-            one = PartialFractionRational(1.0, (), ())
-            return one, FitReport(0, 0.0, norm, tol, len(_TRAIN), True)
-        cand = _exp_table_candidate(g.a, d, target_int)
-        if cand is not None:
-            best_fit, best_err = cand
-    elif isinstance(g, sym.SegmentIntegral) and g.a == 0 \
-            and (g.b, g.scale) != (1.0, 1.0):   # U itself takes the adaptive fit
-        best_fit, best_err = _segint_candidate(g, d, tol)
-    if best_err > target_int:
-        fits, errs = _fit_adaptive([sample], d, np.array([target_int]))
-        if errs[0] < best_err:
-            best_fit, best_err = fits[0], float(errs[0])
-    report = FitReport(degree=best_fit.degree, max_error=best_err,
-                       norm_estimate=norm, tol=tol, sample_count=len(_TRAIN),
-                       success=best_err <= target_pub)
-    return best_fit, report
+    fits, report = _fit([g], d, tol)
+    return fits[0], report
 
 
 def fit_rational_shared(gs, d, tol):
@@ -577,25 +492,75 @@ def fit_rational_shared(gs, d, tol):
     the natural scaling when the components are applied to vectors of
     comparable norm and summed.
     """
+    return _fit(gs, d, tol)
+
+
+def _fit(gs, d, tol):
+    """The one fit path of fit_rational and fit_rational_shared.
+
+    The fit aims for tol times the largest norm of the decaying parts
+    g_i - g_i(-inf), which is tighter, and its success is judged against
+    tol times the largest norm of the g_i themselves.  A lone pure
+    exponential or segment integral from 0 first tries a rescaled
+    ready-made fit, and takes the adaptive fit only where that one misses.
+    """
+    if not gs:
+        raise ValueError("need at least one symbol to fit")
     if d < 0:
         raise ValueError("degree must be >= 0")
     if tol <= 0:
         raise ValueError("tolerance must be > 0")
     samples = [_sample(g) for g in gs]
-    norms = np.array([_norm_estimate(s["train"]) for s in samples])
-    scale = float(np.max(norms))
+    scale = max(_norm_estimate(s["train"]) for s in samples)
     if scale == 0.0:
         zero = PartialFractionRational(0.0, (), ())
         return [zero for _ in gs], FitReport(0, 0.0, 0.0, tol, len(_TRAIN), True)
-    cnorms = [_norm_estimate(s["train"] - s["train"][0]) for s in samples]
-    targets = np.full(len(gs), max(tol * max(cnorms), 1e-300))
-    fits, errs = _fit_adaptive(samples, d, targets)
-    degree = max(f.degree for f in fits)
-    report = FitReport(degree=degree, max_error=float(np.max(errs)),
-                       norm_estimate=scale, tol=tol,
-                       sample_count=len(_TRAIN),
-                       success=bool(np.all(errs <= tol * scale)))
-    return fits, report
+    target = max(tol * max(_norm_estimate(s["train"] - s["train"][0])
+                           for s in samples), 1e-300)
+    ready = _ready_made(gs[0], samples[0], d, tol, target) if len(gs) == 1 else None
+    if ready is not None and ready[1] <= target:
+        fits, errs = [ready[0]], np.array([ready[1]])
+    else:
+        fits, errs = _fit_adaptive(samples, d, np.full(len(gs), target))
+        if ready is not None and ready[1] <= errs[0]:
+            fits, errs = [ready[0]], np.array([ready[1]])
+    return fits, FitReport(degree=max(f.degree for f in fits),
+                           max_error=float(np.max(errs)), norm_estimate=scale,
+                           tol=tol, sample_count=len(_TRAIN),
+                           success=bool(np.all(errs <= tol * scale)))
+
+
+def _ready_made(g, sample, d, tol, target):
+    """(rational, validation error) of a rescaled ready-made fit of g, or
+    None when g has none.
+
+    exp(a lam), a > 0: the frozen near-best table, rescaled by a, at the
+    least degree <= d that meets target, else its best degree.
+    SI(0, h, s) = h U(s h lam), other than U = SI(0, 1, 1) itself: the
+    cached fit of U, rescaled.  The adaptive fit of SI(0, h, s) misses its
+    target below h ~ 3e-5 (by a factor 6.6e5 at 1e-6).
+    """
+    if isinstance(g, sym.Exp) and g.a > 0:
+        a = g.a
+        cands = (PartialFractionRational(r0, tuple(p / a for p, _ in pairs),
+                                         tuple(r / a for _, r in pairs))
+                 for n, (r0, pairs) in sorted(EXP_TABLE.items()) if n <= d)
+    elif isinstance(g, sym.SegmentIntegral) and g.a == 0 \
+            and (g.b, g.scale) != (1.0, 1.0):
+        h, s = g.b, g.scale
+        u, _ = fit_cached(sym.segment_integral(0.0, 1.0, 1), d, tol)
+        cands = [PartialFractionRational(u.r0 * h, tuple(p / (s * h) for p in u.poles),
+                                         tuple(r / s for r in u.residues))]
+    else:
+        return None
+    best = None
+    for cand in cands:
+        err = float(np.max(np.abs(cand(_VALID) - sample["valid"])))
+        if best is None or err < best[1]:
+            best = (cand, err)
+        if err <= target:
+            break
+    return best
 
 
 _MEMO_SIZE = 256
@@ -666,6 +631,9 @@ def apply_rational(op, r, v):
 def apply_rational_shared(op, rationals, vectors):
     """sum_j r_j(A) v_j for rationals sharing one pole set (one solve per
     conjugate pair, combined right-hand sides)."""
+    if not rationals or len(rationals) != len(vectors):
+        raise ValueError(f"need one vector per rational, got {len(rationals)} "
+                         f"rationals and {len(vectors)} vectors")
     keys = {_pole_key(r) for r in rationals}
     if len(keys) > 1:
         raise ValueError("shared application requires identical pole sets")

@@ -217,6 +217,20 @@ def test_cli_error_is_machine_readable(tmp_path):
     assert "error" in err and "message" in err
 
 
+@pytest.mark.parametrize("lines, key", [("phi_curve_points = 0", "phi_curve_points"),
+                                        ("mu_min = 1e6\nmu_max = 1e-3", "mu_min"),
+                                        ("mu_min = 0", "mu_min")])
+def test_phi_curve_rejects_empty_or_invalid_sampling(tmp_path, lines, key):
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[phi-curve]\nn_el = 24\n{lines}\n")
+    out = tmp_path / "x"
+    res = run_cli(["phi-curve", "--config", str(p), "--out", str(out)])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ValueError" and key in err["message"]
+    assert not (out / "phi_curve.csv").exists()
+
+
 def test_phi_curve_full_default_has_350_rows(tmp_path):
     # the reference curve: 350 log-spaced samples, all monotone
     from parabolic_control.cli import cmd_phi_curve

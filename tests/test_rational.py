@@ -154,13 +154,13 @@ def test_incremental_loewner_matches_rebuilt_matrix():
 
 
 def _record_rows(monkeypatch):
-    """Record the row-set size of every residue refit from now on."""
+    """Record the row-set size of every residue solve from now on."""
     sizes = []
 
-    def recorded(F, poles, rows, _refit=rat._residues_lawson):
+    def recorded(F, poles, rows, _refit=rat._residues):
         sizes.append(int(np.count_nonzero(rows)))
         return _refit(F, poles, rows)
-    monkeypatch.setattr(rat, "_residues_lawson", recorded)
+    monkeypatch.setattr(rat, "_residues", recorded)
     return sizes
 
 
@@ -212,16 +212,38 @@ def test_row_set_fits_keep_their_degree():
 
 
 def test_shared_fit_builds_one_residue_design_per_pole_set(monkeypatch):
-    designs, pole_sets = [], []
-    for name, calls in (("_residue_design", designs), ("_drop_bad_poles", pole_sets)):
-        def counted(*args, _f=getattr(rat, name), _calls=calls):
+    # and one least-squares solve for the residues of all its components
+    designs, pole_sets, solves = [], [], []
+    for module, name, calls in ((rat, "_residue_design", designs),
+                                (rat, "_drop_bad_poles", pole_sets),
+                                (np.linalg, "lstsq", solves)):
+        def counted(*args, _f=getattr(module, name), _calls=calls, **kwargs):
             _calls.append(args)
-            return _f(*args)
-        monkeypatch.setattr(rat, name, counted)
-    fits, rep = rat.fit_rational_shared(_phi_pair(1e3), ctl.DEGREE_CAP, 1e-12)
-    assert rep.success and len(fits) == 2
-    assert len(pole_sets) >= 1
-    assert len(designs) == len(pole_sets)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    psi_part = BIG_PSI / (sym.const(1e3) * sym.expm(2 * T) + BIG_PSI)
+    for gs in (_phi_pair(1e3), _phi_pair(1e3) + (psi_part,)):
+        for calls in (designs, pole_sets, solves):
+            calls.clear()
+        fits, rep = rat.fit_rational_shared(gs, ctl.DEGREE_CAP, 1e-12)
+        assert rep.success and len(fits) == len(gs)
+        assert len(pole_sets) >= 1
+        assert len(designs) == len(solves) == len(pole_sets)
+        assert all(np.shape(b) == (len(a), len(gs)) for a, b in solves)
+
+
+@pytest.mark.parametrize("g, d", [(sym.expm(T), 24),                      # table
+                                  (sym.expm(0.0), 24),
+                                  (sym.segment_integral(0.0, 1e-6, 2), 32),  # rescale
+                                  (sym.segment_integral(T / 3, 2 * T / 3, 1), 32),
+                                  (BIG_PSI, 32),
+                                  (sym.const(0.0), 0)],
+                         ids=["exp", "exp0", "si0", "si", "psi", "zero"])
+def test_single_fit_is_the_one_component_shared_fit(g, d):
+    r, rep = rat.fit_rational(g, d, 1e-12)
+    (shared,), shared_rep = rat.fit_rational_shared([g], d, 1e-12)
+    assert rep == shared_rep and rep.success
+    assert (r.r0, r.poles, r.residues) == (shared.r0, shared.poles, shared.residues)
 
 
 @pytest.mark.parametrize("scale", [1, 2])
@@ -336,6 +358,29 @@ def test_apply_semigroup_matches_dense_oracle(op64):
     want = V @ (np.exp(T * lam) * coef)
     num = ops.norm_m(op64, got - want)
     assert num <= 1e-8 * ops.norm_m(op64, v)
+
+
+def test_rational_rejects_mismatched_residues():
+    with pytest.raises(ValueError):
+        rat.PartialFractionRational(0.0, (1.0 + 1j, 1.0 - 1j), (2.0 + 0j,))
+    with pytest.raises(ValueError):
+        rat.PartialFractionRational(0.0, (1.0 + 0j,), (2.0 + 0j, 3.0 + 0j))
+
+
+def test_shared_fit_rejects_no_symbols():
+    with pytest.raises(ValueError, match="at least one symbol"):
+        rat.fit_rational_shared([], 8, 1e-12)
+
+
+def test_shared_apply_rejects_mismatched_vectors(op20):
+    v = op20.function(np.sin(op20.coords))
+    w = op20.function(np.cos(op20.coords))
+    one = rat.PartialFractionRational(1.0, (), ())
+    pole = rat.PartialFractionRational(0.0, (1.0 + 0j,), (-1.0 + 0j,))
+    for rationals, vectors in (([pole], [v, w]), ([one, one], [v]), ([pole, pole], [v]),
+                               ([], [])):
+        with pytest.raises(ValueError):
+            rat.apply_rational_shared(op20, rationals, vectors)
 
 
 def test_apply_rejects_pole_in_enclosure(op20):
