@@ -44,7 +44,6 @@ from .rational import (  # noqa: F401
     fit_rational_shared,
     semigroup_apply,
     semigroup_fit,
-    _paired,
 )
 
 DEGREE_CAP = 40
@@ -143,12 +142,14 @@ class ControlSolution:
 # homogenization
 # ---------------------------------------------------------------------------
 
-def _time_fit(g, tol):
-    """The fit of a segment-integral or source-response symbol."""
-    r, report = fit_cached(g, 32, tol)
+def _fit_capped(gs, tol, what):
+    """fit_cached(gs, DEGREE_CAP, tol); raises FitError naming what when the
+    fit misses tol."""
+    fits, report = fit_cached(gs, DEGREE_CAP, tol)
     if not report.success:
-        raise FitError(f"{type(g).__name__} fit failed: {report}", report)
-    return r
+        raise FitError(f"{what}: tolerance unreachable at degree {DEGREE_CAP}"
+                       f" (best error {report.max_error:.3e})", report)
+    return fits
 
 
 def source_integral(op, f_segments, t, tol):
@@ -162,7 +163,7 @@ def source_integral(op, f_segments, t, tol):
             continue
         lo = t - min(b, t)
         hi = t - a
-        r = _time_fit(sym.segment_integral(lo, hi, 1), tol)
+        r = _fit_capped(sym.segment_integral(lo, hi, 1), tol, "segment-integral fit")
         out = op.function(out.values + apply_rational(op, r, fvec).values)
     return out
 
@@ -189,11 +190,12 @@ def homogenize(spec, op):
     for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
         if beta == 0.0:
             continue
-        r = _time_fit(sym.segment_integral(a, b, 1), tol)
+        r = _fit_capped(sym.segment_integral(a, b, 1), tol, "segment-integral fit")
         psi_vals = psi_vals + beta * apply_rational(op, r, w).values
         for (c, d, fvec) in spec.f_segments:
             if c < b:   # a source that starts after b has no response before it
-                r = _time_fit(sym.source_response_integral(a, b, c, d), tol)
+                r = _fit_capped(sym.source_response_integral(a, b, c, d), tol,
+                                "source-response fit")
                 psi_vals = psi_vals - beta * apply_rational(op, r, fvec).values
         big_psi = big_psi + sym.const(beta) * sym.segment_integral(a, b, 2)
     return HomogenizedData(
@@ -205,37 +207,30 @@ def homogenize(spec, op):
 # operator-function fits for the solution formulas
 # ---------------------------------------------------------------------------
 
-def _fit_capped(hd, symbols_list, what):
-    fits, report = fit_cached(symbols_list, DEGREE_CAP, hd.spec.fit_tol)
-    if not report.success:
-        raise FitError(f"{what}: tolerance unreachable at degree {DEGREE_CAP}"
-                       f" (best error {report.max_error:.3e})", report)
-    return fits
-
-
 def _uopt_pair(hd, mu):
     T = hd.spec.T
     denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
-    return _fit_capped(hd, [(sym.const(mu) * sym.expm(T)) / denom,
-                            sym.const(1.0) / denom], f"control fit at mu={mu}")
+    return _fit_capped([(sym.const(mu) * sym.expm(T)) / denom, sym.const(1.0) / denom],
+                       hd.spec.fit_tol, f"control fit at mu={mu}")
 
 
 def _psi_fit(hd):
-    r, = _fit_capped(hd, [hd.big_psi_symbol], "Psi fit")
+    r, = _fit_capped([hd.big_psi_symbol], hd.spec.fit_tol, "Psi fit")
     return r
 
 
 def u_min(hd, op):
     """Unconstrained minimizer Psi^{-1} psi."""
-    r, = _fit_capped(hd, [sym.const(1.0) / hd.big_psi_symbol], "inverse-Psi fit")
+    r, = _fit_capped([sym.const(1.0) / hd.big_psi_symbol], hd.spec.fit_tol,
+                     "inverse-Psi fit")
     return apply_rational(op, r, hd.psi)
 
 
 def _phi_pair(hd, mu):
     T = hd.spec.T
     denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
-    return _fit_capped(hd, [(sym.const(mu) * sym.expm(2 * T)) / denom,
-                            sym.expm(T) / denom], f"phi fit at mu={mu}")
+    return _fit_capped([(sym.const(mu) * sym.expm(2 * T)) / denom, sym.expm(T) / denom],
+                       hd.spec.fit_tol, f"phi fit at mu={mu}")
 
 
 def phi(hd, op, mu):
@@ -362,7 +357,7 @@ def _phi_surrogate(hd, op, poles=()):
                       - semigroup_apply(op, T, hd.psi).values)
         fits = (semigroup_fit(T), semigroup_fit(2 * T), r_psi, _phi_pair(hd, 0.0)[0])
         Q = _rational_arnoldi(op, (g / np.linalg.norm(g))[:, None],
-                              [p for r in fits for p, _ in _paired(r.poles, r.residues)])
+                              [p for r in fits for p in r.poles])
         base = hd._cache["phi surrogate"] = (Q, Q.T @ g, ritz(Q, Q.T @ g))
     Q, gq, (theta, c2, psi_theta) = base
     if poles:
@@ -407,8 +402,7 @@ def solve_mu(hd, op, eps):
             break
         if abs(phi(hd, op, mu) - eps) <= tol:
             return mu
-        r = _phi_pair(hd, mu)[0]
-        poles += [p for p, _ in _paired(r.poles, r.residues)]
+        poles += _phi_pair(hd, mu)[0].poles
     return _root(lambda m: phi(hd, op, m), eps, tol, 1.0)
 
 

@@ -22,8 +22,12 @@ scripts/gen_exp_table.py) is rescaled by t, which preserves the sup error
 on the half-line exactly.  Segment integrals from 0, SI(0, h, s)(lambda)
 = h U(s h lambda), are served the same way by the fit of U = SI(0, 1, 1).
 
-Applying r(A)v costs one complex shifted solve per conjugate pole pair:
-r(A)v = r0 v + sum_i res_i (A - pole_i)^{-1} v.
+A rational stores each real pole and one member of each conjugate pair, the
+one with imag > 0, each with its own residue; the other member of a pair is
+implied, with the conjugate residue.  The poles are sorted by real part,
+then by imag, and every sum runs in that order.  Applying r(A)v thus costs
+one complex shifted solve per stored pole:
+r(A)v = r0 v + sum_i res_i (A - pole_i)^{-1} v + the conjugate terms.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from scipy.linalg import eig, lapack
 
 from ._exp_table import EXP_TABLE
 from . import symbols as sym
-from .operators import MeshFunction, solve_shifted, _dist_to_interval
+from .operators import MeshFunction, solve_shifted
 
 POLE_EXCLUSION = 1e-6   # practical no-pole zone around (-inf, 0]; contract is 1e-8
 _STRIDE = 4             # a fit's row set starts as every 4th training point
@@ -80,29 +84,40 @@ class FitReport:
 
 @dataclass(frozen=True)
 class PartialFractionRational:
-    """r(lam) = r0 + sum_i res_i / (lam - pole_i)."""
+    """r(lam) = r0 + sum_i res_i / (lam - pole_i) over a conjugation-closed
+    pole set.
+
+    Half of it is stored: each real pole and, of each conjugate pair, the
+    member with imag > 0, each with its own residue; the other member of a
+    pair has the conjugate residue.  The poles are sorted by real part, then
+    by imag, and the terms are summed in that order.  So r is real on the
+    real line, and degree counts both members of each pair.
+    """
 
     r0: float
-    poles: tuple          # complex, conjugation-closed
+    poles: tuple          # complex, imag >= 0
     residues: tuple
 
     def __post_init__(self):
         if len(self.residues) != len(self.poles):
             raise ValueError(f"{len(self.poles)} poles but {len(self.residues)} residues")
         for p in self.poles:
+            if p.imag < 0:
+                raise ValueError(f"pole {p} has imag < 0; a conjugate pair is stored "
+                                 "by its member with imag > 0")
             if _halfline_distance(p) <= 1e-8:
                 raise ValueError(f"pole {p} lies on or within 1e-8 of (-inf, 0]")
 
     @property
     def degree(self):
-        return len(self.poles)
+        return sum(1 if p.imag == 0.0 else 2 for p in self.poles)
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
         scalar = lam.ndim == 0
         lam = np.atleast_1d(lam)
         out = np.full(lam.shape, self.r0)
-        for p, r in _paired(self.poles, self.residues):
+        for p, r in zip(self.poles, self.residues):
             if p.imag == 0.0:
                 out = out + r.real / (lam - p.real)
             else:
@@ -111,41 +126,19 @@ class PartialFractionRational:
         return out[0] if scalar else out
 
 
+def _rational(r0, terms):
+    """The PartialFractionRational r0 + sum of the (pole, residue) terms,
+    given for a whole conjugation-closed pole set or for its members with
+    imag >= 0 only: those are kept, sorted into stored order."""
+    kept = sorted(((complex(p), complex(r)) for p, r in terms if p.imag >= 0),
+                  key=lambda t: (t[0].real, t[0].imag))
+    return PartialFractionRational(float(r0), tuple(p for p, _ in kept),
+                                   tuple(r for _, r in kept))
+
+
 def _halfline_distance(p):
     p = complex(p)
     return abs(p.imag) if p.real <= 0 else abs(p)
-
-
-def _paired(poles, residues):
-    """One representative per conjugate pair (imag > 0 member) plus real poles,
-    in a deterministic order."""
-    poles = [complex(p) for p in poles]
-    residues = [complex(r) for r in residues]
-    seen = [False] * len(poles)
-    order = sorted(range(len(poles)), key=lambda i: (poles[i].real, abs(poles[i].imag)))
-    out = []
-    for i in order:
-        if seen[i]:
-            continue
-        p, r = poles[i], residues[i]
-        if abs(p.imag) < 1e-13 * (1.0 + abs(p)):
-            seen[i] = True
-            out.append((complex(p.real), r))
-            continue
-        mate = None
-        for j in order:
-            if j != i and not seen[j] \
-                    and abs(poles[j] - p.conjugate()) <= 1e-10 * (1.0 + abs(p)):
-                mate = j
-                break
-        if mate is None:
-            raise ValueError(f"pole {p} lacks a conjugate mate")
-        seen[i] = seen[mate] = True
-        if p.imag > 0:
-            out.append((p, r))
-        else:
-            out.append((p.conjugate(), residues[mate]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +370,11 @@ def _residues(F, poles, rows):
     cn = np.linalg.norm(A, axis=0)
     cn[cn == 0] = 1.0
     coef, *_ = np.linalg.lstsq(A / cn[None, :], F[idx], rcond=None)
-    return [_rational_of(c, realp, pos) for c in (coef / cn[:, None]).T]
-
-
-def _rational_of(coef, realp, pos):
-    """The rational of the real coefficients of _residue_design's columns."""
+    # a real pole's residue is one coefficient, a pair's the next two
     k = len(realp)
-    poles, res = [complex(p) for p in realp], [complex(c) for c in coef[1:k + 1]]
-    for p, a, b in zip(pos, coef[k + 1::2], coef[k + 2::2]):
-        poles += [complex(p), complex(p).conjugate()]
-        res += [complex(a, b), complex(a, -b)]
-    return PartialFractionRational(float(coef[0]), tuple(poles), tuple(res))
+    return [_rational(c[0], zip([*realp, *pos],
+                                [*c[1:k + 1], *map(complex, c[k + 1::2], c[k + 2::2])]))
+            for c in (coef / cn[:, None]).T]
 
 
 def _drop_bad_poles(support, w, banned, Ft, Fn, rows):
@@ -542,15 +529,14 @@ def _ready_made(g, sample, d, tol, target):
     """
     if isinstance(g, sym.Exp) and g.a > 0:
         a = g.a
-        cands = (PartialFractionRational(r0, tuple(p / a for p, _ in pairs),
-                                         tuple(r / a for _, r in pairs))
+        cands = (_rational(r0, ((p / a, r / a) for p, r in pairs))
                  for n, (r0, pairs) in sorted(EXP_TABLE.items()) if n <= d)
     elif isinstance(g, sym.SegmentIntegral) and g.a == 0 \
             and (g.b, g.scale) != (1.0, 1.0):
         h, s = g.b, g.scale
         u, _ = fit_cached(sym.segment_integral(0.0, 1.0, 1), d, tol)
-        cands = [PartialFractionRational(u.r0 * h, tuple(p / (s * h) for p in u.poles),
-                                         tuple(r / s for r in u.residues))]
+        cands = [_rational(u.r0 * h, ((p / (s * h), r / s)
+                                      for p, r in zip(u.poles, u.residues)))]
     else:
         return None
     best = None
@@ -612,7 +598,7 @@ def contour_exp(n, t):
     s = mu * (1.0 + np.sin(1j * u - alpha))
     sp = 1j * mu * np.cos(1j * u - alpha)
     res = (1j * h / (2 * np.pi)) * np.exp(s) * sp
-    return PartialFractionRational(0.0, tuple(s / t), tuple(res / t))
+    return _rational(0.0, zip(s / t, res / t))
 
 
 # ---------------------------------------------------------------------------
@@ -622,46 +608,35 @@ def contour_exp(n, t):
 def apply_rational(op, r, v):
     """r(A) v = r0 v + sum_i res_i (A - pole_i)^{-1} v.
 
-    Conjugate pole pairs fold into one complex solve each; a
-    conjugation-closed rational applied to real data returns real values.
+    One complex solve per stored pole: a conjugate pair's two terms are
+    twice the real part of one, so real data gives real values.
     """
     return apply_rational_shared(op, [r], [v])
 
 
 def apply_rational_shared(op, rationals, vectors):
-    """sum_j r_j(A) v_j for rationals sharing one pole set (one solve per
-    conjugate pair, combined right-hand sides)."""
+    """sum_j r_j(A) v_j for rationals sharing one pole set: one solve per
+    stored pole, on the combined right-hand side.  solve_shifted raises
+    ShiftError for a pole inside or too close to the spectral enclosure."""
     if not rationals or len(rationals) != len(vectors):
         raise ValueError(f"need one vector per rational, got {len(rationals)} "
                          f"rationals and {len(vectors)} vectors")
-    keys = {_pole_key(r) for r in rationals}
-    if len(keys) > 1:
-        raise ValueError("shared application requires identical pole sets")
-    lo, hi = op.lam_min, op.kappa
     base = rationals[0]
-    for p in base.poles:
-        if _dist_to_interval(complex(p), lo, hi) <= 1e-12 * abs(lo):
-            raise ValueError(f"pole {p} inside spectral enclosure [{lo}, {hi}]")
+    if any(r.poles != base.poles for r in rationals):
+        raise ValueError("shared application requires identical pole sets")
     vecs = [np.asarray(v.values if isinstance(v, MeshFunction) else v, dtype=float)
             for v in vectors]
     out = np.zeros(op.n)
     for r, vec in zip(rationals, vecs):
         out = out + r.r0 * vec
-    if not base.poles:
-        return op.function(out)
-    reps = [_paired(r.poles, r.residues) for r in rationals]
-    for idx, (p, _) in enumerate(reps[0]):
+    for idx, p in enumerate(base.poles):
         rhs = np.zeros(op.n, dtype=complex)
-        for j in range(len(rationals)):
-            rhs += reps[j][idx][1] * vecs[j]
+        for r, vec in zip(rationals, vecs):
+            rhs += r.residues[idx] * vec
         x = solve_shifted(op, p, rhs).values
         # 1/(lam - p) corresponds to -(p - A)^{-1}
         out = out - (x.real if p.imag == 0.0 else 2.0 * x.real)
     return op.function(out)
-
-
-def _pole_key(r):
-    return tuple(sorted((complex(p).real, complex(p).imag) for p in r.poles))
 
 
 # ---------------------------------------------------------------------------

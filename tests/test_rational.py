@@ -284,13 +284,24 @@ def test_pole_on_halfline_rejected():
 
 
 def test_conjugation_closure_of_fits():
+    """A fit stores each real pole and the imag > 0 member of each conjugate
+    pair; its degree counts both members, and its values are real."""
     g = sym.expm(T) / (sym.const(1.0) + sym.segment_integral(T/3, 2*T/3, 2))
     r, rep = rat.fit_rational(g, 30, 1e-10)
     poles = np.array(r.poles)
-    for p in poles[np.abs(poles.imag) > 0]:
-        assert np.min(np.abs(poles - np.conj(p))) <= 1e-10 * (1 + abs(p))
+    assert np.all(poles.imag >= 0)
+    n_real = int(np.count_nonzero(poles.imag == 0))
+    assert n_real < len(poles)
+    assert r.degree == rep.degree == n_real + 2 * (len(poles) - n_real)
     vals = r(np.linspace(-50, 0, 101))
     assert np.isrealobj(vals)
+
+
+def test_rational_rejects_lower_conjugate():
+    with pytest.raises(ValueError, match="imag < 0"):
+        rat.PartialFractionRational(0.0, (1.0 - 1j,), (2.0 + 0j,))
+    with pytest.raises(ValueError, match="imag < 0"):
+        rat.PartialFractionRational(0.0, (1.0 + 1j, 1.0 - 1j), (2.0 + 1j, 2.0 - 1j))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +328,16 @@ def test_contour_value_at_zero():
 
 def test_contour_n24_accuracy():
     assert contour_sup_error(24) <= 1e-9
+
+
+def test_contour_odd_n_keeps_its_real_node():
+    """For odd n the middle quadrature node is real: it is stored once,
+    next to one member of each of the (n - 1) / 2 conjugate pairs."""
+    n = 9
+    r = rat.contour_exp(n, 1.0)
+    assert r.degree == n
+    assert sum(p.imag == 0.0 for p in r.poles) == 1 and len(r.poles) == (n + 1) // 2
+    assert contour_sup_error(n) <= 3.2 ** -n
 
 
 def test_contour_validation():
@@ -383,12 +404,15 @@ def test_shared_apply_rejects_mismatched_vectors(op20):
             rat.apply_rational_shared(op20, rationals, vectors)
 
 
-def test_apply_rejects_pole_in_enclosure(op20):
-    lo, hi = ops.spectral_bounds(op20)
-    mid = 0.5 * (lo + hi)
-    r = rat.PartialFractionRational(0.0, (mid + 1e-3j,), (1.0 + 0j,))
-    with pytest.raises(ValueError):
-        rat.apply_rational(op20, r, op20.function(np.ones(op20.n)))
+def test_apply_rejects_pole_in_enclosure():
+    """A pole 1e-7 off the middle of the enclosure passes the constructor's
+    1e-8 half-line check, but lies within 1e-12 |lam_min| ~ 4e-7 of the
+    enclosure of this operator: its shifted solve is refused."""
+    op = ops.assemble_1d(1000)
+    lo, hi = ops.spectral_bounds(op)
+    r = rat.PartialFractionRational(0.0, (0.5 * (lo + hi) + 1e-7j,), (1.0 + 0j,))
+    with pytest.raises(ops.ShiftError, match="spectral enclosure"):
+        rat.apply_rational(op, r, op.function(np.ones(op.n)))
 
 
 def test_apply_shared_requires_same_poles(op20):
