@@ -42,7 +42,6 @@ from .control import (
     HomogenizedData,
     ControlSolution,
     homogenize,
-    u_min,
     phi,
     solve_mu,
     optimal_control,

@@ -115,7 +115,7 @@ def cmd_example1d(cfg, out):
     t0 = time.perf_counter()
     phi0 = ctl.phi(hd, op, 0.0)
     timings.append(("phi0", time.perf_counter() - t0))
-    umin = ctl.u_min(hd, op)
+    umin = ctl.optimal_control(hd, op, 0.0)
     umin_n = ops.norm_m(op, umin)
 
     summary, evals = [], []

@@ -21,14 +21,16 @@ Keys and types (defaults in parentheses):
     beta_lo, beta_hi  float  active window of beta as fractions of T (1/3, 2/3)
     w_indicator       2 floats   1D target-trajectory indicator interval
     ystar_indicator   2 floats   1D final-target indicator interval
-    eps_fractions     floats  constraint levels as fractions of Phi(0)
+    eps_fractions     floats  constraint levels as fractions of Phi(0), in (0, 1]
     phi_curve_points  int    number of log-spaced mu samples
     mu_min, mu_max    float  Phi-curve sampling range (1e-7, 1e12)
-    nu_list           floats sensitivity magnitudes (1e-2, 1e-3, 1e-4)
+    nu_list           floats sensitivity magnitudes in [0, 1) (1e-2, 1e-3, 1e-4)
     fit_tol           float  rational-fit tolerance of the solve path (1e-12)
     channels          strs   sensitivity channels (all six)
     n_el_oracle       int    oracle-check 1D element count (65, i.e. n = 64)
     seed              int    random seed (0)
+
+The lists eps_fractions, nu_list and channels must not be empty.
 """
 
 from __future__ import annotations
@@ -74,9 +76,13 @@ class RunConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for frac in self.eps_fractions:
-            if not 0 < frac <= 1:
-                raise ValueError("eps fractions must lie in (0, 1]")
+        for key in ("eps_fractions", "nu_list", "channels"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must not be empty")
+        if not all(0 < frac <= 1 for frac in self.eps_fractions):
+            raise ValueError(f"eps_fractions must lie in (0, 1], got {self.eps_fractions}")
+        if not all(0 <= nu < 1 for nu in self.nu_list):
+            raise ValueError(f"nu_list magnitudes must lie in [0, 1), got {self.nu_list}")
         if not 0 <= self.beta_lo < self.beta_hi <= 1:
             raise ValueError("beta window fractions must satisfy 0 <= lo < hi <= 1")
         if self.phi_curve_points < 1:

@@ -13,7 +13,8 @@ p(t)) dt, p(t) = int_0^t S_{t-tau} f(tau) dtau the source response, and c
     u_opt = (mu S_2T + Psi)^{-1} (mu S_T ystar_hom + psi),
 
 with ystar_hom = ystar - p(T) and mu >= 0 the root of Phi(mu) = eps (zero
-when the unconstrained minimizer is already feasible).  Every operator
+when the unconstrained minimizer Psi^{-1} psi is already feasible); the
+control takes the same route at every mu, zero included.  Every operator
 function is evaluated as a fitted partial-fraction rational applied through
 shifted solves; Phi needs one shared-pole fit and about a dozen complex
 solves per evaluation.  The root is found on a Ritz surrogate of Phi, a
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,7 +105,13 @@ class ProblemSpec:
 @dataclass
 class HomogenizedData:
     """Source-free reformulation: the shifted final target plus the cost
-    gradient data psi and Psi."""
+    gradient data psi and Psi.
+
+    It also keeps what one problem computes on its operator op, each value
+    once: the Phi values, the PCG reports of optimal_control, and as lazy
+    attributes S_T ystar_hom, the constant J(0) and the base space of the
+    Phi surrogate.
+    """
 
     spec: ProblemSpec
     op: object
@@ -112,10 +120,57 @@ class HomogenizedData:
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
     # mu -> Phi(mu), every value phi computed
     _phi_values: dict = field(default_factory=dict, repr=False)
-    # st_ystar_hom; PCG reports; the rational Arnoldi basis, the projected g
-    # and the Ritz data of the Phi surrogate's base space; the constant
-    # c = J(0) of cost_j
-    _cache: dict = field(default_factory=dict, repr=False)
+    # mu -> (why optimal_control's PCG stopped: "converged", "iterations",
+    # "breakdown", or "drift" when only its recurrence met the target; the
+    # true residual it ended at, normalized as kkt_residual)
+    pcg_reports: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def st_ystar_hom(self):
+        """S_T ystar_hom, the mu-free part of the stationarity right-hand side."""
+        return semigroup_apply(self.op, self.spec.T, self.ystar_hom)
+
+    @cached_property
+    def cost_constant(self):
+        """c = J(0) = 1/2 sum_k beta_k int_{a_k}^{b_k} ||w_k - p(t)||_M^2 dt.
+
+        Without a source it is 1/2 sum_k beta_k (b_k - a_k) ||w_k||_M^2.  With
+        one, an 8-point Gauss rule on every panel between the source
+        breakpoints inside [a_k, b_k] integrates the data-only integrand;
+        p(t) is smooth on each panel.
+        """
+        spec, op = self.spec, self.op
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        c = 0.0
+        for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
+            if beta == 0.0:
+                continue
+            if not spec.f_segments:
+                c += 0.5 * beta * (b - a) * inner_m(op, w, w)
+                continue
+            cuts = sorted({a, b, *(t for c_j, d_j, _ in spec.f_segments
+                                   for t in (c_j, d_j) if a < t < b)})
+            for lo, hi in zip(cuts, cuts[1:]):
+                half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+                for x, wt in zip(nodes, weights):
+                    p = source_integral(op, spec.f_segments, mid + half * x, spec.fit_tol)
+                    diff = w.values - p.values
+                    c += 0.5 * beta * half * wt * inner_m(op, diff, diff)
+        return c
+
+    @cached_property
+    def surrogate_base(self):
+        """The base space of the Phi surrogate (see _phi_surrogate): its
+        rational Arnoldi basis Q in sqrt(M) coordinates, g projected on it,
+        and its Ritz data (theta, c^2, Psi(theta))."""
+        op, T = self.op, self.spec.T
+        r_psi = _psi_fit(self)
+        g = np.sqrt(op.M) * (apply_rational(op, r_psi, self.ystar_hom).values
+                             - semigroup_apply(op, T, self.psi).values)
+        fits = (semigroup_fit(T), semigroup_fit(2 * T), r_psi, _phi_pair(self, 0.0)[0])
+        Q = _rational_arnoldi(op, (g / np.linalg.norm(g))[:, None],
+                              [p for r in fits for p in r.poles])
+        return Q, Q.T @ g, _ritz(self, Q, Q.T @ g)
 
 
 @dataclass
@@ -127,12 +182,9 @@ class ControlSolution:
     kkt: float
     final_miss: float
     phi0: float
-    phi_samples: tuple
-    # why optimal_control's PCG stopped at mu_eps ("converged", "iterations",
-    # "breakdown", "drift": only its recurrence met the target; or "not run")
-    # and its true residual, normalized as kkt
+    # why optimal_control's PCG stopped at mu_eps (see
+    # HomogenizedData.pcg_reports); "not run" for the dense oracle
     pcg_stop: str = "not run"
-    pcg_residual: float = math.nan
     # Phi values this solve computed (cached ones from earlier solves on the
     # same HomogenizedData are not counted)
     phi_evals: int = 0
@@ -217,13 +269,6 @@ def _uopt_pair(hd, mu):
 def _psi_fit(hd):
     r, = _fit_capped([hd.big_psi_symbol], hd.spec.fit_tol, "Psi fit")
     return r
-
-
-def u_min(hd, op):
-    """Unconstrained minimizer Psi^{-1} psi."""
-    r, = _fit_capped([sym.const(1.0) / hd.big_psi_symbol], hd.spec.fit_tol,
-                     "inverse-Psi fit")
-    return apply_rational(op, r, hd.psi)
 
 
 def _phi_pair(hd, mu):
@@ -321,6 +366,16 @@ def _rational_arnoldi(op, Q, poles):
     return Q[:, :k]
 
 
+def _ritz(hd, Q, gq):
+    """(theta, c^2, Psi(theta)) of A on the space of Q (sqrt(M) coordinates),
+    with c the coordinates of g, projected on Q's leading columns as gq, in
+    the Ritz vectors."""
+    V = Q / np.sqrt(hd.op.M)[:, None]     # M-orthonormal
+    theta, W = np.linalg.eigh(-(V.T @ (hd.op.K @ V)))
+    # g lies in the base space, so the added directions carry none of it
+    return theta, (W[:len(gq)].T @ gq) ** 2, np.asarray(hd.big_psi_symbol(theta))
+
+
 def _phi_surrogate(hd, op, poles=()):
     """Phi_s, the Ritz surrogate of Phi, as mu -> (Phi_s(mu), d log Phi_s / d log mu).
 
@@ -333,35 +388,15 @@ def _phi_surrogate(hd, op, poles=()):
         Phi_s(mu)^2 = sum_i c_i^2 / (mu e^{2T theta_i} + Psi(theta_i))^2
 
     over the Ritz pairs (theta_i, w_i) of A on the space, c_i = <w_i, g>_M.
-    Every term decreases in mu, so Phi_s is monotone.  The base space has the
-    poles of the S_T, S_2T, Psi and Phi(0) fits, which solve_problem factors
-    anyway; its rational Arnoldi state, the basis and g projected on it, and
-    its theta, c^2 and Psi(theta) are computed on first use and kept in
-    hd._cache.  poles, one per conjugate pair, continue that Arnoldi into a
-    larger space for this call only, so Phi_s depends on the problem data
-    and poles, never on earlier calls.
+    Every term decreases in mu, so Phi_s is monotone.  The base space,
+    hd.surrogate_base, has the poles of the S_T, S_2T, Psi and Phi(0) fits,
+    which solve_problem factors anyway.  poles, one per conjugate pair,
+    continue its Arnoldi into a larger space for this call only, so Phi_s
+    depends on the problem data and poles, never on earlier calls.
     """
-    sqrt_m = np.sqrt(op.M)
-
-    def ritz(Q, gq):
-        V = Q / sqrt_m[:, None]     # M-orthonormal
-        theta, W = np.linalg.eigh(-(V.T @ (op.K @ V)))
-        # g lies in the base space, so the added directions carry none of it
-        return theta, (W[:len(gq)].T @ gq) ** 2, np.asarray(hd.big_psi_symbol(theta))
-
-    base = hd._cache.get("phi surrogate")
-    if base is None:
-        T = hd.spec.T
-        r_psi = _psi_fit(hd)
-        g = sqrt_m * (apply_rational(op, r_psi, hd.ystar_hom).values
-                      - semigroup_apply(op, T, hd.psi).values)
-        fits = (semigroup_fit(T), semigroup_fit(2 * T), r_psi, _phi_pair(hd, 0.0)[0])
-        Q = _rational_arnoldi(op, (g / np.linalg.norm(g))[:, None],
-                              [p for r in fits for p in r.poles])
-        base = hd._cache["phi surrogate"] = (Q, Q.T @ g, ritz(Q, Q.T @ g))
-    Q, gq, (theta, c2, psi_theta) = base
+    Q, gq, (theta, c2, psi_theta) = hd.surrogate_base
     if poles:
-        theta, c2, psi_theta = ritz(_rational_arnoldi(op, Q, poles), gq)
+        theta, c2, psi_theta = _ritz(hd, _rational_arnoldi(op, Q, poles), gq)
     e2 = np.exp(2 * hd.spec.T * theta)
 
     def value_and_slope(mu):
@@ -418,27 +453,24 @@ def _stationarity_rhs(hd, op, mu):
     """mu S_T ystar_hom + psi, the right-hand side of the stationarity system."""
     if mu == 0.0:
         return hd.psi.values
-    st_y = hd._cache.get("st_ystar_hom")
-    if st_y is None:
-        st_y = hd._cache["st_ystar_hom"] = semigroup_apply(op, hd.spec.T, hd.ystar_hom)
-    return mu * st_y.values + hd.psi.values
+    return mu * hd.st_ystar_hom.values + hd.psi.values
 
 
 def optimal_control(hd, op, mu):
-    """u_opt = (mu S_2T + Psi)^{-1} (mu S_T ystar_hom + psi); u_min at mu = 0.
+    """u_opt = (mu S_2T + Psi)^{-1} (mu S_T ystar_hom + psi), for every mu >= 0.
 
     The direct rational-formula evaluation seeds a preconditioned CG solve
     of the stationarity system on the realized operators (the same fitted
     Psi and semigroup actions the KKT residual measures): large multipliers
     amplify any fit discrepancy by mu, and the Krylov polish removes it at
-    the cost of a few reused-factorization applies.  Why PCG stopped and the
-    true residual it ended at, normalized as kkt_residual, are kept in
-    hd._cache[("pcg", mu)].
+    the cost of a few reused-factorization applies.  At mu = 0 the pair's
+    first member is exactly zero, so the seed is the fitted Psi^{-1} psi,
+    which PCG checks against the Psi fit.  Why PCG stopped and the true
+    residual it ended at, normalized as kkt_residual, go to
+    hd.pcg_reports[mu].
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    if mu == 0.0:
-        return u_min(hd, op)
     mu = float(mu)
     r_a, r_b = _uopt_pair(hd, mu)
     u = apply_rational_shared(op, [r_a, r_b], [hd.ystar_hom, hd.psi]).values
@@ -483,7 +515,7 @@ def optimal_control(hd, op, mu):
         best = (norm_m(op, rhs - apply_b(best[1])), best[1])  # recurrence drifts
         if stop == "converged" and best[0] > target:
             stop = "drift"
-    hd._cache[("pcg", mu)] = (stop, best[0] / scale)
+    hd.pcg_reports[mu] = (stop, best[0] / scale)
     return op.function(best[1])
 
 
@@ -501,38 +533,6 @@ def trajectory(spec, op, u, times):
     return out
 
 
-def _cost_constant(hd, op):
-    """c = J(0) = 1/2 sum_k beta_k int_{a_k}^{b_k} ||w_k - p(t)||_M^2 dt.
-
-    Without a source it is 1/2 sum_k beta_k (b_k - a_k) ||w_k||_M^2.  With
-    one, an 8-point Gauss rule on every panel between the source breakpoints
-    inside [a_k, b_k] integrates the data-only integrand; p(t) is smooth on
-    each panel.  Kept in hd._cache on first use.
-    """
-    c = hd._cache.get("cost constant")
-    if c is not None:
-        return c
-    spec = hd.spec
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    c = 0.0
-    for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
-        if beta == 0.0:
-            continue
-        if not spec.f_segments:
-            c += 0.5 * beta * (b - a) * inner_m(op, w, w)
-            continue
-        cuts = sorted({a, b, *(t for c_j, d_j, _ in spec.f_segments
-                               for t in (c_j, d_j) if a < t < b)})
-        for lo, hi in zip(cuts, cuts[1:]):
-            half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-            for x, wt in zip(nodes, weights):
-                p = source_integral(op, spec.f_segments, mid + half * x, spec.fit_tol)
-                diff = w.values - p.values
-                c += 0.5 * beta * half * wt * inner_m(op, diff, diff)
-    hd._cache["cost constant"] = c
-    return c
-
-
 def cost_j(hd, op, u):
     """J(u) = 1/2 <u, Psi u> - <u, psi> + J(0).
 
@@ -540,7 +540,7 @@ def cost_j(hd, op, u):
     residual share, so J costs no fit and no factorization of its own.
     """
     psi_u = apply_rational(op, _psi_fit(hd), u)
-    return 0.5 * inner_m(op, u, psi_u) - inner_m(op, u, hd.psi) + _cost_constant(hd, op)
+    return 0.5 * inner_m(op, u, psi_u) - inner_m(op, u, hd.psi) + hd.cost_constant
 
 
 def kkt_residual(hd, op, u, mu):
@@ -577,19 +577,16 @@ def solve_problem(spec, op, hd=None):
     else:
         miss_at(mu)
     miss, u, y = seen[mu]
-    # for mu > 0, PCG ended on the true stationarity residual of u: the KKT one
-    pcg_stop, pcg_residual = hd._cache.get(("pcg", mu), ("not run", math.nan))
-
+    # PCG ended on the true stationarity residual of u: the KKT one
+    pcg_stop, kkt = hd.pcg_reports[mu]
     return ControlSolution(
         mu_eps=mu,
         u_opt=u,
         y_opt=y,
         cost=cost_j(hd, op, u),
-        kkt=pcg_residual if mu > 0.0 else kkt_residual(hd, op, u, mu),
+        kkt=kkt,
         final_miss=miss,
         phi0=phi0,
-        phi_samples=tuple(sorted(hd._phi_values.items())),
         pcg_stop=pcg_stop,
-        pcg_residual=pcg_residual,
         phi_evals=len(hd._phi_values) - phi_count,
     )

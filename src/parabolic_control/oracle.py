@@ -192,5 +192,4 @@ def oracle_solve_control(spec, op, ds=None):
         kkt=kkt,
         final_miss=miss,
         phi0=phi0,
-        phi_samples=(),
     )

@@ -43,14 +43,16 @@ class PerturbationSpec:
                              f"expected one of {CHANNELS}")
 
 
-def _unit_vectors(rng, op, count):
-    """Raw standard-normal directions, one per time segment.
-
-    They are not normalized here: callers scale them jointly so that the
-    M-weighted, L2-in-time norm of the whole perturbation equals nu.
-    """
-    dirs = [rng.standard_normal(op.n) for _ in range(count)]
-    return dirs
+def _add_direction(rng, op, nu, segments):
+    """The vectors v_k of segments ((a_k, b_k, v_k), ...) plus nu times one
+    random direction: a standard-normal draw per segment, in order, scaled
+    jointly so that the M-weighted, L2-in-time norm of the whole
+    perturbation equals nu."""
+    dirs = [rng.standard_normal(op.n) for _ in segments]
+    total = np.sqrt(sum((b - a) * np.sum(op.M * d * d)
+                        for (a, b, _), d in zip(segments, dirs)))
+    return [op.function(v.values + (nu / total) * d)
+            for (_, _, v), d in zip(segments, dirs)]
 
 
 def perturb(spec, op, p):
@@ -76,13 +78,9 @@ def perturb(spec, op, p):
             raise ValueError("projected beta perturbation left the cone")
         new_spec = replace(spec, beta_segments=segs)
     elif p.channel == "w":
-        dirs = _unit_vectors(rng, op, len(spec.w_segments))
-        lens = np.array([b - a for (a, b, _) in spec.beta_segments])
-        total = np.sqrt(sum(L * np.sum(op.M * d * d)
-                            for L, d in zip(lens, dirs)))
-        ws = tuple(op.function(w.values + (nu / total) * d)
-                   for w, d in zip(spec.w_segments, dirs))
-        new_spec = replace(spec, w_segments=ws)
+        ws = _add_direction(rng, op, nu, [(a, b, w) for (a, b, _), w in
+                                          zip(spec.beta_segments, spec.w_segments)])
+        new_spec = replace(spec, w_segments=tuple(ws))
     elif p.channel == "ystar":
         d = rng.standard_normal(op.n)
         d /= norm_m(op, d)
@@ -90,13 +88,9 @@ def perturb(spec, op, p):
     elif p.channel == "f":
         segs = spec.f_segments if spec.f_segments else tuple(
             (a, b, op.function(np.zeros(op.n))) for (a, b, _) in spec.beta_segments)
-        dirs = _unit_vectors(rng, op, len(segs))
-        lens = np.array([b - a for (a, b, _) in segs])
-        total = np.sqrt(sum(L * np.sum(op.M * d * d)
-                            for L, d in zip(lens, dirs)))
-        fs = tuple((a, b, op.function(f.values + (nu / total) * d))
-                   for (a, b, f), d in zip(segs, dirs))
-        new_spec = replace(spec, f_segments=fs)
+        fs = _add_direction(rng, op, nu, segs)
+        new_spec = replace(spec, f_segments=tuple(
+            (a, b, f) for (a, b, _), f in zip(segs, fs)))
     elif p.channel == "operator":
         new_op = _perturb_operator(op, nu, rng)
     return new_spec, new_op
@@ -114,18 +108,13 @@ def _perturb_operator(op, nu, rng):
     return DiscreteOperator(K=K_new, M=op.M.copy(), mesh=op.mesh, coords=op.coords)
 
 
-def sensitivity_sweep(spec, op, channel, nu_list, seed=0, base=None):
+def sensitivity_sweep(spec, op, channel, nu_list, base, seed=0):
     """Rows (nu, drift, drift/nu, mu_eps, mu_eps_delta) at fixed eps.
 
-    base may carry a precomputed (u_opt, mu_eps) pair for the unperturbed
-    problem; failed rows are flagged and the sweep continues.
+    base is the (u_opt, mu_eps) pair of the unperturbed problem; failed rows
+    are flagged and the sweep continues.
     """
-    if base is None:
-        hd = homogenize(spec, op)
-        mu0 = solve_mu(hd, op, spec.eps)
-        u0 = optimal_control(hd, op, mu0)
-    else:
-        u0, mu0 = base
+    u0, mu0 = base
     rows = []
     for nu in nu_list:
         try:

@@ -8,6 +8,7 @@ import pytest
 
 from parabolic_control import cli
 from parabolic_control import control as ctl
+from parabolic_control import sensitivity as sens
 from parabolic_control.config import RunConfig, load_config
 
 
@@ -180,10 +181,11 @@ def test_sensitivity_cli(tmp_path, small_1d_cfg):
     assert "rows_failed = 0" in (out / "run_meta.txt").read_text()
 
 
-def test_sensitivity_cli_rejects_unknown_channel_and_counts_failed_rows(tmp_path):
+def test_sensitivity_cli_rejects_unknown_channel_and_counts_failed_rows(
+        tmp_path, monkeypatch):
     # a misspelled channel is a config error (exit 2, JSON line), not a CSV
-    # of nan rows; a row that fails inside the sweep (nu outside [0, 1)) is
-    # counted in run_meta.txt, since its CSV row cannot say so
+    # of nan rows; a row that fails inside the sweep is counted in
+    # run_meta.txt, since its CSV row cannot say so
     bad = tmp_path / "bad.ini"
     bad.write_text("[sensitivity]\nn_el = 24\nnu_list = 0.01\nchannels = alpah, w\n")
     res = run_cli(["sensitivity", "--config", str(bad), "--out", str(tmp_path / "bad")])
@@ -191,11 +193,17 @@ def test_sensitivity_cli_rejects_unknown_channel_and_counts_failed_rows(tmp_path
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert err["error"] == "ValueError" and "alpah" in err["message"]
     assert not (tmp_path / "bad" / "sensitivity_alpah.csv").exists()
-    big = tmp_path / "big.ini"
-    big.write_text("[sensitivity]\nn_el = 24\nnu_list = 0.01, 1.5\nchannels = ystar\n")
-    res = run_cli(["sensitivity", "--config", str(big), "--out", str(tmp_path / "big")])
-    assert res.returncode == 0, res.stderr
-    assert "rows_failed = 1" in (tmp_path / "big" / "run_meta.txt").read_text()
+    perturb = sens.perturb
+
+    def failing(spec, op, p):
+        if p.nu == 0.02:
+            raise RuntimeError("row failed")
+        return perturb(spec, op, p)
+    monkeypatch.setattr(sens, "perturb", failing)
+    one = tmp_path / "one.ini"
+    one.write_text("[sensitivity]\nn_el = 24\nnu_list = 0.01, 0.02\nchannels = ystar\n")
+    assert cli.main(["sensitivity", "--config", str(one), "--out", str(tmp_path / "one")]) == 0
+    assert "rows_failed = 1" in (tmp_path / "one" / "run_meta.txt").read_text()
 
 
 def test_oracle_check_cli(tmp_path, small_1d_cfg):
@@ -229,6 +237,25 @@ def test_phi_curve_rejects_empty_or_invalid_sampling(tmp_path, lines, key):
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert err["error"] == "ValueError" and key in err["message"]
     assert not (out / "phi_curve.csv").exists()
+
+
+@pytest.mark.parametrize("verb, lines, key", [
+    ("example1d", "eps_fractions =", "eps_fractions"),
+    ("sensitivity", "nu_list =", "nu_list"),
+    ("sensitivity", "channels =", "channels"),
+    ("sensitivity", "nu_list = 1.5", "nu_list"),
+    ("sensitivity", "nu_list = 1e-2, -1e-3", "nu_list")])
+def test_cli_rejects_empty_or_out_of_range_lists(tmp_path, verb, lines, key):
+    # an empty list would run nothing and exit 0; a magnitude outside [0, 1)
+    # would fail every row instead of the input
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[{verb}]\nn_el = 24\n{lines}\n")
+    out = tmp_path / "x"
+    res = run_cli([verb, "--config", str(p), "--out", str(out)])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ValueError" and key in err["message"]
+    assert not list(out.glob("*.csv"))
 
 
 def test_phi_curve_full_default_has_350_rows(tmp_path):

@@ -90,7 +90,7 @@ def test_u_min_zero_psi(op20):
         beta_segments=((0.0, T_1D, 1.0),), w_segments=(z,),
         ystar=op20.function(np.ones(op20.n)), eps=0.5)
     hd = ctl.homogenize(spec, op20)
-    assert np.all(ctl.u_min(hd, op20).values == 0.0)
+    assert np.all(ctl.optimal_control(hd, op20, 0.0).values == 0.0)
 
 
 def test_u_min_reduces_to_psi_over_alpha(op20):
@@ -103,7 +103,7 @@ def test_u_min_reduces_to_psi_over_alpha(op20):
     hd = ctl.HomogenizedData(
         spec=spec, op=op20, ystar_hom=zero,
         psi=op20.function(psi_vec), big_psi_symbol=sym.const(ALPHA))
-    got = ctl.u_min(hd, op20).values
+    got = ctl.optimal_control(hd, op20, 0.0).values
     assert np.allclose(got, psi_vec / ALPHA, rtol=1e-10)
 
 
@@ -112,7 +112,7 @@ def test_u_min_matches_oracle(op64, hd64):
     lam = ds.eigenvalues
     big = np.asarray(hd64.big_psi_symbol(lam))
     want = ds.from_eig(ds.to_eig(hd64.psi) / big).values
-    got = ctl.u_min(hd64, op64).values
+    got = ctl.optimal_control(hd64, op64, 0.0).values
     assert ops.norm_m(op64, got - want) <= 1e-8 * ops.norm_m(op64, want)
 
 
@@ -412,10 +412,13 @@ def test_mu_monotone_in_eps(hd62, op62, phi0_62):
 # ---------------------------------------------------------------------------
 
 def test_optimal_control_reduces_to_umin_at_zero(hd62, op62):
+    # at mu = 0 the control pair's first member is exactly zero: u is
+    # Psi^{-1} psi whatever the final target, and PCG stops at its first check
     u0 = ctl.optimal_control(hd62, op62, 0.0)
-    um = ctl.u_min(hd62, op62)
-    scale = ops.norm_m(op62, um)
-    assert ops.norm_m(op62, u0.values - um.values) <= 1e-10 * scale
+    other = replace(hd62, ystar_hom=op62.function(np.ones(op62.n)))
+    assert np.array_equal(ctl.optimal_control(other, op62, 0.0).values, u0.values)
+    assert hd62.pcg_reports[0.0] == other.pcg_reports[0.0]
+    assert hd62.pcg_reports[0.0][0] == "converged"
 
 
 def test_optimal_control_zero_data(op20):
@@ -446,7 +449,7 @@ def test_optimal_control_matches_oracle_at_mu_one(op64, hd64):
 
 def test_trajectory_endpoints(op62, hd62):
     spec = make_spec_51(op62, 0.5)
-    u = ctl.u_min(hd62, op62)
+    u = ctl.optimal_control(hd62, op62, 0.0)
     snaps = ctl.trajectory(spec, op62, u, [0.0, spec.T])
     assert np.array_equal(snaps[0].values, u.values)
     want = rat.semigroup_apply(op62, spec.T, u)
@@ -505,7 +508,7 @@ def test_cost_agrees_with_bilinear_form(op64, hd64):
 def test_optimality_of_cost(op62, hd62, phi0_62):
     spec = make_spec_51(op62, 0.5 * phi0_62)
     sol = ctl.solve_problem(spec, op62, hd=hd62)
-    umin = ctl.u_min(hd62, op62)
+    umin = ctl.optimal_control(hd62, op62, 0.0)
     j_min = ctl.cost_j(hd62, op62, umin)
     assert j_min <= sol.cost + 1e-12
     # strictly feasible interior point to mix with
@@ -530,7 +533,7 @@ def test_optimality_of_cost(op62, hd62, phi0_62):
 def test_cost_adds_no_fit_and_no_factorization(op62, hd62, monkeypatch):
     # J applies the Psi fit that the KKT residual (and the Phi surrogate and
     # PCG) already factored
-    umin = ctl.u_min(hd62, op62)
+    umin = ctl.optimal_control(hd62, op62, 0.0)
     ctl.kkt_residual(hd62, op62, umin, 0.0)
     factors = len(op62._solvers)
     monkeypatch.setattr(rat, "fit_rational", None)
@@ -565,7 +568,7 @@ def test_cost_is_stationary_at_u_min_with_source(op62, case):
     spec = replace(make_spec_51(op62, 1.0), f_segments=_source_cases(op62)[case])
     hd = ctl.homogenize(spec, op62)
     ds = orc.decompose(op62)
-    u = ctl.u_min(hd, op62)
+    u = ctl.optimal_control(hd, op62, 0.0)
     psi_u = rat.apply_rational(op62, ctl._psi_fit(hd), u).values
     u_hat, h = ds.to_eig(u), ops.norm_m(op62, u)
     rng = np.random.default_rng(25)
@@ -606,14 +609,14 @@ def test_kkt_at_solution(op62, hd62, phi0_62):
 
 
 def test_kkt_at_umin(op62, hd62):
-    umin = ctl.u_min(hd62, op62)
+    umin = ctl.optimal_control(hd62, op62, 0.0)
     assert ctl.kkt_residual(hd62, op62, umin, 0.0) <= 1e-8
 
 
 def test_kkt_increases_away_from_solution(op62, hd62, phi0_62):
     spec = make_spec_51(op62, 0.5 * phi0_62)
     sol = ctl.solve_problem(spec, op62, hd=hd62)
-    umin = ctl.u_min(hd62, op62)
+    umin = ctl.optimal_control(hd62, op62, 0.0)
     perturbed = op62.function(umin.values + 0.01)
     at_sol = ctl.kkt_residual(hd62, op62, sol.u_opt, sol.mu_eps)
     at_pert = ctl.kkt_residual(hd62, op62, perturbed, sol.mu_eps)
@@ -630,7 +633,7 @@ def test_phi_limit_large_mu(hd62, op62, phi0_62):
 
 def test_phi0_equals_unconstrained_miss(op62, hd62, phi0_62):
     spec = make_spec_51(op62, 0.5)
-    umin = ctl.u_min(hd62, op62)
+    umin = ctl.optimal_control(hd62, op62, 0.0)
     y_min = ctl.trajectory(spec, op62, umin, [spec.T])[0]
     miss = ops.norm_m(op62, y_min.values - spec.ystar.values)
     assert abs(miss - phi0_62) <= 1e-8 * phi0_62
@@ -648,7 +651,7 @@ def test_feasibility_and_complementarity_all_regimes(op62, hd62, phi0_62):
 
 
 def test_eps_interpolation(op62, hd62, phi0_62):
-    umin = ctl.u_min(hd62, op62)
+    umin = ctl.optimal_control(hd62, op62, 0.0)
     umin_n = ops.norm_m(op62, umin)
     costs, dists = [], []
     for frac in (0.2, 0.5, 0.9):
@@ -666,27 +669,33 @@ def test_solution_invariants(op62, hd62, phi0_62):
     assert sol.mu_eps > 0
     assert abs(sol.final_miss - spec.eps) <= 1e-6 * phi0_62
     assert sol.phi0 == pytest.approx(phi0_62)
-    mus = [m for m, _ in sol.phi_samples]
-    assert mus == sorted(mus)
 
 
 def test_solution_reports_pcg_convergence(op62, hd62, phi0_62):
     spec = make_spec_51(op62, 0.5 * phi0_62)
     sol = ctl.solve_problem(spec, op62, hd=hd62)
     assert sol.pcg_stop == "converged"
-    assert sol.pcg_residual <= 1e-10
-    assert sol.pcg_residual == sol.kkt
+    assert sol.kkt <= 1e-10
+
+
+@pytest.mark.parametrize("frac", [0.5, 1.5])
+def test_solution_kkt_is_the_pcg_residual(op62, hd62, phi0_62, frac):
+    # kkt comes from the PCG report at every mu, mu = 0 (frac > 1) included,
+    # and is the KKT residual of the returned u bit for bit
+    sol = ctl.solve_problem(make_spec_51(op62, frac * phi0_62), op62, hd=hd62)
+    assert (sol.mu_eps == 0.0) == (frac > 1)
+    assert sol.pcg_stop == "converged"
     assert sol.kkt == ctl.kkt_residual(hd62, op62, sol.u_opt, sol.mu_eps)
 
 
 def test_problem_with_other_data_refits_nothing(op62, monkeypatch):
     # every fit depends on T, alpha, beta and mu only: a second problem with
     # the same T, alpha and beta reuses homogenization, Phi(0), Psi and
-    # inverse-Psi fits of the first, whatever its data
+    # mu = 0 control fits of the first, whatever its data
     spec = make_spec_51(op62, 1.0)
     hd = ctl.homogenize(spec, op62)
     phi0 = ctl.phi(hd, op62, 0.0)
-    ctl.kkt_residual(hd, op62, ctl.u_min(hd, op62), 0.0)
+    ctl.kkt_residual(hd, op62, ctl.optimal_control(hd, op62, 0.0), 0.0)
     calls = []
     for name in ("fit_rational", "fit_rational_shared"):
         fit = getattr(rat, name)
@@ -703,7 +712,7 @@ def test_problem_with_other_data_refits_nothing(op62, monkeypatch):
                             w_segments=(w, w, w), ystar=ystar, eps=1.0)
     hd2 = ctl.homogenize(other, op62)
     phi0_2 = ctl.phi(hd2, op62, 0.0)
-    u2 = ctl.u_min(hd2, op62)
+    u2 = ctl.optimal_control(hd2, op62, 0.0)
     assert ctl.kkt_residual(hd2, op62, u2, 0.0) <= 1e-8
     assert calls == []
     assert np.isfinite(phi0_2) and abs(phi0_2 - phi0) > 1e-3 * phi0

@@ -99,7 +99,7 @@ def test_oracle_trivial_branch(op64, hd64, phi0_64):
     sol = ctl.solve_problem(spec, op64, hd=hd64)
     osol = orc.oracle_solve_control(spec, op64)
     assert sol.mu_eps == osol.mu_eps == 0.0
-    umin = ctl.u_min(hd64, op64)
+    umin = ctl.optimal_control(hd64, op64, 0.0)
     assert np.array_equal(sol.u_opt.values, umin.values)
     u_err = ops.norm_m(op64, sol.u_opt.values - osol.u_opt.values) \
         / ops.norm_m(op64, osol.u_opt)
