@@ -30,7 +30,9 @@ Keys and types (defaults in parentheses):
     n_el_oracle       int    oracle-check 1D element count (65, i.e. n = 64)
     seed              int    random seed (0)
 
-The lists eps_fractions, nu_list and channels must not be empty.
+Each key is parsed as the type of its default; a list takes the type of
+the default's first element.  The experiment is the verb's, not a key.  The
+lists eps_fractions, nu_list and channels must not be empty.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ class RunConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.variant not in ("isotropic", "discontinuous"):
+            raise ValueError(f"variant must be isotropic or discontinuous, "
+                             f"got {self.variant!r}")
         for key in ("eps_fractions", "nu_list", "channels"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must not be empty")
@@ -101,44 +106,34 @@ _DEFAULT_OVERRIDES = {
     "example2d": {"T": 0.05, "eps_fractions": (0.1, 0.5, 0.9)},
 }
 
-_TUPLE_FLOAT_KEYS = {"w_indicator", "ystar_indicator", "eps_fractions", "nu_list"}
-_TUPLE_STR_KEYS = {"channels"}
-_INT_KEYS = {"n_el", "phi_curve_points", "seed", "n_el_oracle"}
-_STR_KEYS = {"variant", "out_dir"}
-
-
 def load_config(experiment, path=None, **overrides):
     """Built-in defaults for the experiment, overridden by the config file
-    section of the same name, then by keyword overrides (CLI flags)."""
-    values = dict(_DEFAULT_OVERRIDES.get(experiment, {}))
+    section of the same name, then by keyword overrides (CLI flags).  Every
+    key is checked before any value is parsed."""
+    raw = {}
     if path is not None:
         parser = configparser.ConfigParser()
         with open(path) as fh:
             parser.read_file(fh)
         if parser.has_section(experiment):
-            for key, raw in parser.items(experiment):
-                values[key] = _parse(key, raw)
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(values) - known
+            raw = dict(parser.items(experiment))
+    overrides = {key: val for key, val in overrides.items() if val is not None}
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.name != "experiment"}
+    unknown = (set(raw) | set(overrides)) - set(defaults)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown or unsettable config keys: {sorted(unknown)}")
+    values = dict(_DEFAULT_OVERRIDES.get(experiment, {}))
+    values.update({key: _parse(defaults[key], text) for key, text in raw.items()})
+    values.update(overrides)
     return RunConfig(experiment=experiment, **values)
 
 
-def _parse(key, raw):
-    raw = raw.strip()
-    if key in _STR_KEYS:
-        return raw
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _TUPLE_FLOAT_KEYS:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    if key in _TUPLE_STR_KEYS:
-        return tuple(tok for tok in raw.replace(",", " ").split())
-    return float(raw)
+def _parse(default, raw):
+    """raw as a value of the type of default; a tuple as a list of values of
+    the type of its first element."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(tok) for tok in raw.replace(",", " ").split())
+    return type(default)(raw.strip())
 
 
 def echo_config(cfg):

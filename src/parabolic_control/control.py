@@ -16,8 +16,9 @@ with ystar_hom = ystar - p(T) and mu >= 0 the root of Phi(mu) = eps (zero
 when the unconstrained minimizer Psi^{-1} psi is already feasible); the
 control takes the same route at every mu, zero included.  Every operator
 function is evaluated as a fitted partial-fraction rational applied through
-shifted solves; Phi needs one shared-pole fit and about a dozen complex
-solves per evaluation.  The root is found on a Ritz surrogate of Phi, a
+shifted solves, and every fit, the semigroup's included, is requested
+through rational.fit_required at the problem's fit_tol; Phi needs one
+shared-pole fit and about a dozen complex solves per evaluation.  The root is found on a Ritz surrogate of Phi, a
 rational Gauss quadrature on a rational Krylov space built once per problem
 from the factors the solve holds anyway (the semigroup, Psi and Phi(0)
 poles), where a value costs microseconds.  The exact Phi only certifies that
@@ -35,20 +36,18 @@ import numpy as np
 
 from . import symbols as sym
 from .operators import DimensionError, MeshFunction, inner_m, norm_m, solve_shifted
-# every fit goes through fit_cached; fit_rational and fit_rational_shared stay
-# bound here because perfbench's tracer self-test checks these bindings
+# every fit goes through fit_required; fit_rational and fit_rational_shared
+# stay bound here because perfbench's tracer self-test checks these bindings
 from .rational import (  # noqa: F401
-    FitError,
     apply_rational,
     apply_rational_shared,
-    fit_cached,
     fit_rational,
     fit_rational_shared,
+    fit_required,
     semigroup_apply,
     semigroup_fit,
 )
 
-DEGREE_CAP = 40
 MU_BRACKET_CAP = 1e30
 _ROOT_EVALS = 100
 _POLE_ROUNDS = 3    # Phi pairs whose poles one solve_mu may add to the surrogate
@@ -128,7 +127,7 @@ class HomogenizedData:
     @cached_property
     def st_ystar_hom(self):
         """S_T ystar_hom, the mu-free part of the stationarity right-hand side."""
-        return semigroup_apply(self.op, self.spec.T, self.ystar_hom)
+        return semigroup_apply(self.op, self.spec.T, self.ystar_hom, self.spec.fit_tol)
 
     @cached_property
     def cost_constant(self):
@@ -163,11 +162,12 @@ class HomogenizedData:
         """The base space of the Phi surrogate (see _phi_surrogate): its
         rational Arnoldi basis Q in sqrt(M) coordinates, g projected on it,
         and its Ritz data (theta, c^2, Psi(theta))."""
-        op, T = self.op, self.spec.T
+        op, T, tol = self.op, self.spec.T, self.spec.fit_tol
         r_psi = _psi_fit(self)
         g = np.sqrt(op.M) * (apply_rational(op, r_psi, self.ystar_hom).values
-                             - semigroup_apply(op, T, self.psi).values)
-        fits = (semigroup_fit(T), semigroup_fit(2 * T), r_psi, _phi_pair(self, 0.0)[0])
+                             - semigroup_apply(op, T, self.psi, tol).values)
+        fits = (semigroup_fit(T, tol), semigroup_fit(2 * T, tol), r_psi,
+                _phi_pair(self, 0.0)[0])
         Q = _rational_arnoldi(op, (g / np.linalg.norm(g))[:, None],
                               [p for r in fits for p in r.poles])
         return Q, Q.T @ g, _ritz(self, Q, Q.T @ g)
@@ -194,16 +194,6 @@ class ControlSolution:
 # homogenization
 # ---------------------------------------------------------------------------
 
-def _fit_capped(gs, tol, what):
-    """fit_cached(gs, DEGREE_CAP, tol); raises FitError naming what when the
-    fit misses tol."""
-    fits, report = fit_cached(gs, DEGREE_CAP, tol)
-    if not report.success:
-        raise FitError(f"{what}: tolerance unreachable at degree {DEGREE_CAP}"
-                       f" (best error {report.max_error:.3e})", report)
-    return fits
-
-
 def source_integral(op, f_segments, t, tol):
     """int_0^t S_{t-tau} f(tau) dtau for piecewise-constant-in-time f, with
     the segment integrals fitted to tolerance tol."""
@@ -215,7 +205,7 @@ def source_integral(op, f_segments, t, tol):
             continue
         lo = t - min(b, t)
         hi = t - a
-        r = _fit_capped(sym.segment_integral(lo, hi, 1), tol, "segment-integral fit")
+        r, = fit_required([sym.segment_integral(lo, hi, 1)], tol, "segment-integral fit")
         out = op.function(out.values + apply_rational(op, r, fvec).values)
     return out
 
@@ -242,12 +232,12 @@ def homogenize(spec, op):
     for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
         if beta == 0.0:
             continue
-        r = _fit_capped(sym.segment_integral(a, b, 1), tol, "segment-integral fit")
+        r, = fit_required([sym.segment_integral(a, b, 1)], tol, "segment-integral fit")
         psi_vals = psi_vals + beta * apply_rational(op, r, w).values
         for (c, d, fvec) in spec.f_segments:
             if c < b:   # a source that starts after b has no response before it
-                r = _fit_capped(sym.source_response_integral(a, b, c, d), tol,
-                                "source-response fit")
+                r, = fit_required([sym.source_response_integral(a, b, c, d)], tol,
+                                  "source-response fit")
                 psi_vals = psi_vals - beta * apply_rational(op, r, fvec).values
         big_psi = big_psi + sym.const(beta) * sym.segment_integral(a, b, 2)
     return HomogenizedData(
@@ -262,20 +252,24 @@ def homogenize(spec, op):
 def _uopt_pair(hd, mu):
     T = hd.spec.T
     denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
-    return _fit_capped([(sym.const(mu) * sym.expm(T)) / denom, sym.const(1.0) / denom],
-                       hd.spec.fit_tol, f"control fit at mu={mu}")
+    return fit_required([(sym.const(mu) * sym.expm(T)) / denom, sym.const(1.0) / denom],
+                        hd.spec.fit_tol, f"control fit at mu={mu}")
 
 
 def _psi_fit(hd):
-    r, = _fit_capped([hd.big_psi_symbol], hd.spec.fit_tol, "Psi fit")
-    return r
+    return fit_required([hd.big_psi_symbol], hd.spec.fit_tol, "Psi fit")[0]
 
 
 def _phi_pair(hd, mu):
     T = hd.spec.T
     denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
-    return _fit_capped([(sym.const(mu) * sym.expm(2 * T)) / denom, sym.expm(T) / denom],
-                       hd.spec.fit_tol, f"phi fit at mu={mu}")
+    return fit_required([(sym.const(mu) * sym.expm(2 * T)) / denom, sym.expm(T) / denom],
+                        hd.spec.fit_tol, f"phi fit at mu={mu}")
+
+
+def _check_op(hd, op):
+    if op is not hd.op:
+        raise ValueError("op is not the operator hd was homogenized on")
 
 
 def phi(hd, op, mu):
@@ -283,6 +277,7 @@ def phi(hd, op, mu):
 
     The value is cached in hd._phi_values.
     """
+    _check_op(hd, op)
     if mu < 0:
         raise ValueError("mu must be >= 0")
     mu = float(mu)
@@ -422,6 +417,7 @@ def solve_mu(hd, op, eps):
     Phi from mu = 1, so that only exact values decide whether a root exists.
     The result depends on the problem data only, never on earlier calls.
     """
+    _check_op(hd, op)
     if eps <= 0:
         raise ValueError("eps must be positive")
     phi0 = phi(hd, op, 0.0)
@@ -445,7 +441,7 @@ def _apply_stationarity_op(hd, op, mu, v):
     """(mu S_2T + Psi) v through the realized operator fits."""
     out = apply_rational(op, _psi_fit(hd), v).values
     if mu != 0.0:
-        out = out + mu * semigroup_apply(op, 2 * hd.spec.T, v).values
+        out = out + mu * semigroup_apply(op, 2 * hd.spec.T, v, hd.spec.fit_tol).values
     return out
 
 
@@ -469,6 +465,7 @@ def optimal_control(hd, op, mu):
     residual it ended at, normalized as kkt_residual, go to
     hd.pcg_reports[mu].
     """
+    _check_op(hd, op)
     if mu < 0:
         raise ValueError("mu must be >= 0")
     mu = float(mu)
@@ -487,6 +484,7 @@ def optimal_control(hd, op, mu):
     scale = max(1.0, norm_m(op, hd.psi))
     target = 1e-10 * scale
     best = (norm_m(op, resid), u)
+    kkt = best[0] / scale
     stop = "converged"
     if best[0] > target:
         z = precond(resid)
@@ -512,10 +510,10 @@ def optimal_control(hd, op, mu):
             rz = rz_new
         else:
             stop = "iterations"
-        best = (norm_m(op, rhs - apply_b(best[1])), best[1])  # recurrence drifts
-        if stop == "converged" and best[0] > target:
+        kkt = kkt_residual(hd, op, op.function(best[1]), mu)  # the recurrence drifts
+        if stop == "converged" and kkt > 1e-10:
             stop = "drift"
-    hd.pcg_reports[mu] = (stop, best[0] / scale)
+    hd.pcg_reports[mu] = (stop, kkt)
     return op.function(best[1])
 
 
@@ -525,7 +523,7 @@ def trajectory(spec, op, u, times):
     for t in times:
         if not 0 <= t <= spec.T + 1e-12:
             raise ValueError(f"snapshot time {t} outside [0, T]")
-        y = semigroup_apply(op, t, u)
+        y = semigroup_apply(op, t, u, spec.fit_tol)
         if spec.f_segments:
             y = op.function(y.values + source_integral(
                 op, spec.f_segments, t, spec.fit_tol).values)
@@ -539,12 +537,14 @@ def cost_j(hd, op, u):
     Psi is applied through the fit that the Phi surrogate, PCG and the KKT
     residual share, so J costs no fit and no factorization of its own.
     """
+    _check_op(hd, op)
     psi_u = apply_rational(op, _psi_fit(hd), u)
     return 0.5 * inner_m(op, u, psi_u) - inner_m(op, u, hd.psi) + hd.cost_constant
 
 
 def kkt_residual(hd, op, u, mu):
     """|| Psi u - psi + mu (S_2T u - S_T ystar_hom) ||_M / max(1, ||psi||_M)."""
+    _check_op(hd, op)
     grad = _apply_stationarity_op(hd, op, mu, u) - _stationarity_rhs(hd, op, mu)
     return norm_m(op, grad) / max(1.0, norm_m(op, hd.psi))
 

@@ -15,6 +15,8 @@ restarted with those points banned; the residues of all components come
 from one least-squares solve on the same subset, in a conjugation-closed
 real parameterization; the result is validated on a denser independent
 grid _VALID.  A single symbol is fitted as a one-component shared fit.
+The solve path requests every fit as fit_required(gs, tol, what): the
+memoized fit_cached at DEGREE_CAP, and a FitError naming what on a miss.
 
 A lone pure exponential exp(t*lambda) bypasses the adaptive fit: a frozen
 table of near-best approximants of exp(x) (Caratheodory-Fejer, see
@@ -499,9 +501,6 @@ def _fit(gs, d, tol):
         raise ValueError("tolerance must be > 0")
     samples = [_sample(g) for g in gs]
     scale = max(_norm_estimate(s["train"]) for s in samples)
-    if scale == 0.0:
-        zero = PartialFractionRational(0.0, (), ())
-        return [zero for _ in gs], FitReport(0, 0.0, 0.0, tol, len(_TRAIN), True)
     target = max(tol * max(_norm_estimate(s["train"] - s["train"][0])
                            for s in samples), 1e-300)
     ready = _ready_made(gs[0], samples[0], d, tol, target) if len(gs) == 1 else None
@@ -534,7 +533,7 @@ def _ready_made(g, sample, d, tol, target):
     elif isinstance(g, sym.SegmentIntegral) and g.a == 0 \
             and (g.b, g.scale) != (1.0, 1.0):
         h, s = g.b, g.scale
-        u, _ = fit_cached(sym.segment_integral(0.0, 1.0, 1), d, tol)
+        (u,), _ = fit_cached([sym.segment_integral(0.0, 1.0, 1)], d, tol)
         cands = [_rational(u.r0 * h, ((p / (s * h), r / s)
                                       for p, r in zip(u.poles, u.residues)))]
     else:
@@ -551,33 +550,38 @@ def _ready_made(g, sample, d, tol, target):
 
 _MEMO_SIZE = 256
 _fit_memo = OrderedDict()
+DEGREE_CAP = 40     # the degree budget of every fit the solve path requires
 
 
 def fit_cached(gs, d, tol):
-    """fit_rational(gs, d, tol) for one symbol, or fit_rational_shared(gs,
-    d, tol) for a list of them, computed once per process.
+    """fit_rational_shared(gs, d, tol) for a sequence of symbols, with the
+    fits as a tuple, computed once per process.
 
     A fit depends on its symbols, d and tol only, never on an operator or
-    on data, so the (fit(s), FitReport) pairs are kept by (symbol keys, d,
+    on data, so the (fits, FitReport) pairs are kept by (symbol keys, d,
     tol) in one least-recently-used memo of _MEMO_SIZE entries: problems
-    that share T, alpha, beta and mu share their fits.  Shared fits come
-    back as a tuple.
+    that share T, alpha, beta and mu share their fits.
     """
-    shared = not isinstance(gs, sym.SymbolExpr)
-    key = (tuple(g.key for g in gs) if shared else gs.key, d, tol)
+    key = (tuple(g.key for g in gs), d, tol)
     out = _fit_memo.get(key)
     if out is not None:
         _fit_memo.move_to_end(key)
         return out
-    if shared:
-        fits, report = fit_rational_shared(gs, d, tol)
-        out = (tuple(fits), report)
-    else:
-        out = fit_rational(gs, d, tol)
-    _fit_memo[key] = out
+    fits, report = fit_rational_shared(gs, d, tol)
+    out = _fit_memo[key] = (tuple(fits), report)
     if len(_fit_memo) > _MEMO_SIZE:
         _fit_memo.popitem(last=False)
     return out
+
+
+def fit_required(gs, tol, what):
+    """The fits of fit_cached(gs, DEGREE_CAP, tol); raises FitError naming
+    what when they miss tol."""
+    fits, report = fit_cached(gs, DEGREE_CAP, tol)
+    if not report.success:
+        raise FitError(f"{what}: tolerance unreachable at degree {DEGREE_CAP}"
+                       f" (best error {report.max_error:.3e})", report)
+    return fits
 
 
 def contour_exp(n, t):
@@ -643,22 +647,16 @@ def apply_rational_shared(op, rationals, vectors):
 # semigroup action
 # ---------------------------------------------------------------------------
 
-_SEMIGROUP_TOL = 1e-12
+def semigroup_fit(t, tol):
+    """Partial-fraction approximant of exp(t*lambda) to tolerance tol."""
+    return fit_required([sym.Exp(t)], tol, f"semigroup fit at t={t}")[0]
 
 
-def semigroup_fit(t):
-    """Partial-fraction approximant of exp(t*lambda), tol 1e-12."""
-    r, report = fit_cached(sym.Exp(t), 24, _SEMIGROUP_TOL)
-    if not report.success:
-        raise FitError(f"semigroup fit at t={t} failed: {report}", report)
-    return r
-
-
-def semigroup_apply(op, t, v):
-    """S_t v = exp(t A) v; exact identity at t = 0."""
+def semigroup_apply(op, t, v, tol):
+    """S_t v = exp(t A) v, fitted to tolerance tol; exact identity at t = 0."""
     if t < 0:
         raise ValueError(f"semigroup time must be >= 0, got {t}")
     if t == 0:
         vals = np.asarray(v.values if isinstance(v, MeshFunction) else v, dtype=float)
         return op.function(vals.copy())
-    return apply_rational(op, semigroup_fit(t), v)
+    return apply_rational(op, semigroup_fit(t, tol), v)

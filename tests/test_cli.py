@@ -8,6 +8,7 @@ import pytest
 
 from parabolic_control import cli
 from parabolic_control import control as ctl
+from parabolic_control import rational as rat
 from parabolic_control import sensitivity as sens
 from parabolic_control.config import RunConfig, load_config
 
@@ -54,6 +55,22 @@ def test_config_rejects_unknown_keys(tmp_path):
     p.write_text("[example1d]\nbogus_key = 1\n")
     with pytest.raises(ValueError):
         load_config("example1d", path=p)
+
+
+@pytest.mark.parametrize("line, key", [("foo = bar", "foo"),
+                                       ("experiment = example2d", "experiment"),
+                                       ("variant = Discontinuous", "variant")])
+def test_cli_rejects_unknown_unsettable_or_invalid_keys(tmp_path, line, key):
+    # every key is checked before any value is parsed; the verb sets the
+    # experiment; a misspelled variant must not run the discontinuous case
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[example1d]\nn_el = 24\n{line}\n")
+    out = tmp_path / "x"
+    res = run_cli(["example1d", "--config", str(p), "--out", str(out)])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ValueError" and key in err["message"]
+    assert not list(out.glob("*.csv"))
 
 
 def test_config_validates_fractions():
@@ -124,14 +141,15 @@ def test_phi_curve_run(tmp_path, small_1d_cfg):
 
 def test_fit_tol_override_stays_in_its_run(tmp_path, monkeypatch):
     """The fit tolerance travels in the problem spec: an INI override of
-    fit_tol reaches every fit of its own run, rebinds nothing in the control
-    module, and a later run without it fits at the default."""
+    fit_tol reaches every fit of its own run, the semigroup's included,
+    rebinds nothing in the control module, and a later run without it fits
+    at the default."""
     tols = []
 
-    def recorded(gs, d, tol, _fit=ctl.fit_cached):
+    def recorded(gs, d, tol, _fit=rat.fit_cached):
         tols.append(tol)
         return _fit(gs, d, tol)
-    monkeypatch.setattr(ctl, "fit_cached", recorded)
+    monkeypatch.setattr(rat, "fit_cached", recorded)
     small = "[example1d]\nn_el = 24\neps_fractions = 0.5\nphi_curve_points = 3\n"
     loose, plain = tmp_path / "loose.ini", tmp_path / "plain.ini"
     loose.write_text(small + "fit_tol = 1e-9\n")

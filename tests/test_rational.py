@@ -6,7 +6,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parabolic_control import control as ctl
 from parabolic_control import operators as ops
 from parabolic_control import rational as rat
 from parabolic_control import symbols as sym
@@ -97,9 +96,9 @@ def test_fit_report_contract():
         assert rep.max_error <= rep.tol * rep.norm_estimate
         assert rep.sample_count >= 2000
     for mu in (0.0, 1e-3, 1.0, 1e2, 1e5, 1e8, 1e11):
-        fits, rep = rat.fit_rational_shared(_phi_pair(mu), ctl.DEGREE_CAP, 1e-12)
+        fits, rep = rat.fit_rational_shared(_phi_pair(mu), rat.DEGREE_CAP, 1e-12)
         assert rep.success, mu
-        assert rep.degree <= ctl.DEGREE_CAP
+        assert rep.degree <= rat.DEGREE_CAP
         assert rep.max_error <= rep.tol * rep.norm_estimate
 
 
@@ -170,7 +169,7 @@ def test_large_mu_fits_refine_their_row_set(monkeypatch):
     assert start == 551
     for mu in (1e10, 1e11, 1e12):
         sizes.clear()
-        fits, rep = rat.fit_rational_shared(_phi_pair(mu), ctl.DEGREE_CAP, 1e-12)
+        fits, rep = rat.fit_rational_shared(_phi_pair(mu), rat.DEGREE_CAP, 1e-12)
         assert rep.success, mu
         assert rep.max_error <= rep.tol * rep.norm_estimate
         assert rep.sample_count == len(rat._TRAIN)
@@ -206,7 +205,7 @@ _FULL_GRID_DEGREES = {0.0: 14, 1e-3: 18, 1.0: 19, 1e2: 20, 1e5: 21, 1e8: 22,
 
 def test_row_set_fits_keep_their_degree():
     for mu, degree in _FULL_GRID_DEGREES.items():
-        fits, rep = rat.fit_rational_shared(_phi_pair(mu), ctl.DEGREE_CAP, 1e-12)
+        fits, rep = rat.fit_rational_shared(_phi_pair(mu), rat.DEGREE_CAP, 1e-12)
         assert rep.success, mu
         assert rep.degree <= degree + 1, mu
 
@@ -225,7 +224,7 @@ def test_shared_fit_builds_one_residue_design_per_pole_set(monkeypatch):
     for gs in (_phi_pair(1e3), _phi_pair(1e3) + (psi_part,)):
         for calls in (designs, pole_sets, solves):
             calls.clear()
-        fits, rep = rat.fit_rational_shared(gs, ctl.DEGREE_CAP, 1e-12)
+        fits, rep = rat.fit_rational_shared(gs, rat.DEGREE_CAP, 1e-12)
         assert rep.success and len(fits) == len(gs)
         assert len(pole_sets) >= 1
         assert len(designs) == len(solves) == len(pole_sets)
@@ -426,7 +425,7 @@ def test_apply_shared_requires_same_poles(op20):
 @given(a=st.floats(min_value=-2, max_value=2), b=st.floats(min_value=-2, max_value=2))
 @settings(max_examples=15, deadline=None)
 def test_apply_rational_linearity(op20, a, b):
-    r = rat.semigroup_fit(T)
+    r = rat.semigroup_fit(T, 1e-12)
     rng = np.random.default_rng(9)
     x, y = rng.standard_normal((2, op20.n))
     lhs = rat.apply_rational(op20, r, op20.function(a * x + b * y)).values
@@ -442,7 +441,7 @@ def test_apply_rational_linearity(op20, a, b):
 
 def test_semigroup_identity_at_zero(op20):
     v = op20.function(np.cos(op20.coords))
-    out = rat.semigroup_apply(op20, 0.0, v)
+    out = rat.semigroup_apply(op20, 0.0, v, 1e-12)
     assert np.array_equal(out.values, v.values)
     assert out.values is not v.values
 
@@ -450,8 +449,9 @@ def test_semigroup_identity_at_zero(op20):
 def test_semigroup_property(op20):
     rng = np.random.default_rng(8)
     v = op20.function(rng.standard_normal(op20.n))
-    via_two = rat.semigroup_apply(op20, T / 2, rat.semigroup_apply(op20, T / 2, v))
-    direct = rat.semigroup_apply(op20, T, v)
+    via_two = rat.semigroup_apply(op20, T / 2,
+                                  rat.semigroup_apply(op20, T / 2, v, 1e-12), 1e-12)
+    direct = rat.semigroup_apply(op20, T, v, 1e-12)
     assert ops.norm_m(op20, via_two.values - direct.values) \
         <= 1e-8 * ops.norm_m(op20, v)
 
@@ -459,7 +459,7 @@ def test_semigroup_property(op20):
 def test_semigroup_monotone_decay(op20):
     rng = np.random.default_rng(10)
     v = op20.function(rng.standard_normal(op20.n))
-    norms = [ops.norm_m(op20, rat.semigroup_apply(op20, t, v))
+    norms = [ops.norm_m(op20, rat.semigroup_apply(op20, t, v, 1e-12))
              for t in (0.0, 0.005, 0.02, 0.1)]
     for a, b in zip(norms, norms[1:]):
         assert b < a
@@ -467,7 +467,7 @@ def test_semigroup_monotone_decay(op20):
 
 def test_semigroup_rejects_negative_time(op20):
     with pytest.raises(ValueError):
-        rat.semigroup_apply(op20, -0.1, op20.function(np.ones(op20.n)))
+        rat.semigroup_apply(op20, -0.1, op20.function(np.ones(op20.n)), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -541,30 +541,23 @@ def test_symbol_key_is_structural():
 
 def test_fit_memo_hits_on_equal_keys_only(monkeypatch):
     calls = _count_fits(monkeypatch)
-    fits, rep = rat.fit_cached(_fresh_phi_pair(1e3), ctl.DEGREE_CAP, 1e-12)
+    fits, rep = rat.fit_cached(_fresh_phi_pair(1e3), rat.DEGREE_CAP, 1e-12)
     assert rep.success and len(calls) == 1
-    assert rat.fit_cached(_fresh_phi_pair(1e3), ctl.DEGREE_CAP, 1e-12)[0] is fits
+    assert rat.fit_cached(_fresh_phi_pair(1e3), rat.DEGREE_CAP, 1e-12)[0] is fits
     assert len(calls) == 1
-    for gs, d, tol in ((_fresh_phi_pair(2e3), ctl.DEGREE_CAP, 1e-12),
-                       (_fresh_phi_pair(1e3), ctl.DEGREE_CAP, 1e-10),
-                       (_fresh_phi_pair(1e3), ctl.DEGREE_CAP - 1, 1e-12)):
+    for gs, d, tol in ((_fresh_phi_pair(2e3), rat.DEGREE_CAP, 1e-12),
+                       (_fresh_phi_pair(1e3), rat.DEGREE_CAP, 1e-10),
+                       (_fresh_phi_pair(1e3), rat.DEGREE_CAP - 1, 1e-12)):
         rat.fit_cached(gs, d, tol)
     assert len(calls) == 4
-    # one symbol and a one-symbol shared fit are different fits
-    g = sym.expm(T)
-    rat.fit_cached(g, 24, 1e-12)
-    rat.fit_cached([g], 24, 1e-12)
-    assert len(calls) == 6
 
 
 def test_fit_memo_hit_is_bit_identical_to_fresh_fit():
-    for fit, gs, d in ((rat.fit_rational_shared, _fresh_phi_pair(1e3), ctl.DEGREE_CAP),
-                       (rat.fit_rational, sym.segment_integral(T / 3, T / 2, 1), 32)):
+    for gs, d in ((_fresh_phi_pair(1e3), rat.DEGREE_CAP),
+                  ([sym.segment_integral(T / 3, T / 2, 1)], 32)):
         rat.fit_cached(gs, d, 1e-12)
         hit, hit_rep = rat.fit_cached(gs, d, 1e-12)
-        fresh, fresh_rep = fit(gs, d, 1e-12)
-        if fit is rat.fit_rational:
-            hit, fresh = [hit], [fresh]
+        fresh, fresh_rep = rat.fit_rational_shared(gs, d, 1e-12)
         assert hit_rep == fresh_rep
         assert len(hit) == len(fresh)
         for h, f in zip(hit, fresh):
@@ -576,13 +569,13 @@ def test_fit_memo_is_a_bounded_lru(monkeypatch):
     calls = _count_fits(monkeypatch)
     n = rat._MEMO_SIZE
     for c in range(1, n + 11):            # constants fit exactly at degree 0
-        rat.fit_cached(sym.const(float(c)), 0, 1e-12)
+        rat.fit_cached([sym.const(float(c))], 0, 1e-12)
     assert len(rat._fit_memo) == n and len(calls) == n + 10
-    rat.fit_cached(sym.const(11.0), 0, 1e-12)       # oldest kept: a hit
-    rat.fit_cached(sym.const(0.5), 0, 1e-12)        # evicts 12, not 11
+    rat.fit_cached([sym.const(11.0)], 0, 1e-12)       # oldest kept: a hit
+    rat.fit_cached([sym.const(0.5)], 0, 1e-12)        # evicts 12, not 11
     assert len(rat._fit_memo) == n and len(calls) == n + 11
-    rat.fit_cached(sym.const(11.0), 0, 1e-12)
+    rat.fit_cached([sym.const(11.0)], 0, 1e-12)
     assert len(calls) == n + 11
-    rat.fit_cached(sym.const(12.0), 0, 1e-12)
-    rat.fit_cached(sym.const(1.0), 0, 1e-12)
+    rat.fit_cached([sym.const(12.0)], 0, 1e-12)
+    rat.fit_cached([sym.const(1.0)], 0, 1e-12)
     assert len(calls) == n + 13
