@@ -31,7 +31,8 @@ Keys and types (defaults in parentheses):
     seed              int    random seed (0)
 
 Each key is parsed as the type of its default; a list takes the type of
-the default's first element.  The experiment is the verb's, not a key.  The
+the default's first element.  A value of another type is an error that
+names the key.  The experiment is the verb's, not a key.  The
 lists eps_fractions, nu_list and channels must not be empty.
 """
 
@@ -123,17 +124,24 @@ def load_config(experiment, path=None, **overrides):
     if unknown:
         raise ValueError(f"unknown or unsettable config keys: {sorted(unknown)}")
     values = dict(_DEFAULT_OVERRIDES.get(experiment, {}))
-    values.update({key: _parse(defaults[key], text) for key, text in raw.items()})
+    values.update({key: _parse(key, defaults[key], text) for key, text in raw.items()})
     values.update(overrides)
     return RunConfig(experiment=experiment, **values)
 
 
-def _parse(default, raw):
+def _parse(key, default, raw):
     """raw as a value of the type of default; a tuple as a list of values of
-    the type of its first element."""
-    if isinstance(default, tuple):
-        return tuple(type(default[0])(tok) for tok in raw.replace(",", " ").split())
-    return type(default)(raw.strip())
+    the type of its first element.  Raises ValueError naming key, raw and
+    the expected type."""
+    many = isinstance(default, tuple)
+    kind = type(default[0]) if many else type(default)
+    try:
+        if many:
+            return tuple(kind(tok) for tok in raw.replace(",", " ").split())
+        return kind(raw.strip())
+    except ValueError:
+        expected = f"a list of {kind.__name__}" if many else kind.__name__
+        raise ValueError(f"config key {key} = {raw!r}: expected {expected}") from None
 
 
 def echo_config(cfg):

@@ -13,17 +13,18 @@ p(t)) dt, p(t) = int_0^t S_{t-tau} f(tau) dtau the source response, and c
     u_opt = (mu S_2T + Psi)^{-1} (mu S_T ystar_hom + psi),
 
 with ystar_hom = ystar - p(T) and mu >= 0 the root of Phi(mu) = eps (zero
-when the unconstrained minimizer Psi^{-1} psi is already feasible); the
-control takes the same route at every mu, zero included.  Every operator
-function is evaluated as a fitted partial-fraction rational applied through
-shifted solves, and every fit, the semigroup's included, is requested
-through rational.fit_required at the problem's fit_tol; Phi needs one
-shared-pole fit and about a dozen complex solves per evaluation.  The root is found on a Ritz surrogate of Phi, a
-rational Gauss quadrature on a rational Krylov space built once per problem
-from the factors the solve holds anyway (the semigroup, Psi and Phi(0)
-poles), where a value costs microseconds.  The exact Phi only certifies that
-root; where it misses, the poles of the Phi pair just fitted there join the
-space, so a cold solve usually needs one or two exact Phi values.
+when the unconstrained minimizer Psi^{-1} psi is already feasible).  Per
+multiplier both need one operator function, the resolvent r_mu(lam) = 1 /
+(mu e^{2T lam} + Psi(lam)): u_opt = r_mu(A)(mu S_T ystar_hom + psi) and
+Phi(mu) = ||r_mu(A) g||_M, g = Psi ystar_hom - S_T psi.  Every operator
+function is a fitted partial-fraction rational applied through shifted
+solves, every fit requested through rational.fit_required at fit_tol.  The
+root is found on a Ritz surrogate of Phi, a rational Gauss quadrature on a
+rational Krylov space built once per problem from the factors the solve
+holds anyway (the semigroup, Psi and r_0 poles), where a value costs
+microseconds.  The exact Phi only certifies that root; where it misses, the
+poles of the resolvent fitted there join the space.  The control at a
+certified mu reuses that resolvent's fit and factors.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 
 from . import symbols as sym
 from .operators import DimensionError, MeshFunction, inner_m, norm_m, solve_shifted
-# every fit goes through fit_required; fit_rational and fit_rational_shared
-# stay bound here because perfbench's tracer self-test checks these bindings
+# every fit goes through fit_required; fit_rational, fit_rational_shared and
+# apply_rational_shared stay bound for perfbench's tracer self-test
 from .rational import (  # noqa: F401
     apply_rational,
     apply_rational_shared,
@@ -50,7 +51,7 @@ from .rational import (  # noqa: F401
 
 MU_BRACKET_CAP = 1e30
 _ROOT_EVALS = 100
-_POLE_ROUNDS = 3    # Phi pairs whose poles one solve_mu may add to the surrogate
+_POLE_ROUNDS = 3    # resolvent fits whose poles one solve_mu may add to the surrogate
 _LN10 = math.log(10.0)
 
 
@@ -108,8 +109,8 @@ class HomogenizedData:
 
     It also keeps what one problem computes on its operator op, each value
     once: the Phi values, the PCG reports of optimal_control, and as lazy
-    attributes S_T ystar_hom, the constant J(0) and the base space of the
-    Phi surrogate.
+    attributes S_T ystar_hom, g = Psi ystar_hom - S_T psi, the constant J(0)
+    and the base space of the Phi surrogate.
     """
 
     spec: ProblemSpec
@@ -128,6 +129,14 @@ class HomogenizedData:
     def st_ystar_hom(self):
         """S_T ystar_hom, the mu-free part of the stationarity right-hand side."""
         return semigroup_apply(self.op, self.spec.T, self.ystar_hom, self.spec.fit_tol)
+
+    @cached_property
+    def g(self):
+        """g = Psi ystar_hom - S_T psi through the Psi and semigroup fits:
+        Phi(mu) = ||r_mu(A) g||_M."""
+        op, tol = self.op, self.spec.fit_tol
+        return op.function(apply_rational(op, _psi_fit(self), self.ystar_hom).values
+                           - semigroup_apply(op, self.spec.T, self.psi, tol).values)
 
     @cached_property
     def cost_constant(self):
@@ -163,11 +172,9 @@ class HomogenizedData:
         rational Arnoldi basis Q in sqrt(M) coordinates, g projected on it,
         and its Ritz data (theta, c^2, Psi(theta))."""
         op, T, tol = self.op, self.spec.T, self.spec.fit_tol
-        r_psi = _psi_fit(self)
-        g = np.sqrt(op.M) * (apply_rational(op, r_psi, self.ystar_hom).values
-                             - semigroup_apply(op, T, self.psi, tol).values)
-        fits = (semigroup_fit(T, tol), semigroup_fit(2 * T, tol), r_psi,
-                _phi_pair(self, 0.0)[0])
+        g = np.sqrt(op.M) * self.g.values
+        fits = (semigroup_fit(T, tol), semigroup_fit(2 * T, tol), _psi_fit(self),
+                _resolvent(self, 0.0))
         Q = _rational_arnoldi(op, (g / np.linalg.norm(g))[:, None],
                               [p for r in fits for p in r.poles])
         return Q, Q.T @ g, _ritz(self, Q, Q.T @ g)
@@ -249,22 +256,16 @@ def homogenize(spec, op):
 # operator-function fits for the solution formulas
 # ---------------------------------------------------------------------------
 
-def _uopt_pair(hd, mu):
-    T = hd.spec.T
-    denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
-    return fit_required([(sym.const(mu) * sym.expm(T)) / denom, sym.const(1.0) / denom],
-                        hd.spec.fit_tol, f"control fit at mu={mu}")
-
-
 def _psi_fit(hd):
     return fit_required([hd.big_psi_symbol], hd.spec.fit_tol, "Psi fit")[0]
 
 
-def _phi_pair(hd, mu):
-    T = hd.spec.T
-    denom = sym.const(mu) * sym.expm(2 * T) + hd.big_psi_symbol
-    return fit_required([(sym.const(mu) * sym.expm(2 * T)) / denom, sym.expm(T) / denom],
-                        hd.spec.fit_tol, f"phi fit at mu={mu}")
+def _resolvent(hd, mu):
+    """The fit of r_mu(lam) = 1 / (mu e^{2T lam} + Psi(lam)), the one
+    operator function that Phi and the control need at mu."""
+    denom = sym.const(mu) * sym.expm(2 * hd.spec.T) + hd.big_psi_symbol
+    return fit_required([sym.const(1.0) / denom], hd.spec.fit_tol,
+                        f"resolvent fit at mu={mu}")[0]
 
 
 def _check_op(hd, op):
@@ -273,18 +274,16 @@ def _check_op(hd, op):
 
 
 def phi(hd, op, mu):
-    """Phi(mu) = ||r||_M with r = ystar_hom - (mu S_2T + Psi)^{-1}(mu S_2T ystar_hom + S_T psi).
-
-    The value is cached in hd._phi_values.
-    """
+    """Phi(mu) = ||ystar_hom - (mu S_2T + Psi)^{-1}(mu S_2T ystar_hom + S_T psi)||_M,
+    taken as ||r_mu(A) g||_M with g = hd.g; cached in hd._phi_values."""
     _check_op(hd, op)
     if mu < 0:
         raise ValueError("mu must be >= 0")
     mu = float(mu)
     val = hd._phi_values.get(mu)
     if val is None:
-        x = apply_rational_shared(op, _phi_pair(hd, mu), [hd.ystar_hom, hd.psi])
-        val = hd._phi_values[mu] = norm_m(op, hd.ystar_hom.values - x.values)
+        r = apply_rational(op, _resolvent(hd, mu), hd.g)
+        val = hd._phi_values[mu] = norm_m(op, r)
     return val
 
 
@@ -374,8 +373,8 @@ def _ritz(hd, Q, gq):
 def _phi_surrogate(hd, op, poles=()):
     """Phi_s, the Ritz surrogate of Phi, as mu -> (Phi_s(mu), d log Phi_s / d log mu).
 
-    The residual of phi is r = (mu S_2T + Psi)^{-1} g with g = Psi ystar_hom
-    - S_T psi, so Phi^2 is a quadratic form in g.  Its Ritz value on a
+    The residual of phi is r = r_mu(A) g with g = Psi ystar_hom - S_T psi,
+    so Phi^2 is a quadratic form in g.  Its Ritz value on a
     rational Krylov space of g is a rational Gauss quadrature, accurate to
     about the square of the vector error (Golub & Meurant, Matrices, Moments
     and Quadrature, 2010; Güttel, GAMM-Mitt. 36, 2013):
@@ -384,7 +383,7 @@ def _phi_surrogate(hd, op, poles=()):
 
     over the Ritz pairs (theta_i, w_i) of A on the space, c_i = <w_i, g>_M.
     Every term decreases in mu, so Phi_s is monotone.  The base space,
-    hd.surrogate_base, has the poles of the S_T, S_2T, Psi and Phi(0) fits,
+    hd.surrogate_base, has the poles of the S_T, S_2T, Psi and r_0 fits,
     which solve_problem factors anyway.  poles, one per conjugate pair,
     continue its Arnoldi into a larger space for this call only, so Phi_s
     depends on the problem data and poles, never on earlier calls.
@@ -408,7 +407,7 @@ def solve_mu(hd, op, eps):
     The root is found on the Ritz surrogate Phi_s (see _phi_surrogate), whose
     values cost microseconds, and certified by one exact Phi value there: it
     is returned once |Phi(mu) - eps| <= 1e-8 Phi(0), the tolerance the root
-    find on Phi_s stops on.  On a miss, the poles of the Phi pair that phi
+    find on Phi_s stops on.  On a miss, the poles of the resolvent that phi
     has just fitted and factored at that mu join the surrogate's space, at
     the cost of shifted solves but of no fit and no factorization, and the
     root is taken again, at most _POLE_ROUNDS times (Güttel, GAMM-Mitt. 36,
@@ -433,7 +432,7 @@ def solve_mu(hd, op, eps):
             break
         if abs(phi(hd, op, mu) - eps) <= tol:
             return mu
-        poles += _phi_pair(hd, mu)[0].poles
+        poles += _resolvent(hd, mu).poles
     return _root(lambda m: phi(hd, op, m), eps, tol, 1.0)
 
 
@@ -455,31 +454,31 @@ def _stationarity_rhs(hd, op, mu):
 def optimal_control(hd, op, mu):
     """u_opt = (mu S_2T + Psi)^{-1} (mu S_T ystar_hom + psi), for every mu >= 0.
 
-    The direct rational-formula evaluation seeds a preconditioned CG solve
-    of the stationarity system on the realized operators (the same fitted
-    Psi and semigroup actions the KKT residual measures): large multipliers
-    amplify any fit discrepancy by mu, and the Krylov polish removes it at
-    the cost of a few reused-factorization applies.  At mu = 0 the pair's
-    first member is exactly zero, so the seed is the fitted Psi^{-1} psi,
-    which PCG checks against the Psi fit.  Why PCG stopped and the true
-    residual it ended at, normalized as kkt_residual, go to
-    hd.pcg_reports[mu].
+    The resolvent fit r_mu, applied to the realized right-hand side, seeds a
+    preconditioned CG solve of the stationarity system on the realized
+    operators (the same fitted Psi and semigroup actions the KKT residual
+    measures), and r_mu is its preconditioner: large multipliers amplify any
+    fit discrepancy by mu, and the Krylov polish removes it at the cost of a
+    few reused-factorization applies.  At a mu that solve_mu certified, and
+    at zero once Phi(0) is known, the control costs no fit and no
+    factorization.  Why PCG stopped and the true residual it ended at,
+    normalized as kkt_residual, go to hd.pcg_reports[mu].
     """
     _check_op(hd, op)
     if mu < 0:
         raise ValueError("mu must be >= 0")
     mu = float(mu)
-    r_a, r_b = _uopt_pair(hd, mu)
-    u = apply_rational_shared(op, [r_a, r_b], [hd.ystar_hom, hd.psi]).values
+    r_mu = _resolvent(hd, mu)
     rhs = _stationarity_rhs(hd, op, mu)
 
-    # PCG in the M-inner product; preconditioner = the 1/(mu e^{2T lam}+Psi) fit
+    # PCG in the M-inner product; preconditioner = the resolvent fit
     def apply_b(v):
         return _apply_stationarity_op(hd, op, mu, op.function(v))
 
     def precond(v):
-        return apply_rational(op, r_b, op.function(v)).values
+        return apply_rational(op, r_mu, op.function(v)).values
 
+    u = precond(rhs)
     resid = rhs - apply_b(u)
     scale = max(1.0, norm_m(op, hd.psi))
     target = 1e-10 * scale

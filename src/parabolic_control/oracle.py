@@ -135,27 +135,41 @@ def oracle_cost(spec, ds, u_hat):
     return cost
 
 
-def oracle_solve_control(spec, op, ds=None):
-    """End-to-end dense solve of the control problem (bisection for mu)."""
-    if ds is None:
-        ds = decompose(op)
+def _homogenized_eig(spec, ds):
+    """(ystar_hom, psi, Psi) of the problem in the eigenbasis, every mode exact."""
     lam = ds.eigenvalues
-    T, alpha, eps = spec.T, spec.alpha, spec.eps
-
-    ystar_hom = ds.to_eig(spec.ystar) - _source_eig(ds, spec.f_segments, T)
-    psi, big_psi = np.zeros(len(lam)), np.full(len(lam), alpha)
+    ystar_hom = ds.to_eig(spec.ystar) - _source_eig(ds, spec.f_segments, spec.T)
+    psi, big_psi = np.zeros(len(lam)), np.full(len(lam), spec.alpha)
     for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
         if beta != 0.0:
             psi = psi + beta * (_segint_vals(lam, a, b, 1) * ds.to_eig(w)
                                 - _source_response_eig(ds, spec.f_segments, a, b))
             big_psi = big_psi + beta * _segint_vals(lam, a, b, 2)
+    return ystar_hom, psi, big_psi
 
-    e_t = np.exp(T * lam)
-    e_2t = np.exp(2 * T * lam)
+
+def oracle_phi(spec, ds):
+    """mu -> Phi(mu), every mode exact."""
+    ystar_hom, psi, big_psi = _homogenized_eig(spec, ds)
+    e_t = np.exp(spec.T * ds.eigenvalues)
+    e_2t = np.exp(2 * spec.T * ds.eigenvalues)
 
     def phi_exact(mu):
         x = (mu * e_2t * ystar_hom + e_t * psi) / (mu * e_2t + big_psi)
         return float(np.linalg.norm(ystar_hom - x))
+    return phi_exact
+
+
+def oracle_solve_control(spec, op, ds=None):
+    """End-to-end dense solve of the control problem (bisection for mu)."""
+    if ds is None:
+        ds = decompose(op)
+    lam = ds.eigenvalues
+    T, eps = spec.T, spec.eps
+    ystar_hom, psi, big_psi = _homogenized_eig(spec, ds)
+    phi_exact = oracle_phi(spec, ds)
+    e_t = np.exp(T * lam)
+    e_2t = np.exp(2 * T * lam)
 
     phi0 = phi_exact(0.0)
     if eps >= phi0:

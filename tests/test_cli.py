@@ -73,6 +73,21 @@ def test_cli_rejects_unknown_unsettable_or_invalid_keys(tmp_path, line, key):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("line, key, raw, expected", [
+    ("n_el = 1.5", "n_el", "1.5", "expected int"),
+    ("eps_fractions = 0.2, x", "eps_fractions", "0.2, x", "expected a list of float")])
+def test_cli_names_the_key_of_a_value_of_the_wrong_type(tmp_path, line, key, raw, expected):
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[example1d]\n{line}\n")
+    out = tmp_path / "x"
+    res = run_cli(["example1d", "--config", str(p), "--out", str(out)])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert all(part in err["message"] for part in (key, repr(raw), expected))
+    assert not list(out.glob("*.csv"))
+
+
 def test_config_validates_fractions():
     with pytest.raises(ValueError):
         RunConfig(experiment="example1d", eps_fractions=(1.5,))

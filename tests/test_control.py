@@ -174,16 +174,16 @@ def test_fine_1d_mesh_homogenizes(n_el):
     assert evals == evals_fine == [1, 1, 1]
 
 
-def _phi0_example2d(h):
+def _example2d(h):
     cfg = load_config("example2d", h=h)
     op = cli.build_operator_2d(cfg)
     hd = ctl.homogenize(cli.build_problem_2d(cfg, op, 1.0), op)
-    return ctl.phi(hd, op, 0.0)
+    return cfg, op, hd, ctl.phi(hd, op, 0.0)
 
 
 def test_fine_2d_mesh_homogenizes():
     # h = 1/60 (n = 10,561): about 90 MB of shifted factors for Phi(0)
-    coarse, fine = _phi0_example2d(1 / 30), _phi0_example2d(1 / 60)
+    coarse, fine = _example2d(1 / 30)[3], _example2d(1 / 60)[3]
     assert np.isfinite(fine) and fine > 0
     assert abs(fine - coarse) <= 1e-2 * coarse
 
@@ -311,7 +311,7 @@ def test_solve_mu_meets_the_value_tolerance(experiment, variant):
     # at every published eps, and at 0.03 Phi(0) in 2D (mu ~ 7e12), the
     # surrogate root is certified by the exact Phi values counted here: at
     # 2D eps = 0.1 the first root is 2.4e-5 off and the second, with the
-    # poles of the Phi pair at the first, meets the tolerance (3 values at
+    # poles of the resolvent at the first, meets the tolerance (3 values at
     # 0.03 with Newton on the exact Phi).  A fresh copy of the problem, with
     # no earlier solves, gives the same root
     evals = _EXACT_PHI_VALUES[experiment]
@@ -429,8 +429,8 @@ def test_mu_monotone_in_eps(hd62, op62, phi0_62):
 # ---------------------------------------------------------------------------
 
 def test_optimal_control_reduces_to_umin_at_zero(hd62, op62):
-    # at mu = 0 the control pair's first member is exactly zero: u is
-    # Psi^{-1} psi whatever the final target, and PCG stops at its first check
+    # at mu = 0 the right-hand side is psi alone: u is Psi^{-1} psi
+    # whatever the final target, and PCG stops at its first check
     u0 = ctl.optimal_control(hd62, op62, 0.0)
     other = replace(hd62, ystar_hom=op62.function(np.ones(op62.n)))
     assert np.array_equal(ctl.optimal_control(other, op62, 0.0).values, u0.values)
@@ -557,6 +557,22 @@ def test_cost_adds_no_fit_and_no_factorization(op62, hd62, monkeypatch):
     monkeypatch.setattr(rat, "fit_rational_shared", None)
     assert np.isfinite(ctl.cost_j(hd62, op62, umin))
     assert len(op62._solvers) == factors
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_control_at_a_phi_mu_adds_no_fit_and_no_factorization(dim):
+    # phi fits and factors the resolvent r_mu at 0 and solve_mu at the root
+    # it certifies; the control there seeds and preconditions PCG with that
+    # r_mu, and applies Psi and the semigroups that g and the surrogate
+    # already fitted and factored
+    _, op, hd, phi0 = _example1d(62) if dim == "1d" else _example2d(1 / 30)
+    mu = ctl.solve_mu(hd, op, 0.5 * phi0)
+    assert mu > 0
+    fits, factors = set(rat._fit_memo), len(op._solvers)
+    for m in (0.0, mu):
+        ctl.optimal_control(hd, op, m)
+    assert set(rat._fit_memo) == fits
+    assert len(op._solvers) == factors
 
 
 def _source_cases(op):

@@ -130,3 +130,48 @@ def test_oracle_2d_published_solves(example2d, frac):
         / ops.norm_m(op, osol.u_opt)
     assert u_err <= 1e-7
     assert abs(sol.mu_eps - osol.mu_eps) / osol.mu_eps <= 1e-8
+
+
+_PHI_MUS = np.concatenate([[0.0], np.logspace(-7, 12, 40)])
+
+
+def _phi_oracle_error(op, hd, ds):
+    """max |Phi(mu) - oracle Phi(mu)| / Phi(0) over mu = 0 and 40 log-spaced
+    points on [1e-7, 1e12].  Each mu's factors are dropped once its value is
+    taken, so a 2D sweep holds the factors of one resolvent at a time."""
+    want = orc.oracle_phi(hd.spec, ds)
+    phi0 = want(0.0)
+    err = 0.0
+    for mu in _PHI_MUS:
+        err = max(err, abs(ctl.phi(hd, op, mu) - want(mu)) / phi0)
+        op._solvers.clear()
+    return err
+
+
+@pytest.fixture(scope="module", params=[62, 1000])
+def example1d(request):
+    """The published 1D problem on n_el elements with its dense
+    eigendecomposition."""
+    cfg = load_config("example1d", n_el=request.param)
+    op = cli.build_operator_1d(cfg)
+    hd = ctl.homogenize(cli.build_problem_1d(cfg, op, 1.0), op)
+    return cfg, op, hd, orc.decompose(op)
+
+
+def test_oracle_phi_1d(example1d):
+    # Phi = ||r_mu(A) g||_M; the resolvent's scale 1/alpha = 1e4 multiplies
+    # its fit error, and the measured error stays below 3.5e-11 Phi(0)
+    _, op, hd, ds = example1d
+    assert _phi_oracle_error(op, hd, ds) <= 1e-10
+
+
+def test_oracle_phi_2d(example2d):
+    _, op, hd, _, ds = example2d
+    assert _phi_oracle_error(op, hd, ds) <= 1e-10
+
+
+def test_oracle_solve_mu_on_a_fine_1d_mesh(example1d):
+    cfg, op, hd, ds = example1d
+    eps = 0.1 * ctl.phi(hd, op, 0.0)
+    want = orc.oracle_solve_control(cli.build_problem_1d(cfg, op, eps), op, ds).mu_eps
+    assert abs(ctl.solve_mu(hd, op, eps) - want) <= 1e-7 * want
