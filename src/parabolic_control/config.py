@@ -2,7 +2,9 @@
 
 Files are standard INI as read by configparser.  Every experiment has
 built-in defaults (the published problem parameters); a config file
-overrides individual keys in the section named after the experiment:
+overrides individual keys in the section named after the experiment.  One
+file may hold sections for several experiments, and a section that names
+none (a misspelled "[example1D]") is an error:
 
     [example1d]
     variant = discontinuous
@@ -110,12 +112,17 @@ _DEFAULT_OVERRIDES = {
 def load_config(experiment, path=None, **overrides):
     """Built-in defaults for the experiment, overridden by the config file
     section of the same name, then by keyword overrides (CLI flags).  Every
-    key is checked before any value is parsed."""
+    section must name an experiment and every key is checked before any
+    value is parsed."""
     raw = {}
     if path is not None:
         parser = configparser.ConfigParser()
         with open(path) as fh:
             parser.read_file(fh)
+        stray = [name for name in parser.sections() if name not in EXPERIMENTS]
+        if stray:
+            raise ValueError(f"config sections {stray} name no experiment;"
+                             f" expected any of {list(EXPERIMENTS)}")
         if parser.has_section(experiment):
             raw = dict(parser.items(experiment))
     overrides = {key: val for key, val in overrides.items() if val is not None}

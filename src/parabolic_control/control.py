@@ -108,7 +108,7 @@ class HomogenizedData:
     gradient data psi and Psi.
 
     It also keeps what one problem computes on its operator op, each value
-    once: the Phi values, the PCG reports of optimal_control, and as lazy
+    once: the Phi values, the stop reports of optimal_control, and as lazy
     attributes S_T ystar_hom, g = Psi ystar_hom - S_T psi, the constant J(0)
     and the base space of the Phi surrogate.
     """
@@ -120,9 +120,9 @@ class HomogenizedData:
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
     # mu -> Phi(mu), every value phi computed
     _phi_values: dict = field(default_factory=dict, repr=False)
-    # mu -> (why optimal_control's PCG stopped: "converged", "iterations",
-    # "breakdown", or "drift" when only its recurrence met the target; the
-    # true residual it ended at, normalized as kkt_residual)
+    # mu -> (why optimal_control's refinement stopped: "converged" or
+    # "stalled"; the residual of the control it returned, normalized as
+    # kkt_residual)
     pcg_reports: dict = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -189,8 +189,9 @@ class ControlSolution:
     kkt: float
     final_miss: float
     phi0: float
-    # why optimal_control's PCG stopped at mu_eps (see
-    # HomogenizedData.pcg_reports); "not run" for the dense oracle
+    # why optimal_control's refinement stopped at mu_eps, "converged" or
+    # "stalled" (see HomogenizedData.pcg_reports); "not run" for the dense
+    # oracle
     pcg_stop: str = "not run"
     # Phi values this solve computed (cached ones from earlier solves on the
     # same HomogenizedData are not counted)
@@ -297,15 +298,13 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
     follow the secant, by a factor between 10 and 10^3.  Returns the last mu
     once it meets tol and either the correction y / slope (the given slope
     at the first value, the secant over the last step after it) or the
-    bracket is within xtol in x (relative in mu).  Raises past
-    MU_BRACKET_CAP or _ROOT_EVALS, and when the next step would not move mu
-    (the bracket has collapsed onto floats where f still misses tol).
+    bracket is within xtol in x (relative in mu).  Raises when the next
+    step would leave [1/MU_BRACKET_CAP, MU_BRACKET_CAP], after _ROOT_EVALS
+    values, and when the next step would not move mu (the bracket has
+    collapsed onto floats where f still misses tol).
     """
     x, prev, xa, ya = math.log(mu), None, None, 0.0
     for _ in range(_ROOT_EVALS):
-        if abs(x) > math.log(MU_BRACKET_CAP):
-            raise RuntimeError(f"no root of f(mu) = {target:.6g} for mu in [1/cap, cap],"
-                               f" cap = {MU_BRACKET_CAP:g}: problem data is inconsistent")
         v = f(mu)
         y = math.log(v / target)
         if prev is not None:
@@ -330,6 +329,9 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
         if x_new == x:
             raise RuntimeError(f"root find stalled at mu = {mu!r}: |f(mu) - target|"
                                f" = {abs(v - target):.3e} exceeds tol = {tol:.3e}")
+        if abs(x_new) > math.log(MU_BRACKET_CAP):   # before exp can overflow
+            raise RuntimeError(f"no root of f(mu) = {target:.6g} for mu in [1/cap, cap],"
+                               f" cap = {MU_BRACKET_CAP:g}: problem data is inconsistent")
         prev = (x, y)
         x, mu = x_new, math.exp(x_new)
     raise RuntimeError(f"root find did not converge in {_ROOT_EVALS} evaluations")
@@ -436,84 +438,53 @@ def solve_mu(hd, op, eps):
     return _root(lambda m: phi(hd, op, m), eps, tol, 1.0)
 
 
-def _apply_stationarity_op(hd, op, mu, v):
-    """(mu S_2T + Psi) v through the realized operator fits."""
-    out = apply_rational(op, _psi_fit(hd), v).values
-    if mu != 0.0:
-        out = out + mu * semigroup_apply(op, 2 * hd.spec.T, v, hd.spec.fit_tol).values
-    return out
-
-
-def _stationarity_rhs(hd, op, mu):
-    """mu S_T ystar_hom + psi, the right-hand side of the stationarity system."""
-    if mu == 0.0:
-        return hd.psi.values
-    return mu * hd.st_ystar_hom.values + hd.psi.values
+def _stationarity_residual(hd, mu, u):
+    """(mu S_T ystar_hom + psi) - (Psi u + mu S_2T u) through the realized
+    operator fits: the residual of the stationarity system at u."""
+    op, T, tol = hd.op, hd.spec.T, hd.spec.fit_tol
+    psi_u = apply_rational(op, _psi_fit(hd), u).values
+    s2t_u = semigroup_apply(op, 2 * T, u, tol).values
+    return mu * hd.st_ystar_hom.values + hd.psi.values - (psi_u + mu * s2t_u)
 
 
 def optimal_control(hd, op, mu):
     """u_opt = (mu S_2T + Psi)^{-1} (mu S_T ystar_hom + psi), for every mu >= 0.
 
-    The resolvent fit r_mu, applied to the realized right-hand side, seeds a
-    preconditioned CG solve of the stationarity system on the realized
+    Iterative refinement solves the stationarity system on the realized
     operators (the same fitted Psi and semigroup actions the KKT residual
-    measures), and r_mu is its preconditioner: large multipliers amplify any
-    fit discrepancy by mu, and the Krylov polish removes it at the cost of a
-    few reused-factorization applies.  At a mu that solve_mu certified, and
-    at zero once Phi(0) is known, the control costs no fit and no
-    factorization.  Why PCG stopped and the true residual it ended at,
-    normalized as kkt_residual, go to hd.pcg_reports[mu].
+    measures), with the resolvent fit r_mu as its approximate inverse: the
+    first iterate is r_mu(A) rhs, each step adds r_mu(A) res, and every
+    residual is the true one of its iterate.  Large multipliers amplify any
+    fit discrepancy by mu, and the refinement removes it at the cost of a
+    few reused-factorization applies.  It stops "converged" once ||res||_M
+    <= 1e-10 max(1, ||psi||_M), and "stalled" when a step fails to cut the
+    residual tenfold, keeping the better of the last two iterates.  At a mu
+    where phi has run, zero included, the control costs no fit and no
+    factorization once a root find has fitted S_2T, which the residual
+    applies at mu = 0 too.  The stop reason and the residual of the
+    returned iterate, normalized as kkt_residual, go to hd.pcg_reports[mu].
     """
     _check_op(hd, op)
     if mu < 0:
         raise ValueError("mu must be >= 0")
     mu = float(mu)
     r_mu = _resolvent(hd, mu)
-    rhs = _stationarity_rhs(hd, op, mu)
-
-    # PCG in the M-inner product; preconditioner = the resolvent fit
-    def apply_b(v):
-        return _apply_stationarity_op(hd, op, mu, op.function(v))
-
-    def precond(v):
-        return apply_rational(op, r_mu, op.function(v)).values
-
-    u = precond(rhs)
-    resid = rhs - apply_b(u)
     scale = max(1.0, norm_m(op, hd.psi))
     target = 1e-10 * scale
-    best = (norm_m(op, resid), u)
-    kkt = best[0] / scale
-    stop = "converged"
-    if best[0] > target:
-        z = precond(resid)
-        p = z.copy()
-        rz = inner_m(op, resid, z)
-        for _ in range(60):
-            bp = apply_b(p)
-            denom = inner_m(op, p, bp)
-            if denom <= 0:
-                stop = "breakdown"
-                break
-            alpha = rz / denom
-            u = u + alpha * p
-            resid = resid - alpha * bp
-            rn = norm_m(op, resid)
-            if rn < best[0]:
-                best = (rn, u.copy())
-            if rn <= target:
-                break
-            z = precond(resid)
-            rz_new = inner_m(op, resid, z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        else:
-            stop = "iterations"
-        kkt = kkt_residual(hd, op, op.function(best[1]), mu)  # the recurrence drifts
-        if stop == "converged" and kkt > 1e-10:
-            stop = "drift"
-    hd.pcg_reports[mu] = (stop, kkt)
-    return op.function(best[1])
+    u = apply_rational(op, r_mu, op.function(mu * hd.st_ystar_hom.values + hd.psi.values))
+    res = _stationarity_residual(hd, mu, u)
+    rn = norm_m(op, res)
+    while not rn <= target:
+        u_new = op.function(u.values + apply_rational(op, r_mu, op.function(res)).values)
+        res_new = _stationarity_residual(hd, mu, u_new)
+        rn_new = norm_m(op, res_new)
+        cut = rn_new <= 0.1 * rn     # False on NaN too
+        if rn_new < rn:
+            u, res, rn = u_new, res_new, rn_new
+        if not cut:
+            break
+    hd.pcg_reports[mu] = ("converged" if rn <= target else "stalled", rn / scale)
+    return u
 
 
 def trajectory(spec, op, u, times):
@@ -533,8 +504,8 @@ def trajectory(spec, op, u, times):
 def cost_j(hd, op, u):
     """J(u) = 1/2 <u, Psi u> - <u, psi> + J(0).
 
-    Psi is applied through the fit that the Phi surrogate, PCG and the KKT
-    residual share, so J costs no fit and no factorization of its own.
+    Psi is applied through the fit that g, the control's refinement and the
+    KKT residual share, so J costs no fit and no factorization of its own.
     """
     _check_op(hd, op)
     psi_u = apply_rational(op, _psi_fit(hd), u)
@@ -544,8 +515,7 @@ def cost_j(hd, op, u):
 def kkt_residual(hd, op, u, mu):
     """|| Psi u - psi + mu (S_2T u - S_T ystar_hom) ||_M / max(1, ||psi||_M)."""
     _check_op(hd, op)
-    grad = _apply_stationarity_op(hd, op, mu, u) - _stationarity_rhs(hd, op, mu)
-    return norm_m(op, grad) / max(1.0, norm_m(op, hd.psi))
+    return norm_m(op, _stationarity_residual(hd, mu, u)) / max(1.0, norm_m(op, hd.psi))
 
 
 def solve_problem(spec, op, hd=None):
@@ -576,7 +546,7 @@ def solve_problem(spec, op, hd=None):
     else:
         miss_at(mu)
     miss, u, y = seen[mu]
-    # PCG ended on the true stationarity residual of u: the KKT one
+    # the refinement reports the stationarity residual of u: the KKT one
     pcg_stop, kkt = hd.pcg_reports[mu]
     return ControlSolution(
         mu_eps=mu,

@@ -290,12 +290,31 @@ def test_criterion_10_mesh_refinement():
     assert monotone_2d
 
 
-def test_2d_tight_solve_reports_pcg_miss(twod):
+def test_2d_tight_solve_reports_pcg_miss(twod, monkeypatch):
     # at eps = 0.1 Phi(0), mu ~ 1e5 amplifies the fit error of the realized
-    # operators, and PCG ends above its 1e-10 target; the solution says so
-    _, sol = twod["sols"][0.1]
-    assert sol.pcg_stop != "converged"
+    # operators, and the control's refinement stalls above its 1e-10
+    # target; the solution says so, with the KKT residual of its u
+    op, hd = twod["op"], twod["hd"]
+    spec, sol = twod["sols"][0.1]
+    assert sol.pcg_stop == "stalled"
     assert 1e-10 < sol.kkt <= 1e-6
+    assert sol.kkt == ctl.kkt_residual(hd, op, sol.u_opt, sol.mu_eps)
+    # each control of that solve takes at most four residuals, the seed's
+    # and three steps' (PCG applied the stationarity operator five times)
+    counts = []
+    residual, control = ctl._stationarity_residual, ctl.optimal_control
+
+    def counted_residual(*args):
+        counts[-1] += 1
+        return residual(*args)
+
+    def counted_control(*args):
+        counts.append(0)
+        return control(*args)
+    monkeypatch.setattr(ctl, "_stationarity_residual", counted_residual)
+    monkeypatch.setattr(ctl, "optimal_control", counted_control)
+    assert ctl.solve_problem(spec, op, hd=hd).mu_eps == sol.mu_eps
+    assert counts and max(counts) <= 4
 
 
 def test_2d_relaxed_constraint_tracks_trajectory_target(twod):

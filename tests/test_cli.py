@@ -73,6 +73,28 @@ def test_cli_rejects_unknown_unsettable_or_invalid_keys(tmp_path, line, key):
     assert not list(out.glob("*.csv"))
 
 
+def test_cli_rejects_a_section_that_names_no_experiment(tmp_path):
+    # a misspelled section would otherwise run the verb at its defaults;
+    # sections for other experiments stay valid
+    p = tmp_path / "bad.ini"
+    p.write_text("[example1D]\nn_el = 24\n[example2d]\nh = 0.1\n[phi_curve]\nseed = 1\n")
+    out = tmp_path / "x"
+    res = run_cli(["example1d", "--config", str(p), "--out", str(out)])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("config sections ['example1D', 'phi_curve'] ")
+    assert not list(out.glob("*.csv"))
+
+
+def test_config_file_may_hold_sections_for_several_experiments(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_text("[example1d]\nn_el = 24\n[example2d]\nh = 0.1\n[phi-curve]\nseed = 1\n")
+    assert load_config("example1d", path=p).n_el == 24
+    assert load_config("example2d", path=p).h == 0.1
+    assert load_config("sensitivity", path=p).seed == 0
+
+
 @pytest.mark.parametrize("line, key, raw, expected", [
     ("n_el = 1.5", "n_el", "1.5", "expected int"),
     ("eps_fractions = 0.2, x", "eps_fractions", "0.2, x", "expected a list of float")])

@@ -264,6 +264,13 @@ def test_root_find_raises_without_root_within_cap(target):
         ctl._root(lambda mu: 1.0 + 1.0 / (1.0 + mu), target, 1e-8, 1.0)
 
 
+def test_root_find_raises_when_a_newton_step_leaves_the_cap():
+    # a tiny given slope sends the first Newton step to log mu ~ 7e3, where
+    # exp overflows; the step is checked against the cap first
+    with pytest.raises(RuntimeError, match="no root"):
+        ctl._root(lambda mu: 2.0, 1.0, 1e-3, 1.0, slope=-1e-4)
+
+
 @pytest.mark.parametrize("start", [1.0, 1e4])
 def test_root_find_raises_when_its_bracket_collapses(start):
     # f jumps across the target at mu = 100 by more than tol: the bracket
@@ -430,7 +437,8 @@ def test_mu_monotone_in_eps(hd62, op62, phi0_62):
 
 def test_optimal_control_reduces_to_umin_at_zero(hd62, op62):
     # at mu = 0 the right-hand side is psi alone: u is Psi^{-1} psi
-    # whatever the final target, and PCG stops at its first check
+    # whatever the final target, and the refinement stops at its first
+    # iterate
     u0 = ctl.optimal_control(hd62, op62, 0.0)
     other = replace(hd62, ystar_hom=op62.function(np.ones(op62.n)))
     assert np.array_equal(ctl.optimal_control(other, op62, 0.0).values, u0.values)
@@ -548,8 +556,8 @@ def test_optimality_of_cost(op62, hd62, phi0_62):
 
 
 def test_cost_adds_no_fit_and_no_factorization(op62, hd62, monkeypatch):
-    # J applies the Psi fit that the KKT residual (and the Phi surrogate and
-    # PCG) already factored
+    # J applies the Psi fit that the KKT residual (and g and the control's
+    # refinement) already factored
     umin = ctl.optimal_control(hd62, op62, 0.0)
     ctl.kkt_residual(hd62, op62, umin, 0.0)
     factors = len(op62._solvers)
@@ -562,9 +570,9 @@ def test_cost_adds_no_fit_and_no_factorization(op62, hd62, monkeypatch):
 @pytest.mark.parametrize("dim", ["1d", "2d"])
 def test_control_at_a_phi_mu_adds_no_fit_and_no_factorization(dim):
     # phi fits and factors the resolvent r_mu at 0 and solve_mu at the root
-    # it certifies; the control there seeds and preconditions PCG with that
-    # r_mu, and applies Psi and the semigroups that g and the surrogate
-    # already fitted and factored
+    # it certifies; the control there refines with that r_mu, and applies
+    # Psi and the semigroups that g and the surrogate already fitted and
+    # factored
     _, op, hd, phi0 = _example1d(62) if dim == "1d" else _example2d(1 / 30)
     mu = ctl.solve_mu(hd, op, 0.5 * phi0)
     assert mu > 0
@@ -713,8 +721,8 @@ def test_solution_reports_pcg_convergence(op62, hd62, phi0_62):
 
 @pytest.mark.parametrize("frac", [0.5, 1.5])
 def test_solution_kkt_is_the_pcg_residual(op62, hd62, phi0_62, frac):
-    # kkt comes from the PCG report at every mu, mu = 0 (frac > 1) included,
-    # and is the KKT residual of the returned u bit for bit
+    # kkt comes from the refinement's report at every mu, mu = 0 (frac > 1)
+    # included, and is the KKT residual of the returned u bit for bit
     sol = ctl.solve_problem(make_spec_51(op62, frac * phi0_62), op62, hd=hd62)
     assert (sol.mu_eps == 0.0) == (frac > 1)
     assert sol.pcg_stop == "converged"

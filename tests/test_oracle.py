@@ -175,3 +175,19 @@ def test_oracle_solve_mu_on_a_fine_1d_mesh(example1d):
     eps = 0.1 * ctl.phi(hd, op, 0.0)
     want = orc.oracle_solve_control(cli.build_problem_1d(cfg, op, eps), op, ds).mu_eps
     assert abs(ctl.solve_mu(hd, op, eps) - want) <= 1e-7 * want
+
+
+@pytest.mark.parametrize("example1d", [pytest.param(1000, marks=pytest.mark.xfail(
+    strict=True, raises=RuntimeError, reason="at mu = 2.7e22 the realized "
+    "system amplifies the fit errors: the control's refinement stalls at its "
+    "seed, the realized miss is 1.6e14 Phi(0), and the polish's first Newton "
+    "step leaves MU_BRACKET_CAP"))], indirect=True)
+def test_oracle_solve_problem_on_a_fine_1d_mesh(example1d):
+    cfg, op, hd, ds = example1d
+    spec = cli.build_problem_1d(cfg, op, 0.1 * ctl.phi(hd, op, 0.0))
+    sol = ctl.solve_problem(spec, op, hd=hd)
+    osol = orc.oracle_solve_control(spec, op, ds)
+    u_err = ops.norm_m(op, sol.u_opt.values - osol.u_opt.values) \
+        / ops.norm_m(op, osol.u_opt)
+    assert u_err <= 1e-6
+    assert abs(sol.mu_eps - osol.mu_eps) <= 1e-6 * osol.mu_eps
