@@ -3,7 +3,8 @@
 Runs the CLI verbs with their built-in (published) parameters and collects
 the artifacts under out/.  Each verb runs in its own child process; the
 script prints each verb's wall time and its own peak RSS, read from the
-child's resource usage.  Expect a few minutes total on a desktop machine;
+child's resource usage, and appends both to that verb's run_meta.txt as
+wall_s and peak_rss_mb.  Expect a few minutes total on a desktop machine;
 progress and timings land in each run_meta.txt.
 
 Usage: python scripts/reproduce_experiments.py [--out OUT]
@@ -43,10 +44,13 @@ def main():
         # ru_maxrss is in kilobytes on Linux, and Linux carries this
         # script's own peak into the child's at exec: the script imports
         # none of the package, so that adds only the interpreter's few MB
+        peak_mb = usage.ru_maxrss / 1024
         print(f"{name:28s} {result:12s} {wall:7.1f}s "
-              f"{usage.ru_maxrss / 1024:8.1f} MB -> {out}", flush=True)
+              f"{peak_mb:8.1f} MB -> {out}", flush=True)
         if code != 0:
             return code
+        with open(f"{out}/run_meta.txt", "a") as fh:
+            fh.write(f"wall_s = {wall:.4f}\npeak_rss_mb = {peak_mb:.1f}\n")
     return 0
 
 

@@ -80,9 +80,6 @@ class FitReport:
     sample_count: int
     success: bool
 
-    def csv_row(self):
-        return f"{self.degree},{self.max_error!r},{self.norm_estimate!r},{self.tol!r}"
-
 
 @dataclass(frozen=True)
 class PartialFractionRational:
@@ -193,11 +190,14 @@ class _Loewner:
     new neighbours, and the weights come from the SVD of the k x k
     triangular factor R of the matrix.  The Cauchy matrix C, the mapped
     nodes and the samples of the live points are kept in the same order.
+    C and A hold rows for the support points so far, and double their rows
+    when full, up to kmax: a fit that stops at a low degree never allocates
+    the degree budget's rows.
     """
 
     def __init__(self, Ft, Fn, banned, kmax, rows):
         npts, nc = Fn.shape
-        self.Ft, self.Fn, self.rows = Ft, Fn, rows
+        self.Ft, self.Fn, self.rows, self.kmax = Ft, Fn, rows, kmax
         self.dead = np.zeros(npts, bool)
         self.dead[list(banned)] = True
         self.support = []
@@ -206,8 +206,8 @@ class _Loewner:
         self.z = np.empty(npts)                  # their nodes z_i,
         self.F = np.empty_like(Ft)               # their samples
         self.G = np.empty_like(Fn)               # and normalized samples
-        self.C = np.zeros((kmax, npts))          # 1 / (z_i - z_k)
-        self.A = np.zeros((kmax, npts, nc))      # (G_i - G_k) / (z_i - z_k)
+        self.C = np.zeros((0, npts))             # 1 / (z_i - z_k)
+        self.A = np.zeros((0, npts, nc))         # (G_i - G_k) / (z_i - z_k)
         self._append(np.flatnonzero(rows & ~self.dead))
 
     def _append(self, pts):
@@ -238,8 +238,14 @@ class _Loewner:
         m = self.m = self.m - 1
         for X in (self.live, self.z, self.F, self.G):
             X[p] = X[m]
-        self.C[:, p], self.A[:, p] = self.C[:, m], self.A[:, m]
         k = len(self.support)
+        self.C[:k, p], self.A[:k, p] = self.C[:k, m], self.A[:k, m]
+        if k == len(self.C):
+            rows = min(max(2 * k, 1), self.kmax)
+            C, A = self.C, self.A
+            self.C = np.zeros((rows,) + C.shape[1:])
+            self.A = np.zeros((rows,) + A.shape[1:])
+            self.C[:k], self.A[:k] = C, A
         self.support.append(j)
         self.C[k, :m] = 1.0 / (self.z[:m] - _Z[j])
         self.A[k, :m] = (self.G[:m] - self.Fn[j]) * self.C[k, :m, None]

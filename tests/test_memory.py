@@ -1,4 +1,5 @@
-"""End-to-end memory gates, each measured in a fresh process.
+"""Memory gates: end-to-end peaks, each measured in a fresh process, and
+the transient allocations of the fit path, traced in this one.
 
 Every shifted LU factor stays cached on its operator for the operator's
 life, so the peak RSS of a run grows with the number of factors it makes and
@@ -14,13 +15,23 @@ releases:
   bound 560 MB.
 - the three 2D solves at h = 1/60: 1,052 MB measured (1,511 MB with the
   default panel size); bound 1,350 MB.
+
+The fit path's transients do not grow with the mesh, but they set the peak
+of runs on small meshes: sampling a source-response integral on a fit grid,
+and the Loewner matrix of one fit.  Their peaks are traced with tracemalloc,
+which sees every NumPy array.
 """
 
 import json
 import subprocess
 import sys
+import tracemalloc
 
-from conftest import PEAK_RSS_SOURCE
+import pytest
+from conftest import PEAK_RSS_SOURCE, T_1D
+
+from parabolic_control import rational as rat
+from parabolic_control import symbols as sym
 
 PHI_CURVE_MAX_MB = 560
 SOLVES_2D_H60_MAX_MB = 1350
@@ -69,3 +80,34 @@ def test_2d_solves_at_h60_peak_rss_and_factor_count():
     assert fine["n"] == 10561
     assert fine["peak_mb"] <= SOLVES_2D_H60_MAX_MB
     assert abs(fine["factors"] - coarse["factors"]) <= 0.1 * coarse["factors"]
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes that fn allocates above what is live when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("grid", ["_TRAIN", "_VALID"])
+def test_source_response_sampling_peaks_below_1_mb(grid):
+    # the near field takes 16 nodes per point: 0.18 MB on _TRAIN and 0.23 MB
+    # on _VALID, where a 16 x 16 rule's points x 256 exponents took 7.9 and
+    # 9.8 MB
+    g = sym.source_response_integral(T_1D / 3, 2 * T_1D / 3, T_1D / 3, 2 * T_1D / 3)
+    lam = getattr(rat, grid)
+    assert traced_peak_bytes(lambda: g(lam)) < 1e6
+
+
+def test_low_degree_fit_allocates_loewner_rows_for_its_support():
+    # a degree-1 fit at DEGREE_CAP: 0.43 MB in all, below the 1.44 MB that
+    # C and A would take alone with a row for every support point the
+    # degree budget allows
+    g = sym.const(1.0) / (sym.const(1.0) - sym.ident())
+    budget_rows = 2 * (rat.DEGREE_CAP + 1) * len(rat._TRAIN) * 8
+    assert traced_peak_bytes(lambda: rat.fit_rational(g, rat.DEGREE_CAP, 1e-12)) \
+        < budget_rows

@@ -492,16 +492,6 @@ def test_fits_match_spectral_oracle(op64):
             <= (rep.max_error + 1e-9) * ops.norm_m(op64, v)
 
 
-def test_fit_report_csv_row():
-    _, rep = rat.fit_rational(sym.expm(T), 24, 1e-12)
-    fields = rep.csv_row().split(",")
-    assert len(fields) == 4
-    assert int(fields[0]) == rep.degree
-    assert float(fields[1]) == rep.max_error
-    assert float(fields[2]) == rep.norm_estimate
-    assert float(fields[3]) == rep.tol
-
-
 # ---------------------------------------------------------------------------
 # the process-wide fit memo
 # ---------------------------------------------------------------------------

@@ -129,11 +129,15 @@ _LAYOUTS = [(T / 3, 2 * T / 3, 0.0, T), (T / 3, 2 * T / 3, 0.0, T / 3),
 @pytest.mark.parametrize("layout", _LAYOUTS)
 def test_source_response_integral_matches_mpmath(layout):
     # the closed forms and the Gauss rule below |lam| (t2 - c) = 1 agree with
-    # 30 digits to a few ulps; far out the value underflows to 0 as the
-    # reference does.  Relative to the reference the bound grows with |lam|
-    # b, the condition number of the exponentials
+    # 30 digits to a few ulps, on both sides of that seam too; far out the
+    # value underflows to 0 as the reference does.  Relative to the reference
+    # the bound grows with |lam| b, the condition number of the exponentials
     g = sym.source_response_integral(*layout)
     lams = [0.0, -1e-300] + [-10.0 ** k for k in range(-8, 5)] + [-1e6, -6e7]
+    a, b, c, d = layout
+    t1, t2 = max(a, c), min(b, d)
+    if t1 < t2:
+        lams += [-(1.0 - 1e-6) / (t2 - c), -(1.0 + 1e-6) / (t2 - c)]
     got = g(np.array(lams))
     for lam, val in zip(lams, got):
         want = float(_source_response_reference(*layout, lam))
