@@ -24,7 +24,10 @@ rational Krylov space built once per problem from the factors the solve
 holds anyway (the semigroup, Psi and r_0 poles), where a value costs
 microseconds.  The exact Phi only certifies that root; where it misses, the
 poles of the resolvent fitted there join the space.  The control at a
-certified mu reuses that resolvent's fit and factors.
+certified mu reuses that resolvent's fit and factors, and so does every
+control of the realized-miss polish within 10 % of that mu: it continues
+from the previous control with the certified root's resolvent as its
+approximate inverse.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ from .rational import (  # noqa: F401
 MU_BRACKET_CAP = 1e30
 _ROOT_EVALS = 100
 _POLE_ROUNDS = 3    # resolvent fits whose poles one solve_mu may add to the surrogate
+# the residual cut each refinement step must make, and the relative distance
+# from the certified root within which a polish control continues on the
+# root's resolvent, whose refinement contracts by that distance
+_CUT = 0.1
 _LN10 = math.log(10.0)
 
 
@@ -108,9 +115,9 @@ class HomogenizedData:
     gradient data psi and Psi.
 
     It also keeps what one problem computes on its operator op, each value
-    once: the Phi values, the stop reports of optimal_control, and as lazy
-    attributes S_T ystar_hom, g = Psi ystar_hom - S_T psi, the constant J(0)
-    and the base space of the Phi surrogate.
+    once: the Phi values, the stop reports of the control's refinement, and
+    as lazy attributes S_T ystar_hom, g = Psi ystar_hom - S_T psi, the
+    constant J(0) and the base space of the Phi surrogate.
     """
 
     spec: ProblemSpec
@@ -120,7 +127,7 @@ class HomogenizedData:
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
     # mu -> Phi(mu), every value phi computed
     _phi_values: dict = field(default_factory=dict, repr=False)
-    # mu -> (why optimal_control's refinement stopped: "converged" or
+    # mu -> (why the control's refinement stopped: "converged" or
     # "stalled"; the residual of the control it returned, normalized as
     # kkt_residual)
     pcg_reports: dict = field(default_factory=dict, repr=False)
@@ -189,7 +196,7 @@ class ControlSolution:
     kkt: float
     final_miss: float
     phi0: float
-    # why optimal_control's refinement stopped at mu_eps, "converged" or
+    # why the control's refinement stopped at mu_eps, "converged" or
     # "stalled" (see HomogenizedData.pcg_reports); "not run" for the dense
     # oracle
     pcg_stop: str = "not run"
@@ -447,44 +454,68 @@ def _stationarity_residual(hd, mu, u):
     return mu * hd.st_ystar_hom.values + hd.psi.values - (psi_u + mu * s2t_u)
 
 
-def optimal_control(hd, op, mu):
-    """u_opt = (mu S_2T + Psi)^{-1} (mu S_T ystar_hom + psi), for every mu >= 0.
+def _refine(hd, mu, r, u):
+    """Iterative refinement of u on the stationarity system at mu, with the
+    fit r of a resolvent as its approximate inverse.
 
-    Iterative refinement solves the stationarity system on the realized
-    operators (the same fitted Psi and semigroup actions the KKT residual
-    measures), with the resolvent fit r_mu as its approximate inverse: the
-    first iterate is r_mu(A) rhs, each step adds r_mu(A) res, and every
-    residual is the true one of its iterate.  Large multipliers amplify any
-    fit discrepancy by mu, and the refinement removes it at the cost of a
-    few reused-factorization applies.  It stops "converged" once ||res||_M
-    <= 1e-10 max(1, ||psi||_M), and "stalled" when a step fails to cut the
-    residual tenfold, keeping the better of the last two iterates.  At a mu
-    where phi has run, zero included, the control costs no fit and no
-    factorization once a root find has fitted S_2T, which the residual
-    applies at mu = 0 too.  The stop reason and the residual of the
-    returned iterate, normalized as kkt_residual, go to hd.pcg_reports[mu].
+    The system is the realized one (the same fitted Psi and semigroup
+    actions the KKT residual measures): each step adds r(A) res, and every
+    residual is the true one of its iterate.  It stops "converged" once
+    ||res||_M <= 1e-10 max(1, ||psi||_M), and "stalled" when a step fails to
+    cut the residual by _CUT, keeping the better of the last two iterates.
+    The stop reason and the residual of the returned iterate, normalized as
+    kkt_residual, go to hd.pcg_reports[mu].
     """
-    _check_op(hd, op)
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    mu = float(mu)
-    r_mu = _resolvent(hd, mu)
+    op = hd.op
     scale = max(1.0, norm_m(op, hd.psi))
     target = 1e-10 * scale
-    u = apply_rational(op, r_mu, op.function(mu * hd.st_ystar_hom.values + hd.psi.values))
     res = _stationarity_residual(hd, mu, u)
     rn = norm_m(op, res)
     while not rn <= target:
-        u_new = op.function(u.values + apply_rational(op, r_mu, op.function(res)).values)
+        u_new = op.function(u.values + apply_rational(op, r, op.function(res)).values)
         res_new = _stationarity_residual(hd, mu, u_new)
         rn_new = norm_m(op, res_new)
-        cut = rn_new <= 0.1 * rn     # False on NaN too
+        cut = rn_new <= _CUT * rn     # False on NaN too
         if rn_new < rn:
             u, res, rn = u_new, res_new, rn_new
         if not cut:
             break
     hd.pcg_reports[mu] = ("converged" if rn <= target else "stalled", rn / scale)
     return u
+
+
+def optimal_control(hd, op, mu):
+    """u_opt = (mu S_2T + Psi)^{-1} (mu S_T ystar_hom + psi), for every mu >= 0.
+
+    The first iterate is r_mu(A) rhs with the resolvent fit r_mu, which
+    _refine then takes as its approximate inverse.  Large multipliers
+    amplify any fit discrepancy by mu, and the refinement removes it at the
+    cost of a few reused-factorization applies.  At a mu where phi has run,
+    zero included, the control costs no fit and no factorization once a
+    root find has fitted S_2T, which the residual applies at mu = 0 too.
+    """
+    _check_op(hd, op)
+    if mu < 0:
+        raise ValueError("mu must be >= 0")
+    mu = float(mu)
+    r_mu = _resolvent(hd, mu)
+    u = apply_rational(op, r_mu, op.function(mu * hd.st_ystar_hom.values + hd.psi.values))
+    return _refine(hd, mu, r_mu, u)
+
+
+def _continued_control(hd, root, m, u):
+    """The control at m, refined from u, the control at a nearby multiplier.
+
+    While |m - root| <= _CUT root, the refinement runs on the root's
+    resolvent r_root, which the certified root has fitted and factored:
+    ||I - r_root(A)(m S_2T + Psi)|| = max |(root - m) e^{2T lam} /
+    (root e^{2T lam} + Psi(lam))| <= |1 - m / root| <= _CUT, the cut each
+    step asks for.  Farther away, it is optimal_control at m, with a fit of
+    its own.
+    """
+    if abs(m - root) <= _CUT * root:
+        return _refine(hd, m, _resolvent(hd, root), u)
+    return optimal_control(hd, hd.op, m)
 
 
 def trajectory(spec, op, u, times):
@@ -525,21 +556,28 @@ def solve_problem(spec, op, hd=None):
     secant root find on the realized final miss ||y(T) - ystar||_M so the
     constraint holds to 1e-7 * Phi(0) even where mu amplifies the route
     difference.  The polish starts from the Phi-route mu with the slope of
-    the Ritz surrogate there.
+    the Ritz surrogate there.  Its first control is optimal_control at that
+    root; every later one continues from the previous control on the root's
+    resolvent (_continued_control), so a polish close to the root costs no
+    fit and no factorization.
     """
     if hd is None:
         hd = homogenize(spec, op)
     phi_count = len(hd._phi_values)
-    mu = solve_mu(hd, op, spec.eps)
+    root = solve_mu(hd, op, spec.eps)
     phi0 = phi(hd, op, 0.0)
-    seen = {}
+    seen = {}   # m -> (miss, u, y), in the order the polish visits m
 
     def miss_at(m):
-        u_m = optimal_control(hd, op, m)
+        if seen:
+            u_m = _continued_control(hd, root, m, list(seen.values())[-1][1])
+        else:
+            u_m = optimal_control(hd, op, m)
         y_m = trajectory(spec, op, u_m, [spec.T])[0]
         seen[m] = (norm_m(op, y_m.values - spec.ystar.values), u_m, y_m)
         return seen[m][0]
 
+    mu = root
     if mu > 0.0:
         mu = _root(miss_at, spec.eps, 1e-7 * phi0, mu,
                    slope=_phi_surrogate(hd, op)(mu)[1], xtol=math.inf)

@@ -272,8 +272,8 @@ def solve_shifted(op, z, v):
         # cached SuperLU object keeps memory sized by its supernodal panel.
         # Measured as peak-RSS growth per cached factor, SuperLU's default
         # panel of 10 costs 157 KB for the 1D n = 61 operator (whose L+U
-        # takes 4 KB) and 2.3 MB at 2D h = 1/30; a panel of 1 costs 25 KB
-        # and 1.3 MB, with the same fill and a faster factorization.  The
+        # takes 4 KB) and 1.5 MB at 2D h = 1/30; a panel of 1 costs 25 KB
+        # and 1.2 MB, with the same fill and a faster factorization.  The
         # rows and columns are already in the operator's fill-reducing order
         solver = spla.splu(mat, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                            panel_size=1, options=dict(SymmetricMode=True))

@@ -6,6 +6,7 @@ work on shared fixtures.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,22 +300,58 @@ def test_2d_tight_solve_reports_pcg_miss(twod, monkeypatch):
     assert sol.pcg_stop == "stalled"
     assert 1e-10 < sol.kkt <= 1e-6
     assert sol.kkt == ctl.kkt_residual(hd, op, sol.u_opt, sol.mu_eps)
-    # each control of that solve takes at most four residuals, the seed's
-    # and three steps' (PCG applied the stationarity operator five times)
-    counts = []
-    residual, control = ctl._stationarity_residual, ctl.optimal_control
+    # each refinement run of that solve takes at most four residuals, the
+    # first iterate's and three steps' (PCG applied the stationarity
+    # operator five times); the polish's second control, continued from the
+    # first on the root's resolvent, takes at most three
+    runs, inside = [], []     # [continued, residuals] per refinement run
+    residual, refine, control = ctl._stationarity_residual, ctl._refine, ctl.optimal_control
 
     def counted_residual(*args):
-        counts[-1] += 1
+        runs[-1][1] += 1
         return residual(*args)
 
-    def counted_control(*args):
-        counts.append(0)
-        return control(*args)
+    def counted_refine(*args):
+        runs.append([not inside, 0])
+        return refine(*args)
+
+    def marked_control(*args):
+        inside.append(True)
+        try:
+            return control(*args)
+        finally:
+            inside.pop()
     monkeypatch.setattr(ctl, "_stationarity_residual", counted_residual)
-    monkeypatch.setattr(ctl, "optimal_control", counted_control)
+    monkeypatch.setattr(ctl, "_refine", counted_refine)
+    monkeypatch.setattr(ctl, "optimal_control", marked_control)
     assert ctl.solve_problem(spec, op, hd=hd).mu_eps == sol.mu_eps
-    assert counts and max(counts) <= 4
+    assert runs and max(count for _, count in runs) <= 4
+    continued = [count for is_continued, count in runs if is_continued]
+    assert continued and max(continued) <= 3
+
+
+@pytest.mark.parametrize("case,frac", [
+    ("iso", 0.2), ("iso", 0.5), ("iso", 0.9),
+    ("disc", 0.2), ("disc", 0.5), ("disc", 0.9),
+    pytest.param("twod", 0.1, marks=pytest.mark.xfail(strict=True, reason=(
+        "the realized route: the polish solves the stationarity system on the"
+        " fitted S_2T, whose constant term moves the 2D eps = 0.1 mu 8.5e-4 off"
+        " the root of Phi; the identity misses by 8.6e-4"))),
+    ("twod", 0.5), ("twod", 0.9),
+])
+def test_envelope_identity(request, case, frac):
+    # mu multiplies the constraint 1/2 ||S_T u + p(T) - y*||^2 <= 1/2 eps^2,
+    # so the optimal cost has dJ*/deps = -mu eps (Lagrange-multiplier
+    # sensitivity); central differences of the returned cost, with step
+    # 1e-4 eps, check the solution without an oracle
+    data = request.getfixturevalue(case)
+    op, hd = data["op"], data["hd"]
+    spec, sol = data["sols"][frac]
+    step = 1e-4 * spec.eps
+    up, down = (ctl.solve_problem(replace(spec, eps=spec.eps + s), op, hd=hd).cost
+                for s in (step, -step))
+    lagrange = sol.mu_eps * spec.eps
+    assert abs((up - down) / (2 * step) + lagrange) <= 1e-6 * lagrange
 
 
 def test_2d_relaxed_constraint_tracks_trajectory_target(twod):

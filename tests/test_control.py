@@ -583,6 +583,43 @@ def test_control_at_a_phi_mu_adds_no_fit_and_no_factorization(dim):
     assert len(op._solvers) == factors
 
 
+def test_tight_2d_polish_adds_no_fit_and_no_factorization():
+    # at eps = 0.1 Phi(0) the realized-miss polish takes a second multiplier,
+    # 8.5e-4 (relative) from the certified root; its control continues from
+    # the first on the root's resolvent, which solve_mu fitted and factored
+    # (a fit at that multiplier would add 10 factors)
+    cfg, op, hd, phi0 = _example2d(1 / 30)
+    spec = cli.build_problem_2d(cfg, op, 0.1 * phi0)
+    root = ctl.solve_mu(hd, op, spec.eps)
+    fits, factors = set(rat._fit_memo), len(op._solvers)
+    sol = ctl.solve_problem(spec, op, hd=hd)
+    assert 0 < abs(sol.mu_eps / root - 1) <= 1e-3
+    assert not set(rat._fit_memo) - fits
+    assert len(op._solvers) == factors
+
+
+def test_continued_control_refits_only_far_from_the_root():
+    # within _CUT of the certified root, the control refined from a nearby
+    # one on the root's resolvent meets the stationarity target 1e-10
+    # without a fit, and then lies within 1e-10 / alpha of optimal_control's
+    # (Psi >= alpha; measured 1.0e-8 relative); at twice the root it is
+    # optimal_control's own, with a fit
+    cfg, op, hd, phi0 = _example1d(62)
+    root = ctl.solve_mu(hd, op, 0.5 * phi0)
+    u_root = ctl.optimal_control(hd, op, root)
+    m = 1.05 * root
+    fits = set(rat._fit_memo)
+    u = ctl._continued_control(hd, root, m, u_root)
+    assert not set(rat._fit_memo) - fits
+    assert hd.pcg_reports[m][0] == "converged"
+    assert ctl.kkt_residual(hd, op, u, m) <= 1e-10
+    exact = ctl.optimal_control(hd, op, m)
+    assert ops.norm_m(op, u.values - exact.values) <= 1e-10 / cfg.alpha
+    fits = set(rat._fit_memo)
+    ctl._continued_control(hd, root, 2 * root, u_root)
+    assert set(rat._fit_memo) - fits
+
+
 def _source_cases(op):
     # f = 50 sin x, the source of the roadmap's stationarity measurement:
     # on all of [0, T]; on three segments with different amplitudes; and on
