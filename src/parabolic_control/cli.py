@@ -91,10 +91,19 @@ def _write_meta(out, cfg, timings, extra=()):
 
 
 def _phi_curve_rows(hd, op, cfg):
+    """(mu, Phi(mu), monotone_ok) at the configured log-spaced mu, and Phi(0).
+
+    Every curve value comes from the Ritz surrogate on the problem's rational
+    Krylov space (control._phi_surrogate), the one the root find and the
+    polish's slope read: it costs no fit and no factorization beyond Phi(0)
+    and the space, where one exact Phi per value took a resolvent fit and
+    its factors.  Phi(0) is the exact value.
+    """
     mus = np.logspace(np.log10(cfg.mu_min), np.log10(cfg.mu_max),
                       cfg.phi_curve_points)
     phi0 = ctl.phi(hd, op, 0.0)
-    vals = [ctl.phi(hd, op, m) for m in mus]
+    surrogate = ctl._phi_surrogate(hd, op)
+    vals = [surrogate(m)[0] for m in mus]
     rows, prev = [], None
     for m, v in zip(mus, vals):
         ok = 1 if (prev is None or v <= prev + 1e-9 * phi0) else 0

@@ -11,10 +11,11 @@ mesh.
 Bounds, from single runs on a 2-core x86-64 Linux machine with numpy 2.4
 and scipy 1.17, with about 30 % margin for other platforms and scipy
 releases:
-- `phi-curve`: 425 MB measured (720 MB with SuperLU's default panel size);
-  bound 560 MB.
-- the three 2D solves at h = 1/60: 646 MB measured (768 MB with the
-  default panel size); bound 850 MB.
+- `phi-curve`: 70 MB measured (74 MB with SuperLU's default panel size);
+  bound 91 MB.  It reads all 350 values from the Phi surrogate's space, so
+  it holds the factors of Phi(0) and that space only.
+- the three 2D solves at h = 1/60: 570 MB measured (666 MB with the
+  default panel size); bound 740 MB.
 
 The fit path's transients do not grow with the mesh, but they set the peak
 of runs on small meshes: sampling a source-response integral on a fit grid,
@@ -33,8 +34,8 @@ from conftest import PEAK_RSS_SOURCE, T_1D
 from parabolic_control import rational as rat
 from parabolic_control import symbols as sym
 
-PHI_CURVE_MAX_MB = 560
-SOLVES_2D_H60_MAX_MB = 850
+PHI_CURVE_MAX_MB = 91
+SOLVES_2D_H60_MAX_MB = 740
 
 # The published phi-curve verb, writing to the directory argv[1].
 _PHI_CURVE_CHILD = PEAK_RSS_SOURCE + """
@@ -73,8 +74,8 @@ def test_phi_curve_peak_rss(tmp_path):
 
 
 def test_2d_solves_at_h60_peak_rss_and_factor_count():
-    # the factor count does not grow with the mesh: measured 77 at h = 1/60
-    # against 76 at h = 1/30
+    # the factor count does not grow with the mesh: measured 66 at h = 1/60
+    # against 67 at h = 1/30
     coarse = run_child(_SOLVES_2D_CHILD, 30)
     fine = run_child(_SOLVES_2D_CHILD, 60)
     assert fine["n"] == 10561

@@ -170,6 +170,31 @@ def test_oracle_phi_2d(example2d):
     assert _phi_oracle_error(op, hd, ds) <= 1e-10
 
 
+def _surrogate_oracle_error(op, hd, ds):
+    """max |Phi_s(mu) - oracle Phi(mu)| / Phi(0) for the Ritz surrogate on the
+    problem's base space, over mu = 0 and 60 log-spaced points on [1e-7,
+    1e12]: the values the Phi curve, the root find and the polish read."""
+    want = orc.oracle_phi(hd.spec, ds)
+    surrogate = ctl._phi_surrogate(hd, op)
+    mus = np.concatenate([[0.0], np.logspace(-7, 12, 60)])
+    return max(abs(surrogate(mu)[0] - want(mu)) for mu in mus) / want(0.0)
+
+
+def test_phi_surrogate_matches_oracle_1d(example1d):
+    # two Arnoldi passes over the S_T, S_2T, Psi and r_0 poles: measured
+    # 4.9e-13 on n_el = 62, where the space fills, and 3.0e-13 on n_el =
+    # 1000, where one pass was 6.9e-5 off
+    _, op, hd, ds = example1d
+    assert _surrogate_oracle_error(op, hd, ds) <= 1e-11
+
+
+def test_phi_surrogate_matches_oracle_2d(example2d):
+    # within solve_mu's tolerance 1e-8 Phi(0): measured 1.3e-9, where one
+    # pass was 4.6e-5 off
+    _, op, hd, _, ds = example2d
+    assert _surrogate_oracle_error(op, hd, ds) <= 1e-8
+
+
 def test_oracle_solve_mu_on_a_fine_1d_mesh(example1d):
     cfg, op, hd, ds = example1d
     eps = 0.1 * ctl.phi(hd, op, 0.0)
