@@ -97,7 +97,9 @@ def _phi_curve_rows(hd, op, cfg):
     Krylov space (control._phi_surrogate), the one the root find and the
     polish's slope read: it costs no fit and no factorization beyond Phi(0)
     and the space, where one exact Phi per value took a resolvent fit and
-    its factors.  Phi(0) is the exact value.
+    its factors.  Phi(0) is the exact value.  The surrogate is monotone by
+    construction, so monotone_ok is 1 on every row; the column stays for
+    the published CSV layout.
     """
     mus = np.logspace(np.log10(cfg.mu_min), np.log10(cfg.mu_max),
                       cfg.phi_curve_points)

@@ -22,12 +22,12 @@ solves, every fit requested through rational.fit_required at fit_tol.  The
 root is found on a Ritz surrogate of Phi, a rational Gauss quadrature on a
 rational Krylov space built once per problem by two Arnoldi passes over the
 factors the solve holds anyway (the semigroup, Psi and r_0 poles), where a
-value costs microseconds; the Phi curve is read from the same space.  The
-exact Phi only certifies that root; where it misses, the poles of the
-resolvent fitted there join the space.  The control at a certified mu
-reuses that resolvent's fit and factors, and so does every control of the
-realized-miss polish within 10 % of that mu: it continues from the previous
-control with the certified root's resolvent as its approximate inverse.
+value costs microseconds; the Phi curve is read from the same space.  One
+exact Phi value certifies that root; where it misses, the root find runs
+on the exact Phi.  The control at a certified mu reuses that resolvent's
+fit and factors, and so does every control of the realized-miss polish
+within 10 % of that mu: it continues from the previous control with the
+certified root's resolvent as its approximate inverse.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .rational import (  # noqa: F401
 
 MU_BRACKET_CAP = 1e30
 _ROOT_EVALS = 100
-_POLE_ROUNDS = 3    # resolvent fits whose poles one solve_mu may add to the surrogate
 # the residual cut each refinement step must make, and the relative distance
 # from the certified root within which a polish control continues on the
 # root's resolvent, whose refinement contracts by that distance
@@ -176,9 +175,8 @@ class HomogenizedData:
 
     @cached_property
     def surrogate_base(self):
-        """The base space of the Phi surrogate (see _phi_surrogate): its
-        rational Arnoldi basis Q in sqrt(M) coordinates, g projected on it,
-        and its Ritz data (theta, c^2, Psi(theta)).
+        """The Ritz data (theta, c^2, Psi(theta)) of the Phi surrogate (see
+        _phi_surrogate) on its rational Krylov space of g.
 
         The Arnoldi runs twice over the poles of the S_T, S_2T, Psi and r_0
         fits, all factored once Phi(0) is known, so the second pass costs
@@ -193,8 +191,7 @@ class HomogenizedData:
         fits = (semigroup_fit(T, tol), semigroup_fit(2 * T, tol), _psi_fit(self),
                 _resolvent(self, 0.0))
         poles = [p for r in fits for p in r.poles]
-        Q = _rational_arnoldi(op, (g / np.linalg.norm(g))[:, None], poles * 2)
-        return Q, Q.T @ g, _ritz(self, Q, Q.T @ g)
+        return _ritz(self, _rational_arnoldi(op, g, poles * 2), g)
 
 
 @dataclass
@@ -354,11 +351,11 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
     raise RuntimeError(f"root find did not converge in {_ROOT_EVALS} evaluations")
 
 
-def _rational_arnoldi(op, Q, poles):
+def _rational_arnoldi(op, g, poles):
     """Q, whose columns are orthonormal in the coordinates sqrt(M) v where A
-    is symmetric, extended by one shifted solve per pole, each continuing
-    from the last basis vector, with two Gram-Schmidt passes that drop
-    numerically dependent directions.
+    is symmetric: g / ||g|| (g in those coordinates), then one shifted solve
+    per pole, each continuing from the last basis vector, with two
+    Gram-Schmidt passes that drop numerically dependent directions.
 
     A pole may come again: its solve then continues from a later vector and
     adds new directions on the factor the first one made.  Extension stops
@@ -367,10 +364,9 @@ def _rational_arnoldi(op, Q, poles):
     columns.
     """
     sqrt_m = np.sqrt(op.M)
-    k = Q.shape[1]
-    basis = np.empty((op.n, min(op.n, k + 2 * len(poles))), order="F")
-    basis[:, :k] = Q
-    Q = basis
+    k = 1
+    Q = np.empty((op.n, min(op.n, 1 + 2 * len(poles))), order="F")
+    Q[:, 0] = g / np.linalg.norm(g)
 
     def extend(q):
         nonlocal k
@@ -390,17 +386,16 @@ def _rational_arnoldi(op, Q, poles):
     return Q[:, :k]
 
 
-def _ritz(hd, Q, gq):
-    """(theta, c^2, Psi(theta)) of A on the space of Q (sqrt(M) coordinates),
-    with c the coordinates of g, projected on Q's leading columns as gq, in
-    the Ritz vectors."""
+def _ritz(hd, Q, g):
+    """(theta, c^2, Psi(theta)) of A on the space of Q, with c the
+    coordinates of g, which Q spans, in the Ritz vectors (both in sqrt(M)
+    coordinates)."""
     V = Q / np.sqrt(hd.op.M)[:, None]     # M-orthonormal
     theta, W = np.linalg.eigh(-(V.T @ (hd.op.K @ V)))
-    # g lies in the base space, so the added directions carry none of it
-    return theta, (W[:len(gq)].T @ gq) ** 2, np.asarray(hd.big_psi_symbol(theta))
+    return theta, (W.T @ (Q.T @ g)) ** 2, np.asarray(hd.big_psi_symbol(theta))
 
 
-def _phi_surrogate(hd, op, poles=()):
+def _phi_surrogate(hd, op):
     """Phi_s, the Ritz surrogate of Phi, as mu -> (Phi_s(mu), d log Phi_s / d log mu).
 
     The residual of phi is r = r_mu(A) g with g = Psi ystar_hom - S_T psi,
@@ -412,18 +407,16 @@ def _phi_surrogate(hd, op, poles=()):
         Phi_s(mu)^2 = sum_i c_i^2 / (mu e^{2T theta_i} + Psi(theta_i))^2
 
     over the Ritz pairs (theta_i, w_i) of A on the space, c_i = <w_i, g>_M.
-    Every term decreases in mu, so Phi_s is monotone.  The base space,
+    Every term decreases in mu, so Phi_s is monotone.  The space,
     hd.surrogate_base, has two passes over the poles of the S_T, S_2T, Psi
     and r_0 fits, which solve_problem factors anyway.  On the published
     problems it is within 1.3e-9 Phi(0) of the dense oracle's Phi at mu = 0
     and over [1e-7, 1e12], so the root find, the polish's slope and the Phi
-    curve all read it, and phi only certifies.  poles, one per conjugate
-    pair, continue its Arnoldi into a larger space for this call only, so
-    Phi_s depends on the problem data and poles, never on earlier calls.
+    curve all read it, and phi only certifies.  Phi_s depends on the problem
+    data only, never on earlier calls.
     """
-    Q, gq, (theta, c2, psi_theta) = hd.surrogate_base
-    if poles:
-        theta, c2, psi_theta = _ritz(hd, _rational_arnoldi(op, Q, poles), gq)
+    _check_op(hd, op)
+    theta, c2, psi_theta = hd.surrogate_base
     e2 = np.exp(2 * hd.spec.T * theta)
 
     def value_and_slope(mu):
@@ -440,16 +433,11 @@ def solve_mu(hd, op, eps):
     The root is found on the Ritz surrogate Phi_s (see _phi_surrogate), whose
     values cost microseconds, and certified by one exact Phi value there: it
     is returned once |Phi(mu) - eps| <= 1e-8 Phi(0), the tolerance the root
-    find on Phi_s stops on.  On the two-pass base space that one value
-    passes on every published solve.  A space that still misses is the
-    fallback's case: the poles of the resolvent that phi has just fitted and
-    factored at that mu join the surrogate's space, at the cost of shifted
-    solves but of no fit and no factorization, and the root is taken again,
-    at most _POLE_ROUNDS times (Güttel, GAMM-Mitt. 36, 2013, on choosing
-    poles adaptively).  Where Phi_s has no root within
-    MU_BRACKET_CAP, or the rounds run out, the root find runs on the exact
-    Phi from mu = 1, so that only exact values decide whether a root exists.
-    The result depends on the problem data only, never on earlier calls.
+    find on Phi_s stops on.  On the two-pass space that one value passes on
+    every published solve.  Where it misses, or Phi_s has no root within
+    MU_BRACKET_CAP, the root find runs on the exact Phi from mu = 1, so that
+    only exact values decide whether a root exists.  The result depends on
+    the problem data only, never on earlier calls.
     """
     _check_op(hd, op)
     if eps <= 0:
@@ -458,16 +446,14 @@ def solve_mu(hd, op, eps):
     if eps >= phi0:
         return 0.0
     tol = 1e-8 * phi0
-    poles = []
-    for _ in range(1 + _POLE_ROUNDS):
-        surrogate = _phi_surrogate(hd, op, poles)
-        try:
-            mu = _root(lambda m: surrogate(m)[0], eps, tol, 1.0)
-        except RuntimeError:
-            break
+    surrogate = _phi_surrogate(hd, op)
+    try:
+        mu = _root(lambda m: surrogate(m)[0], eps, tol, 1.0)
+    except RuntimeError:
+        pass
+    else:
         if abs(phi(hd, op, mu) - eps) <= tol:
             return mu
-        poles += _resolvent(hd, mu).poles
     return _root(lambda m: phi(hd, op, m), eps, tol, 1.0)
 
 

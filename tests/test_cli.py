@@ -201,10 +201,15 @@ def test_fit_tol_override_stays_in_its_run(tmp_path, monkeypatch):
 
 
 def test_phi_curve_continuity_and_decay(hd62, op62, phi0_62):
-    # first default sample within 1e-4 of Phi(0); last below 1e-3 Phi(0)
+    # the curve the verb writes: its first default sample within 1e-4 of
+    # Phi(0), its last below 1e-3 Phi(0), both within 1e-8 Phi(0) of phi
     cfg = load_config("phi-curve")
-    first = ctl.phi(hd62, op62, cfg.mu_min)
-    last = ctl.phi(hd62, op62, cfg.mu_max)
+    rows, phi0 = cli._phi_curve_rows(hd62, op62, cfg)
+    (mu_first, first, _), (mu_last, last, _) = rows[0], rows[-1]
+    assert phi0 == phi0_62
+    assert (mu_first, mu_last) == pytest.approx((cfg.mu_min, cfg.mu_max), rel=1e-12)
+    assert abs(first - ctl.phi(hd62, op62, cfg.mu_min)) <= 1e-8 * phi0_62
+    assert abs(last - ctl.phi(hd62, op62, cfg.mu_max)) <= 1e-8 * phi0_62
     assert abs(first - phi0_62) <= 1e-4 * phi0_62
     assert last <= 1e-3 * phi0_62
 

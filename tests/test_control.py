@@ -354,6 +354,28 @@ def test_published_solves_take_one_exact_phi_value(experiment, variant):
     assert evals == [1] * len(cfg.eps_fractions)
 
 
+@pytest.mark.parametrize("experiment, size", [
+    ("example1d", 250), ("example1d", 1000), ("example1d", 4000), ("example2d", 1 / 15)],
+    ids=["1d-n_el250", "1d-n_el1000", "1d-n_el4000", "2d-h15"])
+def test_solve_mu_certifies_with_one_exact_phi_value_across_meshes(experiment, size):
+    # the certificate is solve_mu's one route to a root short of the exact
+    # fallback: on finer and coarser meshes than the published ones, each
+    # surrogate root passes it, so one exact Phi value follows Phi(0)
+    if experiment == "example1d":
+        cfg = load_config(experiment, n_el=size)
+        op, build = cli.build_operator_1d(cfg), cli.build_problem_1d
+    else:
+        cfg = load_config(experiment, h=size)
+        op, build = cli.build_operator_2d(cfg), cli.build_problem_2d
+    hd = ctl.homogenize(build(cfg, op, 1.0), op)
+    phi0 = ctl.phi(hd, op, 0.0)
+    for frac in (0.1, 0.5, 0.9):
+        n = len(hd._phi_values)
+        mu = ctl.solve_mu(hd, op, frac * phi0)
+        assert len(hd._phi_values) - n == 1, frac
+        assert abs(hd._phi_values[mu] - frac * phi0) <= 1e-8 * phi0, frac
+
+
 def test_failed_polish_names_the_certified_root_and_the_realized_miss():
     # at 2D eps = 0.03 Phi(0) solve_mu certifies mu = 6.8e12, where the
     # control's refinement stalls and the realized miss is 4.3e4 eps; the
@@ -416,31 +438,30 @@ def test_solve_mu_without_surrogate_root_starts_from_one(op62, monkeypatch):
     with pytest.raises(RuntimeError, match="no root"):
         ctl._root(lambda m: rootless(m)[0], eps, 1e-8 * phi0, 1.0)
     want = _exact_root_from_one(spec, op62, eps, 1e-8 * phi0)
-    monkeypatch.setattr(ctl, "_phi_surrogate", lambda hd, op, poles=(): rootless)
+    monkeypatch.setattr(ctl, "_phi_surrogate", lambda hd, op: rootless)
     mu = ctl.solve_mu(hd, op62, eps)
     assert list(hd._phi_values)[1] == 1.0
     assert mu == want
 
 
-def test_solve_mu_falls_back_when_the_rounds_run_out(op62, monkeypatch):
-    # a surrogate whose root stays at mu = 100, far from Phi's, fails its
-    # certificate in every round although each round adds poles; after
-    # _POLE_ROUNDS additions the exact root find runs from mu = 1
+def test_solve_mu_falls_back_when_the_certificate_misses(op62, monkeypatch):
+    # a surrogate whose root sits at mu = 100, far from Phi's, fails its one
+    # certificate; the exact root find then runs from mu = 1
     spec = make_spec_51(op62, 1.0)
     hd = ctl.homogenize(spec, op62)
     phi0 = ctl.phi(hd, op62, 0.0)
     eps = 0.5 * phi0
-    added = []
+    calls = []
 
-    def wrong(hd, op, poles=()):
-        added.append(len(poles))
+    def wrong(hd, op):
+        calls.append(op)
         return lambda mu: (2.0 * eps / (1.0 + mu / 100.0), None)
 
     want = _exact_root_from_one(spec, op62, eps, 1e-8 * phi0)
     monkeypatch.setattr(ctl, "_phi_surrogate", wrong)
     mu = ctl.solve_mu(hd, op62, eps)
-    assert len(added) == 1 + ctl._POLE_ROUNDS and added == sorted(set(added))
-    assert list(hd._phi_values)[1:3] == [pytest.approx(100.0, rel=1e-9), 1.0]
+    assert calls == [op62]
+    assert list(hd._phi_values)[:3] == [0.0, pytest.approx(100.0, rel=1e-9), 1.0]
     assert mu == want
 
 
