@@ -4,10 +4,12 @@ Computes near-best type (n, n) rational approximations of exp(x) on
 (-inf, 0] by the Caratheodory-Fejer method applied to the Moebius
 transplant exp(9(s-1)/(s+1)) on [-1, 1]: high-precision Chebyshev
 coefficients, Hankel SVD, poles from the disc roots of the singular
-vector, residues by Lawson-reweighted least squares on the reference
-sampling grid.  One-time offline step; needs mpmath.
+vector, residues by Lawson-reweighted least squares on the package's
+training grid rational._TRAIN.  One-time offline step; needs mpmath.
 
-Usage: python scripts/gen_exp_table.py > src/parabolic_control/_exp_table.py
+Usage, through a new file, since the package it imports reads the table:
+    PYTHONPATH=src python scripts/gen_exp_table.py > new.py &&
+    mv new.py src/parabolic_control/_exp_table.py
 """
 
 import sys
@@ -15,25 +17,12 @@ import sys
 import numpy as np
 from mpmath import mp, cos, exp, mpf, pi, matrix, svd_r
 
+from parabolic_control.rational import _TRAIN, moebius
+
 ORDERS = (4, 6, 8, 10, 12, 14)
 K_COEFF = 140
 N_QUAD = 560
 DPS = 45
-
-
-def moebius(z):
-    return 9.0 * (z - 1.0) / (z + 1.0)
-
-
-def moebius_inv(lam):
-    return -(lam + 9.0) / (lam - 9.0)
-
-
-def sample_grid(n_cheb=2000, n_log=200):
-    j = np.arange(n_cheb)
-    z = np.cos((2 * j + 1) * np.pi / (2 * n_cheb))
-    lam = np.concatenate([moebius(z), -np.logspace(-6, 6, n_log), [0.0]])
-    return np.unique(lam)
 
 
 def cheb_coeffs():
@@ -125,7 +114,6 @@ def residues_lsq(poles, grid):
 
 
 def main():
-    grid = sample_grid()
     coeffs = cheb_coeffs()
     vectors = hankel_vectors(coeffs)
     print('"""Near-best partial-fraction approximations of exp(x) on (-inf, 0].')
@@ -137,7 +125,7 @@ def main():
     for n in ORDERS:
         sigma, v = vectors[n]
         poles = poles_from_vector(v)
-        r0, pl, rl, err = residues_lsq(poles, grid)
+        r0, pl, rl, err = residues_lsq(poles, _TRAIN)
         print(f"    # n={n}: sigma_n={sigma:.3e}, sup error on grid {err:.3e}")
         print(f"    {n}: ({float(r0)!r}, [")
         for p, r in zip(pl, rl):

@@ -63,8 +63,7 @@ def _problem(cfg, op, w, ystar, eps):
         segments.append((hi, T, 0.0))
         w_segments.append(w)
     return ctl.ProblemSpec(T=T, alpha=cfg.alpha, beta_segments=tuple(segments),
-                           w_segments=tuple(w_segments), ystar=ystar, eps=eps,
-                           fit_tol=cfg.fit_tol)
+                           w_segments=tuple(w_segments), ystar=ystar, eps=eps)
 
 
 def _write_csv(path, header, rows):
@@ -177,8 +176,8 @@ def cmd_example2d(cfg, out):
         sol = ctl.solve_problem(spec, op, hd=hd)
         timings.append((f"solve_eps{i}", time.perf_counter() - t0))
         evals.append(f"phi_evals_eps{i} = {sol.phi_evals}")
-        snaps = ctl.trajectory(spec, op, sol.u_opt, [0.0, spec.T / 2, spec.T])
-        for j, snap in enumerate(snaps):
+        y_half = ctl.trajectory(spec, op, sol.u_opt, [spec.T / 2])[0]
+        for j, snap in enumerate((sol.u_opt, y_half, sol.y_opt)):
             _write_csv(out / f"snapshot_eps{i}_t{j}.csv", ["x", "y", "value"],
                        ((p[0], p[1], v) for p, v in zip(op.coords, snap.values)))
         summary.append((frac, eps, sol.mu_eps, sol.cost, sol.kkt,
@@ -188,8 +187,7 @@ def cmd_example2d(cfg, out):
                 "final_miss", "feasibility_gap"],
                summary)
     _write_meta(out, cfg, timings,
-                [f"phi0 = {phi0!r}", f"n = {op.n}",
-                 "reference_phi0_seconds = 0.9828", *evals])
+                [f"phi0 = {phi0!r}", f"n = {op.n}", *evals])
 
 
 def cmd_phi_curve(cfg, out):
@@ -303,7 +301,7 @@ def cmd_sensitivity(cfg, out):
 
 def cmd_oracle_check(cfg, out):
     timings = []
-    op = ops.assemble_1d(cfg.n_el_oracle)
+    op = ops.assemble_1d(cfg.n_el)
     hd = ctl.homogenize(build_problem_1d(cfg, op, 1.0), op)
     phi0 = ctl.phi(hd, op, 0.0)
     eps = 0.5 * phi0

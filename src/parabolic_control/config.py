@@ -14,7 +14,8 @@ none (a misspelled "[example1D]") is an error:
 
 Keys and types (defaults in parentheses):
     variant           str    1D case: isotropic | discontinuous (isotropic)
-    n_el              int    1D element count (62, i.e. h ~ 1/20 on [0, pi])
+    n_el              int    1D element count (62, i.e. h ~ 1/20 on [0, pi];
+                             65, i.e. n = 64, in oracle-check)
     h                 float  2D grid spacing (1/30)
     T                 float  horizon (0.01 in 1D, 0.05 in 2D)
     alpha             float  control weight (1e-4)
@@ -27,9 +28,7 @@ Keys and types (defaults in parentheses):
     phi_curve_points  int    number of log-spaced mu samples
     mu_min, mu_max    float  Phi-curve sampling range (1e-7, 1e12)
     nu_list           floats sensitivity magnitudes in [0, 1) (1e-2, 1e-3, 1e-4)
-    fit_tol           float  rational-fit tolerance of the solve path (1e-12)
     channels          strs   sensitivity channels (all six)
-    n_el_oracle       int    oracle-check 1D element count (65, i.e. n = 64)
     seed              int    random seed (0)
 
 Each key is parsed as the type of its default; a list takes the type of
@@ -72,9 +71,7 @@ class RunConfig:
     mu_min: float = 1e-7
     mu_max: float = 1e12
     nu_list: tuple = (1e-2, 1e-3, 1e-4)
-    fit_tol: float = 1e-12
     channels: tuple = CHANNELS
-    n_el_oracle: int = 65
     seed: int = 0
     out_dir: str = "out"
 
@@ -107,6 +104,7 @@ class RunConfig:
 _DEFAULT_OVERRIDES = {
     "example1d": {"phi_curve_points": 41},
     "example2d": {"T": 0.05, "eps_fractions": (0.1, 0.5, 0.9)},
+    "oracle-check": {"n_el": 65},
 }
 
 def load_config(experiment, path=None, **overrides):

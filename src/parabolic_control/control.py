@@ -18,16 +18,16 @@ multiplier both need one operator function, the resolvent r_mu(lam) = 1 /
 (mu e^{2T lam} + Psi(lam)): u_opt = r_mu(A)(mu S_T ystar_hom + psi) and
 Phi(mu) = ||r_mu(A) g||_M, g = Psi ystar_hom - S_T psi.  Every operator
 function is a fitted partial-fraction rational applied through shifted
-solves, every fit requested through rational.fit_required at fit_tol.  The
-root is found on a Ritz surrogate of Phi, a rational Gauss quadrature on a
-rational Krylov space built once per problem by two Arnoldi passes over the
-factors the solve holds anyway (the semigroup, Psi and r_0 poles), where a
-value costs microseconds; the Phi curve is read from the same space.  One
-exact Phi value certifies that root; where it misses, the root find runs
-on the exact Phi.  The control at a certified mu reuses that resolvent's
-fit and factors, and so does every control of the realized-miss polish
-within 10 % of that mu: it continues from the previous control with the
-certified root's resolvent as its approximate inverse.
+solves, every fit requested through rational.fit_required.  The root is
+found on a Ritz surrogate of Phi, a rational Gauss quadrature on a rational
+Krylov space built once per problem by two Arnoldi passes over the factors
+the solve holds anyway (the semigroup, Psi and r_0 poles), where a value
+costs microseconds; the Phi curve is read from the same space.  One exact
+Phi value certifies that root; where it misses, the root find runs on the
+exact Phi.  The control at a certified mu reuses that resolvent's fit and
+factors, and so does every control of the realized-miss polish within 10 %
+of that mu: it continues from the previous control with the certified
+root's resolvent as its approximate inverse.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class ProblemSpec:
     beta_segments partitions [0, T] into ((t0, t1, beta1), ...) with
     piecewise-constant weight; w_segments holds one target-trajectory
     snapshot per segment; f_segments is the piecewise-constant source
-    (empty means the homogeneous equation); fit_tol is the tolerance of
-    every operator-function fit the problem needs.
+    (empty means the homogeneous equation).  Every operator-function fit
+    the problem needs is made at rational.FIT_TOL.
     """
 
     T: float
@@ -80,7 +80,6 @@ class ProblemSpec:
     ystar: MeshFunction
     eps: float
     f_segments: tuple = ()
-    fit_tol: float = 1e-12
 
     def __post_init__(self):
         if self.T <= 0:
@@ -89,8 +88,6 @@ class ProblemSpec:
             raise ValueError("control weight alpha must be positive")
         if self.eps <= 0:
             raise ValueError("tolerance eps must be positive")
-        if self.fit_tol <= 0:
-            raise ValueError("fit tolerance fit_tol must be positive")
         if len(self.beta_segments) != len(self.w_segments):
             raise ValueError("need one w snapshot per beta segment")
         t_prev = 0.0
@@ -135,15 +132,15 @@ class HomogenizedData:
     @cached_property
     def st_ystar_hom(self):
         """S_T ystar_hom, the mu-free part of the stationarity right-hand side."""
-        return semigroup_apply(self.op, self.spec.T, self.ystar_hom, self.spec.fit_tol)
+        return semigroup_apply(self.op, self.spec.T, self.ystar_hom)
 
     @cached_property
     def g(self):
         """g = Psi ystar_hom - S_T psi through the Psi and semigroup fits:
         Phi(mu) = ||r_mu(A) g||_M."""
-        op, tol = self.op, self.spec.fit_tol
+        op = self.op
         return op.function(apply_rational(op, _psi_fit(self), self.ystar_hom).values
-                           - semigroup_apply(op, self.spec.T, self.psi, tol).values)
+                           - semigroup_apply(op, self.spec.T, self.psi).values)
 
     @cached_property
     def cost_constant(self):
@@ -168,7 +165,7 @@ class HomogenizedData:
             for lo, hi in zip(cuts, cuts[1:]):
                 half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
                 for x, wt in zip(nodes, weights):
-                    p = source_integral(op, spec.f_segments, mid + half * x, spec.fit_tol)
+                    p = source_integral(op, spec.f_segments, mid + half * x)
                     diff = w.values - p.values
                     c += 0.5 * beta * half * wt * inner_m(op, diff, diff)
         return c
@@ -186,9 +183,9 @@ class HomogenizedData:
         [1e-7, 1e12]; on a small mesh the space fills early in the second
         pass, and the surrogate is exact.
         """
-        op, T, tol = self.op, self.spec.T, self.spec.fit_tol
+        op, T = self.op, self.spec.T
         g = np.sqrt(op.M) * self.g.values
-        fits = (semigroup_fit(T, tol), semigroup_fit(2 * T, tol), _psi_fit(self),
+        fits = (semigroup_fit(T), semigroup_fit(2 * T), _psi_fit(self),
                 _resolvent(self, 0.0))
         poles = [p for r in fits for p in r.poles]
         return _ritz(self, _rational_arnoldi(op, g, poles * 2), g)
@@ -216,9 +213,8 @@ class ControlSolution:
 # homogenization
 # ---------------------------------------------------------------------------
 
-def source_integral(op, f_segments, t, tol):
-    """int_0^t S_{t-tau} f(tau) dtau for piecewise-constant-in-time f, with
-    the segment integrals fitted to tolerance tol."""
+def source_integral(op, f_segments, t):
+    """int_0^t S_{t-tau} f(tau) dtau for piecewise-constant-in-time f."""
     out = op.function(np.zeros(op.n))
     if t <= 0:
         return out
@@ -227,7 +223,7 @@ def source_integral(op, f_segments, t, tol):
             continue
         lo = t - min(b, t)
         hi = t - a
-        r, = fit_required([sym.segment_integral(lo, hi, 1)], tol, "segment-integral fit")
+        r, = fit_required([sym.segment_integral(lo, hi, 1)], "segment-integral fit")
         out = op.function(out.values + apply_rational(op, r, fvec).values)
     return out
 
@@ -246,19 +242,18 @@ def homogenize(spec, op):
     for mf in (spec.ystar, *spec.w_segments, *(f for _, _, f in spec.f_segments)):
         if len(mf.values) != op.n:
             raise DimensionError("problem data does not match operator dimension")
-    tol = spec.fit_tol
     ystar_hom = op.function(
-        spec.ystar.values - source_integral(op, spec.f_segments, spec.T, tol).values)
+        spec.ystar.values - source_integral(op, spec.f_segments, spec.T).values)
     psi_vals = np.zeros(op.n)
     big_psi = sym.const(spec.alpha)
     for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
         if beta == 0.0:
             continue
-        r, = fit_required([sym.segment_integral(a, b, 1)], tol, "segment-integral fit")
+        r, = fit_required([sym.segment_integral(a, b, 1)], "segment-integral fit")
         psi_vals = psi_vals + beta * apply_rational(op, r, w).values
         for (c, d, fvec) in spec.f_segments:
             if c < b:   # a source that starts after b has no response before it
-                r, = fit_required([sym.source_response_integral(a, b, c, d)], tol,
+                r, = fit_required([sym.source_response_integral(a, b, c, d)],
                                   "source-response fit")
                 psi_vals = psi_vals - beta * apply_rational(op, r, fvec).values
         big_psi = big_psi + sym.const(beta) * sym.segment_integral(a, b, 2)
@@ -272,15 +267,14 @@ def homogenize(spec, op):
 # ---------------------------------------------------------------------------
 
 def _psi_fit(hd):
-    return fit_required([hd.big_psi_symbol], hd.spec.fit_tol, "Psi fit")[0]
+    return fit_required([hd.big_psi_symbol], "Psi fit")[0]
 
 
 def _resolvent(hd, mu):
     """The fit of r_mu(lam) = 1 / (mu e^{2T lam} + Psi(lam)), the one
     operator function that Phi and the control need at mu."""
     denom = sym.const(mu) * sym.expm(2 * hd.spec.T) + hd.big_psi_symbol
-    return fit_required([sym.const(1.0) / denom], hd.spec.fit_tol,
-                        f"resolvent fit at mu={mu}")[0]
+    return fit_required([sym.const(1.0) / denom], f"resolvent fit at mu={mu}")[0]
 
 
 def _check_op(hd, op):
@@ -344,11 +338,15 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
             raise RuntimeError(f"root find stalled at mu = {mu!r}: |f(mu) - target|"
                                f" = {abs(v - target):.3e} exceeds tol = {tol:.3e}")
         if abs(x_new) > math.log(MU_BRACKET_CAP):   # before exp can overflow
-            raise RuntimeError(f"no root of f(mu) = {target:.6g} for mu in [1/cap, cap],"
-                               f" cap = {MU_BRACKET_CAP:g}: problem data is inconsistent")
+            raise _no_root(target)
         prev = (x, y)
         x, mu = x_new, math.exp(x_new)
     raise RuntimeError(f"root find did not converge in {_ROOT_EVALS} evaluations")
+
+
+def _no_root(target):
+    return RuntimeError(f"no root of f(mu) = {target:.6g} for mu in [1/cap, cap],"
+                        f" cap = {MU_BRACKET_CAP:g}: problem data is inconsistent")
 
 
 def _rational_arnoldi(op, g, poles):
@@ -434,10 +432,12 @@ def solve_mu(hd, op, eps):
     values cost microseconds, and certified by one exact Phi value there: it
     is returned once |Phi(mu) - eps| <= 1e-8 Phi(0), the tolerance the root
     find on Phi_s stops on.  On the two-pass space that one value passes on
-    every published solve.  Where it misses, or Phi_s has no root within
-    MU_BRACKET_CAP, the root find runs on the exact Phi from mu = 1, so that
-    only exact values decide whether a root exists.  The result depends on
-    the problem data only, never on earlier calls.
+    every published solve.  Where Phi_s has no root, one exact value
+    Phi(MU_BRACKET_CAP) above eps + tolerance shows that the decreasing Phi
+    has none either: _root's "no root" error.  Else, and where the
+    certificate misses, the root find runs on the exact Phi from mu = 1.
+    So only exact values decide whether a root exists, and the result
+    depends on the problem data only, never on earlier calls.
     """
     _check_op(hd, op)
     if eps <= 0:
@@ -450,7 +450,8 @@ def solve_mu(hd, op, eps):
     try:
         mu = _root(lambda m: surrogate(m)[0], eps, tol, 1.0)
     except RuntimeError:
-        pass
+        if phi(hd, op, MU_BRACKET_CAP) - eps > tol:
+            raise _no_root(eps) from None
     else:
         if abs(phi(hd, op, mu) - eps) <= tol:
             return mu
@@ -460,9 +461,9 @@ def solve_mu(hd, op, eps):
 def _stationarity_residual(hd, mu, u):
     """(mu S_T ystar_hom + psi) - (Psi u + mu S_2T u) through the realized
     operator fits: the residual of the stationarity system at u."""
-    op, T, tol = hd.op, hd.spec.T, hd.spec.fit_tol
+    op = hd.op
     psi_u = apply_rational(op, _psi_fit(hd), u).values
-    s2t_u = semigroup_apply(op, 2 * T, u, tol).values
+    s2t_u = semigroup_apply(op, 2 * hd.spec.T, u).values
     return mu * hd.st_ystar_hom.values + hd.psi.values - (psi_u + mu * s2t_u)
 
 
@@ -536,10 +537,9 @@ def trajectory(spec, op, u, times):
     for t in times:
         if not 0 <= t <= spec.T + 1e-12:
             raise ValueError(f"snapshot time {t} outside [0, T]")
-        y = semigroup_apply(op, t, u, spec.fit_tol)
+        y = semigroup_apply(op, t, u)
         if spec.f_segments:
-            y = op.function(y.values + source_integral(
-                op, spec.f_segments, t, spec.fit_tol).values)
+            y = op.function(y.values + source_integral(op, spec.f_segments, t).values)
         out.append(y)
     return out
 
@@ -561,6 +561,13 @@ def kkt_residual(hd, op, u, mu):
     return norm_m(op, _stationarity_residual(hd, mu, u)) / max(1.0, norm_m(op, hd.psi))
 
 
+def _data(spec):
+    """Everything of spec but eps, comparable by ==."""
+    return (spec.T, spec.alpha, spec.beta_segments,
+            [(a, b, f.values.tobytes()) for a, b, f in spec.f_segments],
+            [v.values.tobytes() for v in (spec.ystar, *spec.w_segments)])
+
+
 def solve_problem(spec, op, hd=None):
     """End-to-end solve; returns the solution bundle with diagnostics.
 
@@ -576,9 +583,15 @@ def solve_problem(spec, op, hd=None):
     names the certified mu and the realized miss there, with _root's error
     as its cause: Phi has that root, so _root's own message, which calls
     the problem data inconsistent, would mislead.
+
+    A spec whose data other than eps differ from hd.spec's raises
+    ValueError: the solve would mix the two problems.
     """
     if hd is None:
         hd = homogenize(spec, op)
+    elif _data(spec) != _data(hd.spec):
+        raise ValueError("spec differs from the problem hd was homogenized from"
+                         " in more than eps")
     phi_count = len(hd._phi_values)
     root = solve_mu(hd, op, spec.eps)
     phi0 = phi(hd, op, 0.0)

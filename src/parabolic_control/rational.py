@@ -15,8 +15,8 @@ restarted with those points banned; the residues of all components come
 from one least-squares solve on the same subset, in a conjugation-closed
 real parameterization; the result is validated on a denser independent
 grid _VALID.  A single symbol is fitted as a one-component shared fit.
-The solve path requests every fit as fit_required(gs, tol, what): the
-memoized fit_cached at DEGREE_CAP, and a FitError naming what on a miss.
+The solve path requests every fit as fit_required(gs, what): fit_cached
+at DEGREE_CAP and FIT_TOL, and a FitError naming what on a miss.
 
 A lone pure exponential exp(t*lambda) bypasses the adaptive fit: a frozen
 table of near-best approximants of exp(x) (Caratheodory-Fejer, see
@@ -557,6 +557,7 @@ def _ready_made(g, sample, d, tol, target):
 _MEMO_SIZE = 256
 _fit_memo = OrderedDict()
 DEGREE_CAP = 40     # the degree budget of every fit the solve path requires
+FIT_TOL = 1e-12     # and its tolerance
 
 
 def fit_cached(gs, d, tol):
@@ -580,10 +581,10 @@ def fit_cached(gs, d, tol):
     return out
 
 
-def fit_required(gs, tol, what):
-    """The fits of fit_cached(gs, DEGREE_CAP, tol); raises FitError naming
-    what when they miss tol."""
-    fits, report = fit_cached(gs, DEGREE_CAP, tol)
+def fit_required(gs, what):
+    """The fits of fit_cached(gs, DEGREE_CAP, FIT_TOL); raises FitError
+    naming what when they miss FIT_TOL."""
+    fits, report = fit_cached(gs, DEGREE_CAP, FIT_TOL)
     if not report.success:
         raise FitError(f"{what}: tolerance unreachable at degree {DEGREE_CAP}"
                        f" (best error {report.max_error:.3e})", report)
@@ -653,16 +654,16 @@ def apply_rational_shared(op, rationals, vectors):
 # semigroup action
 # ---------------------------------------------------------------------------
 
-def semigroup_fit(t, tol):
-    """Partial-fraction approximant of exp(t*lambda) to tolerance tol."""
-    return fit_required([sym.Exp(t)], tol, f"semigroup fit at t={t}")[0]
+def semigroup_fit(t):
+    """Partial-fraction approximant of exp(t*lambda) to tolerance FIT_TOL."""
+    return fit_required([sym.Exp(t)], f"semigroup fit at t={t}")[0]
 
 
-def semigroup_apply(op, t, v, tol):
-    """S_t v = exp(t A) v, fitted to tolerance tol; exact identity at t = 0."""
+def semigroup_apply(op, t, v):
+    """S_t v = exp(t A) v, fitted to tolerance FIT_TOL; exact identity at t = 0."""
     if t < 0:
         raise ValueError(f"semigroup time must be >= 0, got {t}")
     if t == 0:
         vals = np.asarray(v.values if isinstance(v, MeshFunction) else v, dtype=float)
         return op.function(vals.copy())
-    return apply_rational(op, semigroup_fit(t, tol), v)
+    return apply_rational(op, semigroup_fit(t), v)

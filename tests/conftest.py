@@ -25,8 +25,7 @@ def psi_without_source(spec, op):
     psi = np.zeros(op.n)
     for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
         if beta != 0.0:
-            r, = rat.fit_required([sym.segment_integral(a, b, 1)], spec.fit_tol,
-                                  "segment-integral fit")
+            r, = rat.fit_required([sym.segment_integral(a, b, 1)], "segment-integral fit")
             psi = psi + beta * rat.apply_rational(op, r, w).values
     return psi
 

@@ -51,7 +51,7 @@ def test_constant_source_matches_resolvent_formula(op64):
     lam = ds.eigenvalues
     rng = np.random.default_rng(21)
     f = op64.function(rng.standard_normal(op64.n))
-    got = ctl.source_integral(op64, ((0.0, T_1D, f),), T_1D, 1e-12).values
+    got = ctl.source_integral(op64, ((0.0, T_1D, f),), T_1D).values
     want = ds.from_eig((np.expm1(T_1D * lam) / lam) * ds.to_eig(f)).values
     assert ops.norm_m(op64, got - want) <= 1e-8 * ops.norm_m(op64, want)
 
@@ -93,6 +93,27 @@ def test_operator_other_than_hd_op_rejected(op20):
                  lambda: ctl.solve_problem(hd.spec, other, hd=hd)):
         with pytest.raises(ValueError, match="operator"):
             call()
+    assert hd._phi_values == {} and hd.pcg_reports == {}
+
+
+@pytest.mark.parametrize("change", ["ystar", "alpha", "beta", "w", "f"])
+def test_solve_problem_rejects_data_other_than_hd_was_built_from(op20, change):
+    # the solve reads alpha, beta, w and f from hd alone: a spec whose data
+    # differ would be ignored there, or mixed with hd's (a doubled ystar
+    # raised a misleading polish failure); only eps may differ
+    spec = make_spec_51(op20, 1.0)
+    hd = ctl.homogenize(spec, op20)
+    double = lambda mf: op20.function(2.0 * mf.values)
+    other = {
+        "ystar": lambda s: replace(s, ystar=double(s.ystar)),
+        "alpha": lambda s: replace(s, alpha=2.0 * s.alpha),
+        "beta": lambda s: replace(s, beta_segments=tuple(
+            (a, b, 2.0 * beta) for a, b, beta in s.beta_segments)),
+        "w": lambda s: replace(s, w_segments=tuple(map(double, s.w_segments))),
+        "f": lambda s: replace(s, f_segments=((0.0, s.T, s.ystar),)),
+    }[change](replace(spec, eps=0.5))
+    with pytest.raises(ValueError, match="in more than eps"):
+        ctl.solve_problem(other, op20, hd=hd)
     assert hd._phi_values == {} and hd.pcg_reports == {}
 
 
@@ -423,9 +444,9 @@ def _exact_root_from_one(spec, op, eps, tol):
 
 
 def test_solve_mu_without_surrogate_root_starts_from_one(op62, monkeypatch):
-    # a surrogate that levels off above eps has no root within the cap: the
-    # exact root find then starts from mu = 1 and returns what it returns on
-    # a fresh problem
+    # a surrogate that levels off above eps has no root within the cap; the
+    # one exact value at the cap lies below eps, so the exact root find then
+    # starts from mu = 1 and returns what it returns on a fresh problem
     spec = make_spec_51(op62, 1.0)
     hd = ctl.homogenize(spec, op62)
     phi0 = ctl.phi(hd, op62, 0.0)
@@ -440,8 +461,20 @@ def test_solve_mu_without_surrogate_root_starts_from_one(op62, monkeypatch):
     want = _exact_root_from_one(spec, op62, eps, 1e-8 * phi0)
     monkeypatch.setattr(ctl, "_phi_surrogate", lambda hd, op: rootless)
     mu = ctl.solve_mu(hd, op62, eps)
-    assert list(hd._phi_values)[1] == 1.0
+    assert list(hd._phi_values)[1:3] == [ctl.MU_BRACKET_CAP, 1.0]
     assert mu == want
+
+
+def test_solve_mu_below_phis_range_raises_after_one_exact_value():
+    # on n_el = 250, Phi levels off near 0.090 Phi(0) at MU_BRACKET_CAP: below
+    # that the surrogate has no root, and one exact value at the cap shows
+    # that Phi has none either
+    op = ops.assemble_1d(250)
+    hd = ctl.homogenize(make_spec_51(op, 1.0), op)
+    phi0 = ctl.phi(hd, op, 0.0)
+    with pytest.raises(RuntimeError, match=r"no root of f\(mu\) .* cap = 1e\+30"):
+        ctl.solve_mu(hd, op, 0.03 * phi0)
+    assert list(hd._phi_values) == [0.0, ctl.MU_BRACKET_CAP]
 
 
 def test_solve_mu_falls_back_when_the_certificate_misses(op62, monkeypatch):
@@ -525,7 +558,7 @@ def test_trajectory_endpoints(op62, hd62):
     u = ctl.optimal_control(hd62, op62, 0.0)
     snaps = ctl.trajectory(spec, op62, u, [0.0, spec.T])
     assert np.array_equal(snaps[0].values, u.values)
-    want = rat.semigroup_apply(op62, spec.T, u, spec.fit_tol)
+    want = rat.semigroup_apply(op62, spec.T, u)
     assert np.array_equal(snaps[1].values, want.values)
 
 
