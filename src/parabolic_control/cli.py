@@ -301,7 +301,7 @@ def cmd_sensitivity(cfg, out):
 
 def cmd_oracle_check(cfg, out):
     timings = []
-    op = ops.assemble_1d(cfg.n_el)
+    op = build_operator_1d(cfg)
     hd = ctl.homogenize(build_problem_1d(cfg, op, 1.0), op)
     phi0 = ctl.phi(hd, op, 0.0)
     eps = 0.5 * phi0

@@ -18,16 +18,21 @@ multiplier both need one operator function, the resolvent r_mu(lam) = 1 /
 (mu e^{2T lam} + Psi(lam)): u_opt = r_mu(A)(mu S_T ystar_hom + psi) and
 Phi(mu) = ||r_mu(A) g||_M, g = Psi ystar_hom - S_T psi.  Every operator
 function is a fitted partial-fraction rational applied through shifted
-solves, every fit requested through rational.fit_required.  The root is
-found on a Ritz surrogate of Phi, a rational Gauss quadrature on a rational
-Krylov space built once per problem by two Arnoldi passes over the factors
-the solve holds anyway (the semigroup, Psi and r_0 poles), where a value
-costs microseconds; the Phi curve is read from the same space.  One exact
-Phi value certifies that root; where it misses, the root find runs on the
-exact Phi.  The control at a certified mu reuses that resolvent's fit and
-factors, and so does every control of the realized-miss polish within 10 %
-of that mu: it continues from the previous control with the certified
-root's resolvent as its approximate inverse.
+solves, every fit requested through rational.fit_required.  The functions
+that do not depend on mu, psi's segment integrals, Psi and r_0 = 1/Psi,
+are one fit, the problem fit, on one shared pole set, so one set of
+factors serves homogenize, g, Phi(0), the control at mu = 0, the cost and
+every stationarity residual.  The root is found on a Ritz surrogate of
+Phi, a rational Gauss quadrature on a rational Krylov space built once per
+problem by two Arnoldi passes over the factors the solve holds anyway (the
+semigroup and problem-fit poles), where a value costs microseconds; the
+Phi curve is read from the same space.  One exact Phi value certifies that
+root; where it misses, the root find runs on the exact Phi.  The control
+at a certified mu reuses that resolvent's fit and factors, and so does
+every control of the realized-miss polish within 10 % of that mu: it
+continues from the previous control with the certified root's resolvent as
+its approximate inverse, and from the products Psi u and S_2T u that the
+previous control's refinement kept.
 """
 
 from __future__ import annotations
@@ -112,9 +117,12 @@ class HomogenizedData:
     gradient data psi and Psi.
 
     It also keeps what one problem computes on its operator op, each value
-    once: the Phi values, the stop reports of the control's refinement, and
-    as lazy attributes S_T ystar_hom, g = Psi ystar_hom - S_T psi, the
-    constant J(0) and the base space of the Phi surrogate.
+    once: the Phi values, the stop reports of the control's refinement and
+    the products Psi u and S_2T u of the control it returned, and as lazy
+    attributes S_T ystar_hom, g = Psi ystar_hom - S_T psi, the constant J(0)
+    and the base space of the Phi surrogate.  Psi and r_0 are read from the
+    problem fit of spec and big_psi_symbol (_problem_fit), the fit whose
+    segment-integral components homogenize applied for psi.
     """
 
     spec: ProblemSpec
@@ -128,6 +136,9 @@ class HomogenizedData:
     # "stalled"; the residual of the control it returned, normalized as
     # kkt_residual)
     pcg_reports: dict = field(default_factory=dict, repr=False)
+    # mu -> (Psi u, S_2T u) of the control the refinement returned there,
+    # which the cost and the polish's next control read
+    products: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def st_ystar_hom(self):
@@ -177,11 +188,13 @@ class HomogenizedData:
 
         The Arnoldi runs twice over the poles of the S_T, S_2T, Psi and r_0
         fits, all factored once Phi(0) is known, so the second pass costs
-        shifted solves but no fit and no factorization.  It takes the
-        surrogate's error from 4.6e-5 to 1.3e-9 Phi(0) on the 2D h = 1/30
-        problem, and from 6.9e-5 to 3.0e-13 on 1D n_el = 1000, over mu in
-        [1e-7, 1e12]; on a small mesh the space fills early in the second
-        pass, and the surrogate is exact.
+        shifted solves but no fit and no factorization.  Psi and r_0 share
+        the problem fit's poles, so each pass visits those twice.  Against
+        the dense oracle over mu in [1e-7, 1e12] the surrogate is within
+        3.6e-12 Phi(0) on the 2D h = 1/30 problem and 7.4e-13 on 1D n_el =
+        1000 (one pass: 4.6e-5 and 6.9e-5); the list without the repeated
+        problem-fit poles measured 7.1e-8 in 2D.  On a small mesh the space
+        fills early in the second pass, and the surrogate is exact.
         """
         op, T = self.op, self.spec.T
         g = np.sqrt(op.M) * self.g.values
@@ -237,26 +250,27 @@ def homogenize(spec, op):
     int_{a_k}^{b_k} e^{t lam} dt and G_kj = int_{a_k}^{b_k}
     int_{c_j}^{min(d_j, t)} e^{(2t - tau) lam} dtau dt
     (symbols.SourceResponseIntegral), so J(u) = 1/2 <u, Psi u> - <u, psi> +
-    J(0) holds with a source too.
+    J(0) holds with a source too.  The I_k are the segment-integral
+    components of the problem fit (_problem_fit); each G_kj is a fit of its
+    own.
     """
     for mf in (spec.ystar, *spec.w_segments, *(f for _, _, f in spec.f_segments)):
         if len(mf.values) != op.n:
             raise DimensionError("problem data does not match operator dimension")
     ystar_hom = op.function(
         spec.ystar.values - source_integral(op, spec.f_segments, spec.T).values)
+    big_psi = _big_psi(spec)
+    segint_fits = iter(_problem_fit(spec, big_psi))
     psi_vals = np.zeros(op.n)
-    big_psi = sym.const(spec.alpha)
     for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
         if beta == 0.0:
             continue
-        r, = fit_required([sym.segment_integral(a, b, 1)], "segment-integral fit")
-        psi_vals = psi_vals + beta * apply_rational(op, r, w).values
+        psi_vals = psi_vals + beta * apply_rational(op, next(segint_fits), w).values
         for (c, d, fvec) in spec.f_segments:
             if c < b:   # a source that starts after b has no response before it
                 r, = fit_required([sym.source_response_integral(a, b, c, d)],
                                   "source-response fit")
                 psi_vals = psi_vals - beta * apply_rational(op, r, fvec).values
-        big_psi = big_psi + sym.const(beta) * sym.segment_integral(a, b, 2)
     return HomogenizedData(
         spec=spec, op=op, ystar_hom=ystar_hom,
         psi=op.function(psi_vals), big_psi_symbol=big_psi)
@@ -266,13 +280,35 @@ def homogenize(spec, op):
 # operator-function fits for the solution formulas
 # ---------------------------------------------------------------------------
 
+def _big_psi(spec):
+    """The Psi symbol, lambda -> alpha + sum_k beta_k SI(a_k, b_k, 2)(lambda)."""
+    big_psi = sym.const(spec.alpha)
+    for (a, b, beta) in spec.beta_segments:
+        if beta != 0.0:
+            big_psi = big_psi + sym.const(beta) * sym.segment_integral(a, b, 2)
+    return big_psi
+
+
+def _problem_fit(spec, big_psi):
+    """The problem fit: the mu-free functions of one problem on one shared
+    pole set, each within FIT_TOL of its own norm.  Its components are the
+    segment integrals SI(a_k, b_k, 1) of psi, one per active beta segment in
+    order, then Psi = big_psi and r_0 = 1 / Psi."""
+    sis = [sym.segment_integral(a, b, 1) for a, b, beta in spec.beta_segments
+           if beta != 0.0]
+    return fit_required([*sis, big_psi, sym.const(1.0) / big_psi], "problem fit")
+
+
 def _psi_fit(hd):
-    return fit_required([hd.big_psi_symbol], "Psi fit")[0]
+    return _problem_fit(hd.spec, hd.big_psi_symbol)[-2]
 
 
 def _resolvent(hd, mu):
     """The fit of r_mu(lam) = 1 / (mu e^{2T lam} + Psi(lam)), the one
-    operator function that Phi and the control need at mu."""
+    operator function that Phi and the control need at mu; r_0 is the
+    problem fit's."""
+    if mu == 0.0:
+        return _problem_fit(hd.spec, hd.big_psi_symbol)[-1]
     denom = sym.const(mu) * sym.expm(2 * hd.spec.T) + hd.big_psi_symbol
     return fit_required([sym.const(1.0) / denom], f"resolvent fit at mu={mu}")[0]
 
@@ -408,7 +444,7 @@ def _phi_surrogate(hd, op):
     Every term decreases in mu, so Phi_s is monotone.  The space,
     hd.surrogate_base, has two passes over the poles of the S_T, S_2T, Psi
     and r_0 fits, which solve_problem factors anyway.  On the published
-    problems it is within 1.3e-9 Phi(0) of the dense oracle's Phi at mu = 0
+    problems it is within 3.6e-12 Phi(0) of the dense oracle's Phi at mu = 0
     and over [1e-7, 1e12], so the root find, the polish's slope and the Phi
     curve all read it, and phi only certifies.  Phi_s depends on the problem
     data only, never on earlier calls.
@@ -460,40 +496,55 @@ def solve_mu(hd, op, eps):
 
 def _stationarity_residual(hd, mu, u):
     """(mu S_T ystar_hom + psi) - (Psi u + mu S_2T u) through the realized
-    operator fits: the residual of the stationarity system at u."""
+    operator fits, the residual of the stationarity system at u, and the
+    products (Psi u, S_2T u) it applied, which do not depend on mu."""
     op = hd.op
-    psi_u = apply_rational(op, _psi_fit(hd), u).values
-    s2t_u = semigroup_apply(op, 2 * hd.spec.T, u).values
+    products = (apply_rational(op, _psi_fit(hd), u).values,
+                semigroup_apply(op, 2 * hd.spec.T, u).values)
+    return _residual_from(hd, mu, products), products
+
+
+def _residual_from(hd, mu, products):
+    psi_u, s2t_u = products
     return mu * hd.st_ystar_hom.values + hd.psi.values - (psi_u + mu * s2t_u)
 
 
-def _refine(hd, mu, r, u):
+def _refine(hd, mu, r, u, products=None):
     """Iterative refinement of u on the stationarity system at mu, with the
     fit r of a resolvent as its approximate inverse.
 
     The system is the realized one (the same fitted Psi and semigroup
     actions the KKT residual measures): each step adds r(A) res, and every
-    residual is the true one of its iterate.  It stops "converged" once
-    ||res||_M <= 1e-10 max(1, ||psi||_M), and "stalled" when a step fails to
-    cut the residual by _CUT, keeping the better of the last two iterates.
+    residual is the true one of its iterate.  The first residual reuses the
+    products (Psi u, S_2T u) when they are given.  It stops "converged" once
+    ||res||_M <= 1e-10 min(max(1, ||psi||_M), ||rhs||_M), rhs = mu S_T
+    ystar_hom + psi: below 1 the floor alone would leave the resolvent fit's
+    error in u, about 1e-10 relative and different at every mu.  It stops
+    "stalled" when a step fails to cut the residual by _CUT, keeping the
+    better of the last two iterates.
     The stop reason and the residual of the returned iterate, normalized as
-    kkt_residual, go to hd.pcg_reports[mu].
+    kkt_residual, go to hd.pcg_reports[mu], and its products to
+    hd.products[mu].
     """
     op = hd.op
     scale = max(1.0, norm_m(op, hd.psi))
-    target = 1e-10 * scale
-    res = _stationarity_residual(hd, mu, u)
+    target = 1e-10 * min(scale, norm_m(op, mu * hd.st_ystar_hom.values + hd.psi.values))
+    if products is None:
+        res, products = _stationarity_residual(hd, mu, u)
+    else:
+        res = _residual_from(hd, mu, products)
     rn = norm_m(op, res)
     while not rn <= target:
         u_new = op.function(u.values + apply_rational(op, r, op.function(res)).values)
-        res_new = _stationarity_residual(hd, mu, u_new)
+        res_new, products_new = _stationarity_residual(hd, mu, u_new)
         rn_new = norm_m(op, res_new)
         cut = rn_new <= _CUT * rn     # False on NaN too
         if rn_new < rn:
-            u, res, rn = u_new, res_new, rn_new
+            u, res, rn, products = u_new, res_new, rn_new, products_new
         if not cut:
             break
     hd.pcg_reports[mu] = ("converged" if rn <= target else "stalled", rn / scale)
+    hd.products[mu] = products
     return u
 
 
@@ -516,8 +567,9 @@ def optimal_control(hd, op, mu):
     return _refine(hd, mu, r_mu, u)
 
 
-def _continued_control(hd, root, m, u):
-    """The control at m, refined from u, the control at a nearby multiplier.
+def _continued_control(hd, root, m, u, products=None):
+    """The control at m, refined from u, the control at a nearby multiplier,
+    whose products (Psi u, S_2T u) form the first residual when given.
 
     While |m - root| <= _CUT root, the refinement runs on the root's
     resolvent r_root, which the certified root has fitted and factored:
@@ -527,7 +579,7 @@ def _continued_control(hd, root, m, u):
     its own.
     """
     if abs(m - root) <= _CUT * root:
-        return _refine(hd, m, _resolvent(hd, root), u)
+        return _refine(hd, m, _resolvent(hd, root), u, products)
     return optimal_control(hd, hd.op, m)
 
 
@@ -547,18 +599,24 @@ def trajectory(spec, op, u, times):
 def cost_j(hd, op, u):
     """J(u) = 1/2 <u, Psi u> - <u, psi> + J(0).
 
-    Psi is applied through the fit that g, the control's refinement and the
-    KKT residual share, so J costs no fit and no factorization of its own.
+    Psi is applied through the problem fit, which g, the control's
+    refinement and the KKT residual share, so J costs no fit and no
+    factorization of its own; solve_problem reads Psi u from the refinement
+    instead of applying it again.
     """
     _check_op(hd, op)
-    psi_u = apply_rational(op, _psi_fit(hd), u)
+    return _cost(hd, u, apply_rational(op, _psi_fit(hd), u).values)
+
+
+def _cost(hd, u, psi_u):
+    op = hd.op
     return 0.5 * inner_m(op, u, psi_u) - inner_m(op, u, hd.psi) + hd.cost_constant
 
 
 def kkt_residual(hd, op, u, mu):
     """|| Psi u - psi + mu (S_2T u - S_T ystar_hom) ||_M / max(1, ||psi||_M)."""
     _check_op(hd, op)
-    return norm_m(op, _stationarity_residual(hd, mu, u)) / max(1.0, norm_m(op, hd.psi))
+    return norm_m(op, _stationarity_residual(hd, mu, u)[0]) / max(1.0, norm_m(op, hd.psi))
 
 
 def _data(spec):
@@ -599,7 +657,8 @@ def solve_problem(spec, op, hd=None):
 
     def miss_at(m):
         if seen:
-            u_m = _continued_control(hd, root, m, list(seen.values())[-1][1])
+            last = next(reversed(seen))
+            u_m = _continued_control(hd, root, m, seen[last][1], hd.products[last])
         else:
             u_m = optimal_control(hd, op, m)
         y_m = trajectory(spec, op, u_m, [spec.T])[0]
@@ -627,7 +686,7 @@ def solve_problem(spec, op, hd=None):
         mu_eps=mu,
         u_opt=u,
         y_opt=y,
-        cost=cost_j(hd, op, u),
+        cost=_cost(hd, u, hd.products[mu][0]),
         kkt=kkt,
         final_miss=miss,
         phi0=phi0,

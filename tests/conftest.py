@@ -4,7 +4,6 @@ import pytest
 from parabolic_control import control as ctl
 from parabolic_control import operators as ops
 from parabolic_control import rational as rat
-from parabolic_control import symbols as sym
 
 T_1D = 0.01
 ALPHA = 1e-4
@@ -21,12 +20,13 @@ def make_spec_51(op, eps, T=T_1D, alpha=ALPHA):
 
 def psi_without_source(spec, op):
     """sum_k beta_k I_k(A) w_k, the psi of a problem without a source, by the
-    operations homogenize performs, in its order."""
+    operations homogenize performs, in its order: the segment-integral
+    components of the problem fit, one per active beta segment."""
+    fits = iter(ctl._problem_fit(spec, ctl._big_psi(spec)))
     psi = np.zeros(op.n)
     for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
         if beta != 0.0:
-            r, = rat.fit_required([sym.segment_integral(a, b, 1)], "segment-integral fit")
-            psi = psi + beta * rat.apply_rational(op, r, w).values
+            psi = psi + beta * rat.apply_rational(op, next(fits), w).values
     return psi
 
 

@@ -263,6 +263,21 @@ def test_oracle_check_cli(tmp_path, small_1d_cfg):
     assert float(row["mu_rel_err"]) <= 1e-8
 
 
+def test_oracle_check_solves_the_configured_variant(tmp_path):
+    # the verb builds the operator of the config's variant, as example1d does
+    rows = {}
+    for variant in ("isotropic", "discontinuous"):
+        p = tmp_path / f"{variant}.ini"
+        p.write_text(f"[oracle-check]\nn_el = 33\nvariant = {variant}\n")
+        out = tmp_path / variant
+        assert cli.main(["oracle-check", "--config", str(p), "--out", str(out)]) == 0
+        rows[variant] = read_csv(out / "oracle_check.csv")[0]
+    assert rows["isotropic"]["mu_oracle"] != rows["discontinuous"]["mu_oracle"]
+    for row in rows.values():
+        assert float(row["u_rel_err"]) <= 1e-7
+        assert float(row["mu_rel_err"]) <= 1e-8
+
+
 def test_cli_error_is_machine_readable(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text("[example1d]\nn_el = 1\n")

@@ -67,6 +67,38 @@ def test_zero_trajectory_gives_zero_psi(op20):
     assert np.all(hd.psi.values == 0.0)
 
 
+@pytest.mark.parametrize("T", [0.01, 0.05])
+def test_problem_fit_is_one_pole_set_within_each_components_target(op20, T):
+    # psi's segment integral, Psi and r_0 = 1/Psi share one fit: their norm
+    # estimates span nine orders of magnitude (3.4e-2 to 7.6e7), and each
+    # one is within FIT_TOL of its own norm (a target of FIT_TOL times the
+    # largest norm let the segment integral miss its own by far)
+    spec = make_spec_51(op20, 1.0, T=T)
+    big_psi = ctl._big_psi(spec)
+    symbols = [sym.segment_integral(T / 3, 2 * T / 3, 1), big_psi,
+               sym.const(1.0) / big_psi]
+    fits = ctl._problem_fit(spec, big_psi)
+    assert len(fits) == 3 and len({f.poles for f in fits}) == 1
+    for g, f in zip(symbols, fits):
+        err = np.max(np.abs(f(rat._VALID) - g(rat._VALID)))
+        assert err <= rat.FIT_TOL * rat._norm_estimate(g(rat._TRAIN))
+    hd = ctl.homogenize(spec, op20)
+    assert ctl._psi_fit(hd) is fits[1] and ctl._resolvent(hd, 0.0) is fits[2]
+
+
+def test_2d_homogenize_and_phi0_factor_the_problem_fit_once():
+    # homogenize factors the problem fit's poles; Phi(0) applies Psi and r_0
+    # on those factors and adds only S_T's for g: 11 + 6 shifts, where the
+    # separate segment-integral, Psi, S_T and r_0 fits took 9 + 8 + 6 + 9
+    cfg = load_config("example2d")
+    op = cli.build_operator_2d(cfg)
+    hd = ctl.homogenize(cli.build_problem_2d(cfg, op, 1.0), op)
+    assert len(op._solvers) == len(ctl._psi_fit(hd).poles)
+    ctl.phi(hd, op, 0.0)
+    assert len(op._solvers) == len(ctl._psi_fit(hd).poles) \
+        + len(rat.semigroup_fit(cfg.T).poles) == 17
+
+
 def test_psi_symbol_dominates_alpha(hd62):
     lam = -np.logspace(-8, 7, 300)
     vals = np.asarray(hd62.big_psi_symbol(np.concatenate([lam, [0.0]])))
@@ -699,6 +731,53 @@ def test_continued_control_refits_only_far_from_the_root():
     fits = set(rat._fit_memo)
     ctl._continued_control(hd, root, 2 * root, u_root)
     assert set(rat._fit_memo) - fits
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.5])
+def test_solve_applies_psi_once_per_refinement_iterate(op62, frac, monkeypatch):
+    # the refinement keeps Psi u and S_2T u of the control it returns: the
+    # cost reads that Psi u and the polish's next control (at eps = 0.1 Phi(0)
+    # there is one) its first residual, so every Psi apply of a solve is the
+    # residual of a new iterate, and the cost is cost_j's bit for bit
+    hd = ctl.homogenize(make_spec_51(op62, 1.0), op62)
+    spec = make_spec_51(op62, frac * ctl.phi(hd, op62, 0.0))
+    psi_fit = ctl._psi_fit(hd)
+    counts = {"psi": 0, "residual": 0, "refine": 0}
+    apply, residual, refine = ctl.apply_rational, ctl._stationarity_residual, ctl._refine
+
+    def counted(name, f):
+        def wrapped(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapped
+
+    def counted_apply(op, r, v):
+        counts["psi"] += r is psi_fit
+        return apply(op, r, v)
+    monkeypatch.setattr(ctl, "apply_rational", counted_apply)
+    monkeypatch.setattr(ctl, "_stationarity_residual", counted("residual", residual))
+    monkeypatch.setattr(ctl, "_refine", counted("refine", refine))
+    sol = ctl.solve_problem(spec, op62, hd=hd)
+    monkeypatch.undo()
+    assert counts["refine"] == (2 if frac == 0.1 else 1)
+    assert counts["psi"] == counts["residual"]
+    assert sol.cost == ctl.cost_j(hd, op62, sol.u_opt)
+
+
+def test_continued_control_from_products_is_bit_identical():
+    # the first residual from the previous control's products is the one
+    # the refinement would apply them for
+    cfg, op, hd, phi0 = _example1d(62)
+    root = ctl.solve_mu(hd, op, 0.5 * phi0)
+    u_root = ctl.optimal_control(hd, op, root)
+    products = hd.products[root]
+    m = 1.05 * root
+    u = ctl._continued_control(hd, root, m, u_root, products)
+    report, kept = hd.pcg_reports[m], hd.products[m]
+    again = ctl._continued_control(hd, root, m, u_root)
+    assert np.array_equal(u.values, again.values)
+    assert hd.pcg_reports[m] == report
+    assert all(np.array_equal(a, b) for a, b in zip(kept, hd.products[m]))
 
 
 def _source_cases(op):

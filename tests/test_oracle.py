@@ -182,15 +182,16 @@ def _surrogate_oracle_error(op, hd, ds):
 
 def test_phi_surrogate_matches_oracle_1d(example1d):
     # two Arnoldi passes over the S_T, S_2T, Psi and r_0 poles: measured
-    # 4.9e-13 on n_el = 62, where the space fills, and 3.0e-13 on n_el =
+    # 8.7e-13 on n_el = 62, where the space fills, and 7.4e-13 on n_el =
     # 1000, where one pass was 6.9e-5 off
     _, op, hd, ds = example1d
     assert _surrogate_oracle_error(op, hd, ds) <= 1e-11
 
 
 def test_phi_surrogate_matches_oracle_2d(example2d):
-    # within solve_mu's tolerance 1e-8 Phi(0): measured 1.3e-9, where one
-    # pass was 4.6e-5 off
+    # within solve_mu's tolerance 1e-8 Phi(0): measured 3.6e-12 with Psi and
+    # r_0 on the problem fit's shared poles (1.3e-9 with separate fits),
+    # where one pass was 4.6e-5 off
     _, op, hd, _, ds = example2d
     assert _surrogate_oracle_error(op, hd, ds) <= 1e-8
 

@@ -198,9 +198,10 @@ def test_full_grid_check_finds_what_the_row_set_misses():
         assert np.max(np.abs(R - Ft[:, 0])) <= 0.5 * target[0]
 
 
-# Phi-pair degrees on the whole training grid, before fits ran on a row set
-_FULL_GRID_DEGREES = {0.0: 14, 1e-3: 18, 1.0: 19, 1e2: 20, 1e5: 21, 1e8: 22,
-                      1e11: 23}
+# Phi-pair degrees fitted on the whole training grid (every row in the row
+# set from the start), each component aiming for its own target
+_FULL_GRID_DEGREES = {0.0: 14, 1e-3: 20, 1.0: 19, 1e2: 20, 1e5: 22, 1e8: 23,
+                      1e11: 24}
 
 
 def test_row_set_fits_keep_their_degree():
@@ -229,6 +230,20 @@ def test_shared_fit_builds_one_residue_design_per_pole_set(monkeypatch):
         assert len(pole_sets) >= 1
         assert len(designs) == len(solves) == len(pole_sets)
         assert all(np.shape(b) == (len(a), len(gs)) for a, b in solves)
+
+
+def test_shared_fit_judges_each_component_against_its_own_norm():
+    # psi's segment integral, Psi and 1/Psi span nine orders of magnitude; the
+    # report carries the component nearest its target, so its error is
+    # within tol of its norm exactly when every component's is
+    si = sym.segment_integral(T / 3, 2 * T / 3, 1)
+    gs = [si, BIG_PSI, sym.const(1.0) / BIG_PSI]
+    fits, rep = rat.fit_rational_shared(gs, rat.DEGREE_CAP, 1e-12)
+    assert rep.success and rep.max_error <= rep.tol * rep.norm_estimate
+    ratios = [np.max(np.abs(f(rat._VALID) - g(rat._VALID)))
+              / (1e-12 * rat._norm_estimate(g(rat._TRAIN))) for g, f in zip(gs, fits)]
+    assert max(ratios) <= 1.0
+    assert rep.max_error / (rep.tol * rep.norm_estimate) == pytest.approx(max(ratios))
 
 
 @pytest.mark.parametrize("g, d", [(sym.expm(T), 24),                      # table
