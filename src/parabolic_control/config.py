@@ -10,7 +10,6 @@ none (a misspelled "[example1D]") is an error:
     variant = discontinuous
     n_el = 62
     eps_fractions = 0.2, 0.5, 0.9
-    seed = 7
 
 Keys and types (defaults in parentheses):
     variant           str    1D case: isotropic | discontinuous (isotropic)
@@ -25,11 +24,25 @@ Keys and types (defaults in parentheses):
     w_indicator       2 floats   1D target-trajectory indicator interval
     ystar_indicator   2 floats   1D final-target indicator interval
     eps_fractions     floats  constraint levels as fractions of Phi(0), in (0, 1]
-    phi_curve_points  int    number of log-spaced mu samples
+                             ((0.2, 0.5, 0.9); (0.1, 0.5, 0.9) in example2d)
+    phi_curve_points  int    number of log-spaced mu samples (350; 41 in example1d)
     mu_min, mu_max    float  Phi-curve sampling range (1e-7, 1e12)
     nu_list           floats sensitivity magnitudes in [0, 1) (1e-2, 1e-3, 1e-4)
     channels          strs   sensitivity channels (all six)
-    seed              int    random seed (0)
+    seed              int    random seed of the sensitivity directions (0)
+    out_dir           str    output directory, also set by --out (out)
+
+A verb's section may set only the keys the verb reads (VERBS), where "the
+1D problem" is variant, n_el, diffusion_jump, interface, T, alpha,
+beta_lo, beta_hi, w_indicator and ystar_indicator:
+    example1d     the 1D problem, eps_fractions, phi_curve_points, mu_min, mu_max
+    example2d     h, T, alpha, beta_lo, beta_hi, eps_fractions
+    phi-curve     the 1D problem, phi_curve_points, mu_min, mu_max
+    convergence   T, alpha, beta_lo, beta_hi, w_indicator, ystar_indicator
+    sensitivity   the 1D problem, nu_list, channels, seed
+    oracle-check  the 1D problem
+and every verb reads out_dir.  diffusion_jump takes effect with variant =
+discontinuous only.
 
 Each key is parsed as the type of its default; a list takes the type of
 the default's first element.  A value of another type is an error that
@@ -40,7 +53,8 @@ lists eps_fractions, nu_list and channels must not be empty.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +62,27 @@ from .sensitivity import CHANNELS
 
 PI = np.pi
 
-EXPERIMENTS = ("example1d", "example2d", "phi-curve", "convergence",
-               "sensitivity", "oracle-check")
+
+class Verb(NamedTuple):
+    keys: tuple      # the RunConfig keys the verb reads, the only settable ones
+    defaults: dict   # the verb's defaults where they differ from RunConfig's
+
+
+_PROBLEM = ("T", "alpha", "beta_lo", "beta_hi")
+_DATA_1D = ("w_indicator", "ystar_indicator")
+_PROBLEM_1D = ("variant", "n_el", "diffusion_jump", "interface", *_PROBLEM, *_DATA_1D)
+_CURVE = ("phi_curve_points", "mu_min", "mu_max")
+
+VERBS = {
+    "example1d": Verb((*_PROBLEM_1D, "eps_fractions", *_CURVE, "out_dir"),
+                      {"phi_curve_points": 41}),
+    "example2d": Verb(("h", *_PROBLEM, "eps_fractions", "out_dir"),
+                      {"T": 0.05, "eps_fractions": (0.1, 0.5, 0.9)}),
+    "phi-curve": Verb((*_PROBLEM_1D, *_CURVE, "out_dir"), {}),
+    "convergence": Verb((*_PROBLEM, *_DATA_1D, "out_dir"), {}),
+    "sensitivity": Verb((*_PROBLEM_1D, "nu_list", "channels", "seed", "out_dir"), {}),
+    "oracle-check": Verb((*_PROBLEM_1D, "out_dir"), {"n_el": 65}),
+}
 
 
 @dataclass
@@ -76,7 +109,7 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in VERBS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.variant not in ("isotropic", "discontinuous"):
             raise ValueError(f"variant must be isotropic or discontinuous, "
@@ -101,34 +134,32 @@ class RunConfig:
                              f"expected some of {CHANNELS}")
 
 
-_DEFAULT_OVERRIDES = {
-    "example1d": {"phi_curve_points": 41},
-    "example2d": {"T": 0.05, "eps_fractions": (0.1, 0.5, 0.9)},
-    "oracle-check": {"n_el": 65},
-}
-
 def load_config(experiment, path=None, **overrides):
     """Built-in defaults for the experiment, overridden by the config file
     section of the same name, then by keyword overrides (CLI flags).  Every
-    section must name an experiment and every key is checked before any
-    value is parsed."""
+    section must name an experiment, and every key must be one the
+    experiment reads; all are checked before any value is parsed."""
+    if experiment not in VERBS:
+        raise ValueError(f"unknown experiment {experiment!r}")
     raw = {}
     if path is not None:
         parser = configparser.ConfigParser()
         with open(path) as fh:
             parser.read_file(fh)
-        stray = [name for name in parser.sections() if name not in EXPERIMENTS]
+        stray = [name for name in parser.sections() if name not in VERBS]
         if stray:
             raise ValueError(f"config sections {stray} name no experiment;"
-                             f" expected any of {list(EXPERIMENTS)}")
+                             f" expected any of {list(VERBS)}")
         if parser.has_section(experiment):
             raw = dict(parser.items(experiment))
     overrides = {key: val for key, val in overrides.items() if val is not None}
-    defaults = {f.name: f.default for f in fields(RunConfig) if f.name != "experiment"}
-    unknown = (set(raw) | set(overrides)) - set(defaults)
+    verb = VERBS[experiment]
+    unknown = (set(raw) | set(overrides)) - set(verb.keys)
     if unknown:
-        raise ValueError(f"unknown or unsettable config keys: {sorted(unknown)}")
-    values = dict(_DEFAULT_OVERRIDES.get(experiment, {}))
+        raise ValueError(f"unknown or unsettable config keys for {experiment}: "
+                         f"{sorted(unknown)}; it reads {list(verb.keys)}")
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    values = dict(verb.defaults)
     values.update({key: _parse(key, defaults[key], text) for key, text in raw.items()})
     values.update(overrides)
     return RunConfig(experiment=experiment, **values)
@@ -150,8 +181,7 @@ def _parse(key, default, raw):
 
 
 def echo_config(cfg):
-    """Deterministic key = value listing for the metadata sidecar."""
-    lines = []
-    for f in fields(RunConfig):
-        lines.append(f"{f.name} = {getattr(cfg, f.name)!r}")
-    return "\n".join(lines) + "\n"
+    """Deterministic key = value listing of the keys the experiment reads,
+    for the metadata sidecar."""
+    return "".join(f"{key} = {getattr(cfg, key)!r}\n"
+                   for key in VERBS[cfg.experiment].keys)

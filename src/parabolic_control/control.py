@@ -45,8 +45,8 @@ import numpy as np
 
 from . import symbols as sym
 from .operators import DimensionError, MeshFunction, inner_m, norm_m, solve_shifted
-# every fit goes through fit_required; fit_rational, fit_rational_shared and
-# apply_rational_shared stay bound for perfbench's tracer self-test
+# every fit goes through fit_required; fit_rational and fit_rational_shared
+# stay bound for perfbench's tracer self-test
 from .rational import (  # noqa: F401
     FitError,
     apply_rational,
@@ -187,14 +187,13 @@ class HomogenizedData:
         _phi_surrogate) on its rational Krylov space of g.
 
         The Arnoldi runs twice over the poles of the S_T, S_2T, Psi and r_0
-        fits, all factored once Phi(0) is known, so the second pass costs
-        shifted solves but no fit and no factorization.  Psi and r_0 share
-        the problem fit's poles, so each pass visits those twice.  Against
-        the dense oracle over mu in [1e-7, 1e12] the surrogate is within
-        3.6e-12 Phi(0) on the 2D h = 1/30 problem and 7.4e-13 on 1D n_el =
-        1000 (one pass: 4.6e-5 and 6.9e-5); the list without the repeated
-        problem-fit poles measured 7.1e-8 in 2D.  On a small mesh the space
-        fills early in the second pass, and the surrogate is exact.
+        fits, so the second pass costs shifted solves but no fit and no
+        factorization.  Psi and r_0 share the problem fit's poles, so each
+        pass visits those twice.  Against the dense oracle over mu in [1e-7,
+        1e12] the surrogate is within 3.6e-12 Phi(0) on the 2D h = 1/30
+        problem and 7.4e-13 on 1D n_el = 1000 (one pass: 4.6e-5 and 6.9e-5);
+        the list without the repeated problem-fit poles measured 7.1e-8 in
+        2D.  On a small mesh (1D n = 61) the space is the whole space.
         """
         op, T = self.op, self.spec.T
         g = np.sqrt(op.M) * self.g.values
@@ -251,8 +250,8 @@ def homogenize(spec, op):
     int_{c_j}^{min(d_j, t)} e^{(2t - tau) lam} dtau dt
     (symbols.SourceResponseIntegral), so J(u) = 1/2 <u, Psi u> - <u, psi> +
     J(0) holds with a source too.  The I_k are the segment-integral
-    components of the problem fit (_problem_fit); each G_kj is a fit of its
-    own.
+    components of the problem fit (_problem_fit), applied in one pass over
+    its poles; each G_kj is a fit of its own.
     """
     for mf in (spec.ystar, *spec.w_segments, *(f for _, _, f in spec.f_segments)):
         if len(mf.values) != op.n:
@@ -260,12 +259,13 @@ def homogenize(spec, op):
     ystar_hom = op.function(
         spec.ystar.values - source_integral(op, spec.f_segments, spec.T).values)
     big_psi = _big_psi(spec)
-    segint_fits = iter(_problem_fit(spec, big_psi))
+    active = [(a, b, beta, w) for (a, b, beta), w
+              in zip(spec.beta_segments, spec.w_segments) if beta != 0.0]
     psi_vals = np.zeros(op.n)
-    for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
-        if beta == 0.0:
-            continue
-        psi_vals = psi_vals + beta * apply_rational(op, next(segint_fits), w).values
+    if active:
+        psi_vals = apply_rational_shared(op, _problem_fit(spec, big_psi)[:len(active)],
+                                         [beta * w.values for *_, beta, w in active]).values
+    for a, b, beta, _ in active:
         for (c, d, fvec) in spec.f_segments:
             if c < b:   # a source that starts after b has no response before it
                 r, = fit_required([sym.source_response_integral(a, b, c, d)],
@@ -392,14 +392,16 @@ def _rational_arnoldi(op, g, poles):
     Gram-Schmidt passes that drop numerically dependent directions.
 
     A pole may come again: its solve then continues from a later vector and
-    adds new directions on the factor the first one made.  Extension stops
-    once Q spans all n dimensions, where every Ritz value is exact.  Q is
-    kept column-major, so each Gram-Schmidt product reads contiguous
-    columns.
+    adds new directions on the factor the first one made.  Where the budget
+    of 1 + 2 len(poles) directions covers all n dimensions, Q is the
+    identity, whose Ritz data are exact, and no solve runs.  Q is kept
+    column-major, so each Gram-Schmidt product reads contiguous columns.
     """
+    if 1 + 2 * len(poles) >= op.n:
+        return np.eye(op.n)
     sqrt_m = np.sqrt(op.M)
     k = 1
-    Q = np.empty((op.n, min(op.n, 1 + 2 * len(poles))), order="F")
+    Q = np.empty((op.n, 1 + 2 * len(poles)), order="F")
     Q[:, 0] = g / np.linalg.norm(g)
 
     def extend(q):
@@ -412,8 +414,6 @@ def _rational_arnoldi(op, g, poles):
             k += 1
 
     for p in poles:
-        if k == op.n:
-            break
         x = solve_shifted(op, p, Q[:, k - 1] / sqrt_m).values
         for part in (x.real, x.imag) if p.imag else (x.real,):
             extend(sqrt_m * part)
@@ -555,8 +555,8 @@ def optimal_control(hd, op, mu):
     _refine then takes as its approximate inverse.  Large multipliers
     amplify any fit discrepancy by mu, and the refinement removes it at the
     cost of a few reused-factorization applies.  At a mu where phi has run,
-    zero included, the control costs no fit and no factorization once a
-    root find has fitted S_2T, which the residual applies at mu = 0 too.
+    zero included, the control costs no fit and no factorization once an
+    earlier control or the surrogate's Arnoldi has factored S_2T.
     """
     _check_op(hd, op)
     if mu < 0:

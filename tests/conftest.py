@@ -19,9 +19,10 @@ def make_spec_51(op, eps, T=T_1D, alpha=ALPHA):
 
 
 def psi_without_source(spec, op):
-    """sum_k beta_k I_k(A) w_k, the psi of a problem without a source, by the
-    operations homogenize performs, in its order: the segment-integral
-    components of the problem fit, one per active beta segment."""
+    """sum_k beta_k I_k(A) w_k, the psi of a problem without a source, as one
+    apply of the problem fit's segment-integral component per active beta
+    segment.  homogenize applies those components together; with one active
+    segment, that is the same arithmetic, bit for bit."""
     fits = iter(ctl._problem_fit(spec, ctl._big_psi(spec)))
     psi = np.zeros(op.n)
     for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):

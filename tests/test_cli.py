@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from parabolic_control import cli
 from parabolic_control import control as ctl
 from parabolic_control import sensitivity as sens
-from parabolic_control.config import RunConfig, load_config
+from parabolic_control.config import VERBS, RunConfig, load_config
 
 
 def run_cli(args):
@@ -41,12 +42,12 @@ def test_default_configs():
 def test_config_file_overrides(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("[example1d]\nvariant = discontinuous\nn_el = 30\n"
-                 "eps_fractions = 0.5, 0.9\nseed = 7\n")
+                 "eps_fractions = 0.5, 0.9\n[sensitivity]\nseed = 7\n")
     cfg = load_config("example1d", path=p)
     assert cfg.variant == "discontinuous"
     assert cfg.n_el == 30
     assert cfg.eps_fractions == (0.5, 0.9)
-    assert cfg.seed == 7
+    assert load_config("sensitivity", path=p).seed == 7
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -87,11 +88,81 @@ def test_cli_rejects_a_section_that_names_no_experiment(tmp_path):
 
 
 def test_config_file_may_hold_sections_for_several_experiments(tmp_path):
+    # each verb reads its own section only
     p = tmp_path / "run.ini"
-    p.write_text("[example1d]\nn_el = 24\n[example2d]\nh = 0.1\n[phi-curve]\nseed = 1\n")
+    p.write_text("[example1d]\nn_el = 24\n[example2d]\nh = 0.1\n[sensitivity]\nseed = 1\n")
     assert load_config("example1d", path=p).n_el == 24
     assert load_config("example2d", path=p).h == 0.1
-    assert load_config("sensitivity", path=p).seed == 0
+    assert load_config("sensitivity", path=p).seed == 1
+    assert load_config("oracle-check", path=p).n_el == 65
+
+
+# the number of keys each verb reads: 68 of the 6 x 19 verb-key pairs
+READS = {"example1d": 15, "example2d": 7, "phi-curve": 14, "convergence": 7,
+         "sensitivity": 14, "oracle-check": 11}
+
+SMALL_RUNS = {
+    "example1d": "n_el = 24\neps_fractions = 0.5\nphi_curve_points = 5\n",
+    "example2d": "h = 0.125\neps_fractions = 0.5\n",
+    "phi-curve": "n_el = 24\nphi_curve_points = 5\n",
+    "convergence": "",
+    "sensitivity": "n_el = 24\nnu_list = 0.01\nchannels = ystar\n",
+    "oracle-check": "n_el = 33\n",
+}
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+def test_each_verb_reads_exactly_the_keys_it_declares(tmp_path, monkeypatch, verb):
+    # a key is settable and echoed in run_meta.txt exactly when the verb's
+    # run reads it; reads that validate (__post_init__), echo (echo_config)
+    # or load another verb's defaults (convergence's 2D meshes) do not count
+    keys = VERBS[verb].keys
+    assert len(keys) == READS[verb]
+    section = SMALL_RUNS[verb] + ("variant = discontinuous\n" if "variant" in keys else "")
+    path = tmp_path / "small.ini"
+    path.write_text(f"[{verb}]\n{section}")
+    names = {f.name for f in fields(RunConfig)} - {"experiment"}
+    skip = {"__post_init__", "echo_config", "load_config"}
+    get = object.__getattribute__
+    reads = set()
+
+    def recording(self, name):
+        if name in names and get(self, "experiment") == verb:
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name not in skip:
+                frame = frame.f_back
+            if frame is None:
+                reads.add(name)
+        return get(self, name)
+
+    monkeypatch.setattr(RunConfig, "__getattribute__", recording)
+    assert cli.main([verb, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.undo()
+    assert reads == set(keys)
+    meta = (tmp_path / "out" / "run_meta.txt").read_text().splitlines()
+    assert [k for k, _, _ in (ln.partition(" = ") for ln in meta) if k in names] \
+        == list(keys)
+
+
+@pytest.mark.parametrize("section, flags, key", [("[example2d]\nn_el = 30\n", [], "n_el"),
+                                                 ("", ["--seed", "7"], "seed")])
+def test_example2d_rejects_a_key_it_does_not_read(tmp_path, section, flags, key):
+    p = tmp_path / "c.ini"
+    p.write_text(section)
+    out = tmp_path / "x"
+    res = run_cli(["example2d", "--config", str(p), "--out", str(out), *flags])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert key in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", [v for v in VERBS if v != "sensitivity"])
+def test_seed_flag_exists_only_where_seed_is_read(tmp_path, verb, capsys):
+    assert cli.main([verb, "--seed", "7", "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError" and "--seed" in err["message"]
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("line, key, raw, expected", [
@@ -322,11 +393,8 @@ def test_cli_rejects_empty_or_out_of_range_lists(tmp_path, verb, lines, key):
 
 def test_phi_curve_full_default_has_350_rows(tmp_path):
     # the reference curve: 350 log-spaced samples, all monotone
-    from parabolic_control.cli import cmd_phi_curve
-    cfg = load_config("phi-curve")
     out = tmp_path / "full_curve"
-    out.mkdir()
-    cmd_phi_curve(cfg, out)
+    assert cli.main(["phi-curve", "--out", str(out)]) == 0
     rows = read_csv(out / "phi_curve.csv")
     assert len(rows) == 350
     assert all(r["monotone_ok"] == "1" for r in rows)
@@ -360,11 +428,8 @@ def test_variant_differs_only_through_operator(tmp_path):
 
 
 def test_convergence_run(tmp_path):
-    from parabolic_control.cli import cmd_convergence
-    cfg = load_config("convergence")
     out = tmp_path / "conv"
-    out.mkdir()
-    cmd_convergence(cfg, out)
+    assert cli.main(["convergence", "--out", str(out)]) == 0
 
     fit_rows = read_csv(out / "fit_degree.csv")
     exp_errs = [float(r["error"]) for r in fit_rows

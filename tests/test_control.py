@@ -86,6 +86,34 @@ def test_problem_fit_is_one_pole_set_within_each_components_target(op20, T):
     assert ctl._psi_fit(hd) is fits[1] and ctl._resolvent(hd, 0.0) is fits[2]
 
 
+def test_homogenize_applies_psis_segment_integrals_in_one_pass(op20, monkeypatch):
+    # with beta active on all three segments the problem fit has three
+    # segment-integral components on one pole set, and homogenize applies
+    # them together: one shifted solve per stored pole, where one apply per
+    # segment took three times as many; psi matches the per-segment sum to
+    # roundoff
+    T = T_1D
+    ws = [ops.project_to_mesh(op20, ops.Indicator1D(a, b))
+          for a, b in ((0.2, 1.0), (np.pi / 5, 2 * np.pi / 5), (1.5, 2.5))]
+    ystar = ops.project_to_mesh(op20, ops.Indicator1D(3 * np.pi / 5, 4 * np.pi / 5))
+    spec = ctl.ProblemSpec(T=T, alpha=ALPHA, beta_segments=(
+        (0.0, T / 3, 0.5), (T / 3, 2 * T / 3, 1.0), (2 * T / 3, T, 2.0)),
+        w_segments=tuple(ws), ystar=ystar, eps=1.0)
+    solve, shifts = rat.solve_shifted, []
+
+    def counting(op, z, v):
+        shifts.append(z)
+        return solve(op, z, v)
+    monkeypatch.setattr(rat, "solve_shifted", counting)
+    hd = ctl.homogenize(spec, op20)
+    fits = ctl._problem_fit(spec, hd.big_psi_symbol)
+    assert len(fits) == 5
+    assert shifts == list(fits[0].poles)
+    monkeypatch.undo()
+    per_segment = psi_without_source(spec, op20)
+    assert np.max(np.abs(hd.psi.values - per_segment)) <= 1e-14 * np.max(np.abs(per_segment))
+
+
 def test_2d_homogenize_and_phi0_factor_the_problem_fit_once():
     # homogenize factors the problem fit's poles; Phi(0) applies Psi and r_0
     # on those factors and adds only S_T's for g: 11 + 6 shifts, where the
@@ -684,16 +712,22 @@ def test_cost_adds_no_fit_and_no_factorization(op62, hd62, monkeypatch):
 def test_control_at_a_phi_mu_adds_no_fit_and_no_factorization(dim):
     # phi fits and factors the resolvent r_mu at 0 and solve_mu at the root
     # it certifies; the control there refines with that r_mu, and applies
-    # Psi and the semigroups that g and the surrogate already fitted and
-    # factored
+    # Psi and the semigroups that g and the surrogate already fitted.  In 2D
+    # the surrogate's Arnoldi has factored S_2T too, so no control adds a
+    # factor.  In 1D (n = 61) the surrogate's space is the whole space and
+    # runs no solve, so the first control's residual factors exactly S_2T's
+    # poles, and the next control adds none
     _, op, hd, phi0 = _example1d(62) if dim == "1d" else _example2d(1 / 30)
+    s2t = {complex(p) for p in rat.semigroup_fit(2 * hd.spec.T).poles}
     mu = ctl.solve_mu(hd, op, 0.5 * phi0)
     assert mu > 0
-    fits, factors = set(rat._fit_memo), len(op._solvers)
+    fits, added = set(rat._fit_memo), []
     for m in (0.0, mu):
+        before = set(op._solvers)
         ctl.optimal_control(hd, op, m)
+        added.append(set(op._solvers) - before)
     assert set(rat._fit_memo) == fits
-    assert len(op._solvers) == factors
+    assert added == ([s2t, set()] if dim == "1d" else [set(), set()])
 
 
 def test_tight_2d_polish_adds_no_fit_and_no_factorization():
