@@ -229,7 +229,8 @@ def cmd_convergence(cfg, out, timings):
                 else:
                     spec = build_problem_1d(cfg, op, 1.0)
                 yield case, float(np.pi / n_el), op, spec
-        cfg2d = load_config("example2d")
+        cfg2d = load_config("example2d", alpha=cfg.alpha, beta_lo=cfg.beta_lo,
+                            beta_hi=cfg.beta_hi)
         for h in (0.1, 0.05, 0.025):
             op = ops.assemble_2d_lshape(h)
             w = ops.project_to_mesh(op, ops.GaussianSum(((20.0, (-0.5, -0.5)),)))

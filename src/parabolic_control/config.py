@@ -38,7 +38,9 @@ beta_lo, beta_hi, w_indicator and ystar_indicator:
     example1d     the 1D problem, eps_fractions, phi_curve_points, mu_min, mu_max
     example2d     h, T, alpha, beta_lo, beta_hi, eps_fractions
     phi-curve     the 1D problem, phi_curve_points, mu_min, mu_max
-    convergence   T, alpha, beta_lo, beta_hi, w_indicator, ystar_indicator
+    convergence   T, alpha, beta_lo, beta_hi, w_indicator, ystar_indicator;
+                  its 2d-smooth rows read alpha, beta_lo and beta_hi, and
+                  keep example2d's T = 0.05
     sensitivity   the 1D problem, nu_list, channels, seed
     oracle-check  the 1D problem
 and every verb reads out_dir.  diffusion_jump takes effect with variant =

@@ -19,20 +19,21 @@ multiplier both need one operator function, the resolvent r_mu(lam) = 1 /
 Phi(mu) = ||r_mu(A) g||_M, g = Psi ystar_hom - S_T psi.  Every operator
 function is a fitted partial-fraction rational applied through shifted
 solves, every fit requested through rational.fit_required.  The functions
-that do not depend on mu, psi's segment integrals, Psi and r_0 = 1/Psi,
-are one fit, the problem fit, on one shared pole set, so one set of
-factors serves homogenize, g, Phi(0), the control at mu = 0, the cost and
-every stationarity residual.  The root is found on a Ritz surrogate of
-Phi, a rational Gauss quadrature on a rational Krylov space built once per
-problem by two Arnoldi passes over the factors the solve holds anyway (the
-semigroup and problem-fit poles), where a value costs microseconds; the
-Phi curve is read from the same space.  One exact Phi value certifies that
-root; where it misses, the root find runs on the exact Phi.  The control
-at a certified mu reuses that resolvent's fit and factors, and so does
-every control of the realized-miss polish within 10 % of that mu: it
-continues from the previous control with the certified root's resolvent as
-its approximate inverse, and from the products Psi u and S_2T u that the
-previous control's refinement kept.
+that do not depend on mu, psi's segment integrals, S_T = e^{TA}, Psi and r_0
+= 1/Psi, are one fit, the problem fit, on one shared pole set, so one set
+of factors serves homogenize, g, S_T ystar_hom, Phi(0), the control at mu =
+0, the cost, every stationarity residual and the realized final state
+S_T u + p(T).  The root is found on a Ritz surrogate of Phi, a rational
+Gauss quadrature on a rational Krylov space built once per problem by
+Arnoldi passes over the factors the solve holds anyway (the S_2T and
+problem-fit poles), where a value costs microseconds; the Phi curve is read
+from the same space.  One exact Phi value certifies that root; where it
+misses, the root find runs on the exact Phi.  The control at a certified mu
+reuses that resolvent's fit and factors, and so does every control of the
+realized-miss polish within 10 % of that mu: it continues from the previous
+control with the certified root's resolvent as its approximate inverse, and
+from the products Psi u and S_2T u that the previous control's refinement
+kept.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ class HomogenizedData:
     once: the Phi values, the stop reports of the control's refinement and
     the products Psi u and S_2T u of the control it returned, and as lazy
     attributes S_T ystar_hom, g = Psi ystar_hom - S_T psi, the constant J(0)
-    and the base space of the Phi surrogate.  Psi and r_0 are read from the
-    problem fit of spec and big_psi_symbol (_problem_fit), the fit whose
+    and the base space of the Phi surrogate.  S_T, Psi and r_0 are read from
+    the problem fit of spec and big_psi_symbol (_problem_fit), the fit whose
     segment-integral components homogenize applied for psi.
     """
 
@@ -142,16 +143,17 @@ class HomogenizedData:
 
     @cached_property
     def st_ystar_hom(self):
-        """S_T ystar_hom, the mu-free part of the stationarity right-hand side."""
-        return semigroup_apply(self.op, self.spec.T, self.ystar_hom)
+        """S_T ystar_hom, the mu-free part of the stationarity right-hand
+        side, through the problem fit's S_T component."""
+        return apply_rational(self.op, _st_fit(self), self.ystar_hom)
 
     @cached_property
     def g(self):
-        """g = Psi ystar_hom - S_T psi through the Psi and semigroup fits:
-        Phi(mu) = ||r_mu(A) g||_M."""
-        op = self.op
-        return op.function(apply_rational(op, _psi_fit(self), self.ystar_hom).values
-                           - semigroup_apply(op, self.spec.T, self.psi).values)
+        """g = Psi ystar_hom - S_T psi, the problem fit's Psi and S_T
+        components applied in one pass over its poles: Phi(mu) = ||r_mu(A)
+        g||_M."""
+        return apply_rational_shared(self.op, [_psi_fit(self), _st_fit(self)],
+                                     [self.ystar_hom, -self.psi.values])
 
     @cached_property
     def cost_constant(self):
@@ -186,21 +188,21 @@ class HomogenizedData:
         """The Ritz data (theta, c^2, Psi(theta)) of the Phi surrogate (see
         _phi_surrogate) on its rational Krylov space of g.
 
-        The Arnoldi runs twice over the poles of the S_T, S_2T, Psi and r_0
-        fits, so the second pass costs shifted solves but no fit and no
-        factorization.  Psi and r_0 share the problem fit's poles, so each
-        pass visits those twice.  Against the dense oracle over mu in [1e-7,
-        1e12] the surrogate is within 3.6e-12 Phi(0) on the 2D h = 1/30
-        problem and 7.4e-13 on 1D n_el = 1000 (one pass: 4.6e-5 and 6.9e-5);
-        the list without the repeated problem-fit poles measured 7.1e-8 in
-        2D.  On a small mesh (1D n = 61) the space is the whole space.
+        The Arnoldi runs over the pole list (S_2T, P, P) x 2 + P, with P the
+        problem fit's poles (the poles of S_T, Psi and r_0), so every pass
+        after the first costs shifted solves but no fit and no factorization.
+        Against the dense oracle over mu in [1e-7, 1e12] the surrogate is
+        within 6.7e-13 Phi(0) on the 2D h = 1/30 problem and 8.9e-13 on 1D
+        n_el = 1000.  In 2D the list (S_2T, P, P) x 2 measured 1.3e-9, and
+        (S_T, S_2T, Psi, r_0) x 2, the poles of every fit, measured the same
+        6.7e-13 with 84 solves and 163 columns, where this list takes 72 and
+        140.  On a small mesh (1D n = 61) the space is the whole space.
         """
-        op, T = self.op, self.spec.T
+        op = self.op
         g = np.sqrt(op.M) * self.g.values
-        fits = (semigroup_fit(T), semigroup_fit(2 * T), _psi_fit(self),
-                _resolvent(self, 0.0))
-        poles = [p for r in fits for p in r.poles]
-        return _ritz(self, _rational_arnoldi(op, g, poles * 2), g)
+        shared = list(_psi_fit(self).poles)
+        poles = [*semigroup_fit(2 * self.spec.T).poles, *shared, *shared] * 2 + shared
+        return _ritz(self, _rational_arnoldi(op, g, poles), g)
 
 
 @dataclass
@@ -293,10 +295,16 @@ def _problem_fit(spec, big_psi):
     """The problem fit: the mu-free functions of one problem on one shared
     pole set, each within FIT_TOL of its own norm.  Its components are the
     segment integrals SI(a_k, b_k, 1) of psi, one per active beta segment in
-    order, then Psi = big_psi and r_0 = 1 / Psi."""
+    order, then S_T = e^{T lam}, Psi = big_psi and r_0 = 1 / Psi.  S_2T is
+    not one of them: it stays on the frozen exponential table."""
     sis = [sym.segment_integral(a, b, 1) for a, b, beta in spec.beta_segments
            if beta != 0.0]
-    return fit_required([*sis, big_psi, sym.const(1.0) / big_psi], "problem fit")
+    return fit_required([*sis, sym.expm(spec.T), big_psi, sym.const(1.0) / big_psi],
+                        "problem fit")
+
+
+def _st_fit(hd):
+    return _problem_fit(hd.spec, hd.big_psi_symbol)[-3]
 
 
 def _psi_fit(hd):
@@ -442,10 +450,11 @@ def _phi_surrogate(hd, op):
 
     over the Ritz pairs (theta_i, w_i) of A on the space, c_i = <w_i, g>_M.
     Every term decreases in mu, so Phi_s is monotone.  The space,
-    hd.surrogate_base, has two passes over the poles of the S_T, S_2T, Psi
-    and r_0 fits, which solve_problem factors anyway.  On the published
-    problems it is within 3.6e-12 Phi(0) of the dense oracle's Phi at mu = 0
-    and over [1e-7, 1e12], so the root find, the polish's slope and the Phi
+    hd.surrogate_base, has two passes over the poles of the S_2T fit and
+    the problem fit (which serves S_T, Psi and r_0), which solve_problem
+    factors anyway.  On the published problems it is within 1e-12 Phi(0) of
+    the dense oracle's Phi at mu = 0 and over [1e-7, 1e12] (measured 9.9e-13
+    in 1D, 6.7e-13 in 2D), so the root find, the polish's slope and the Phi
     curve all read it, and phi only certifies.  Phi_s depends on the problem
     data only, never on earlier calls.
     """
@@ -632,15 +641,19 @@ def solve_problem(spec, op, hd=None):
     The multiplier from the Phi root find is polished, when needed, by the
     secant root find on the realized final miss ||y(T) - ystar||_M so the
     constraint holds to 1e-7 * Phi(0) even where mu amplifies the route
-    difference.  The polish starts from the Phi-route mu with the slope of
-    the Ritz surrogate there.  Its first control is optimal_control at that
-    root; every later one continues from the previous control on the root's
-    resolvent (_continued_control), so a polish close to the root costs no
-    fit and no factorization.  A polish whose root find fails (it leaves
-    MU_BRACKET_CAP, stalls or runs out of steps) raises a RuntimeError that
-    names the certified mu and the realized miss there, with _root's error
-    as its cause: Phi has that root, so _root's own message, which calls
-    the problem data inconsistent, would mislead.
+    difference.  The final state is y(T) = S_T u + p(T) = S_T u + (ystar -
+    ystar_hom), with S_T the problem fit's component, so the miss is
+    ||S_T u - ystar_hom||_M: one apply on factors the problem holds, and no
+    source integral at T.  The polish starts from the Phi-route mu with the
+    slope of the Ritz surrogate there.  Its first control is
+    optimal_control at that root; every later one continues from the
+    previous control on the root's resolvent (_continued_control), so a
+    polish close to the root costs no fit and no factorization.  A polish
+    whose root find fails (it leaves MU_BRACKET_CAP, stalls or runs out of
+    steps) raises a RuntimeError that names the certified mu and the
+    realized miss there, with _root's error as its cause: Phi has that
+    root, so _root's own message, which calls the problem data
+    inconsistent, would mislead.
 
     A spec whose data other than eps differ from hd.spec's raises
     ValueError: the solve would mix the two problems.
@@ -653,7 +666,8 @@ def solve_problem(spec, op, hd=None):
     phi_count = len(hd._phi_values)
     root = solve_mu(hd, op, spec.eps)
     phi0 = phi(hd, op, 0.0)
-    seen = {}   # m -> (miss, u, y), in the order the polish visits m
+    st_fit = _st_fit(hd)
+    seen = {}   # m -> (miss, u, S_T u), in the order the polish visits m
 
     def miss_at(m):
         if seen:
@@ -661,8 +675,8 @@ def solve_problem(spec, op, hd=None):
             u_m = _continued_control(hd, root, m, seen[last][1], hd.products[last])
         else:
             u_m = optimal_control(hd, op, m)
-        y_m = trajectory(spec, op, u_m, [spec.T])[0]
-        seen[m] = (norm_m(op, y_m.values - spec.ystar.values), u_m, y_m)
+        st_u = apply_rational(op, st_fit, u_m).values
+        seen[m] = (norm_m(op, st_u - hd.ystar_hom.values), u_m, st_u)
         return seen[m][0]
 
     mu = root
@@ -679,13 +693,13 @@ def solve_problem(spec, op, hd=None):
                 f" root find on the miss found no root") from exc
     else:
         miss_at(mu)
-    miss, u, y = seen[mu]
+    miss, u, st_u = seen[mu]
     # the refinement reports the stationarity residual of u: the KKT one
     pcg_stop, kkt = hd.pcg_reports[mu]
     return ControlSolution(
         mu_eps=mu,
         u_opt=u,
-        y_opt=y,
+        y_opt=op.function(st_u + (spec.ystar.values - hd.ystar_hom.values)),
         cost=_cost(hd, u, hd.products[mu][0]),
         kkt=kkt,
         final_miss=miss,

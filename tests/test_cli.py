@@ -457,3 +457,19 @@ def test_convergence_run(tmp_path):
     d2 = [float(r["diff_prev"]) for r in two_d[1:]]
     assert d2[1] < d2[0]
     assert any(r["case"] == "1d-indicator" for r in mesh_rows)
+
+
+def test_convergence_2d_rows_read_the_verbs_alpha(tmp_path):
+    # [convergence] alpha reaches the 2d-smooth rows as well as the 1D ones;
+    # their mesh stays example2d's (same h and n), with example2d's T
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[convergence]\nalpha = 1e-3\n")
+    rows = {}
+    for name, extra in (("default", []), ("alpha", ["--config", str(cfg)])):
+        assert cli.main(["convergence", "--out", str(tmp_path / name), *extra]) == 0
+        rows[name] = [r for r in read_csv(tmp_path / name / "phi0_mesh.csv")
+                      if r["case"] == "2d-smooth"]
+    assert len(rows["default"]) == len(rows["alpha"]) == 3
+    for a, b in zip(rows["default"], rows["alpha"]):
+        assert (a["h"], a["n"]) == (b["h"], b["n"])
+        assert float(a["phi0"]) != float(b["phi0"])

@@ -69,26 +69,29 @@ def test_zero_trajectory_gives_zero_psi(op20):
 
 @pytest.mark.parametrize("T", [0.01, 0.05])
 def test_problem_fit_is_one_pole_set_within_each_components_target(op20, T):
-    # psi's segment integral, Psi and r_0 = 1/Psi share one fit: their norm
-    # estimates span nine orders of magnitude (3.4e-2 to 7.6e7), and each
-    # one is within FIT_TOL of its own norm (a target of FIT_TOL times the
-    # largest norm let the segment integral miss its own by far)
+    # psi's segment integral, S_T = e^{T lam}, Psi and r_0 = 1/Psi share one
+    # fit: their norm estimates span nine orders of magnitude (3.4e-2 to
+    # 7.6e7), and each one is within FIT_TOL of its own norm (a target of
+    # FIT_TOL times the largest norm let the segment integral miss its own
+    # by far)
     spec = make_spec_51(op20, 1.0, T=T)
     big_psi = ctl._big_psi(spec)
-    symbols = [sym.segment_integral(T / 3, 2 * T / 3, 1), big_psi,
+    symbols = [sym.segment_integral(T / 3, 2 * T / 3, 1), sym.expm(T), big_psi,
                sym.const(1.0) / big_psi]
     fits = ctl._problem_fit(spec, big_psi)
-    assert len(fits) == 3 and len({f.poles for f in fits}) == 1
+    assert len(fits) == 4 and len({f.poles for f in fits}) == 1
     for g, f in zip(symbols, fits):
         err = np.max(np.abs(f(rat._VALID) - g(rat._VALID)))
         assert err <= rat.FIT_TOL * rat._norm_estimate(g(rat._TRAIN))
     hd = ctl.homogenize(spec, op20)
-    assert ctl._psi_fit(hd) is fits[1] and ctl._resolvent(hd, 0.0) is fits[2]
+    assert ctl._st_fit(hd) is fits[1] and ctl._psi_fit(hd) is fits[2] \
+        and ctl._resolvent(hd, 0.0) is fits[3]
 
 
 def test_homogenize_applies_psis_segment_integrals_in_one_pass(op20, monkeypatch):
     # with beta active on all three segments the problem fit has three
-    # segment-integral components on one pole set, and homogenize applies
+    # segment-integral components (and S_T, Psi and r_0) on one pole set,
+    # and homogenize applies
     # them together: one shifted solve per stored pole, where one apply per
     # segment took three times as many; psi matches the per-segment sum to
     # roundoff
@@ -107,7 +110,7 @@ def test_homogenize_applies_psis_segment_integrals_in_one_pass(op20, monkeypatch
     monkeypatch.setattr(rat, "solve_shifted", counting)
     hd = ctl.homogenize(spec, op20)
     fits = ctl._problem_fit(spec, hd.big_psi_symbol)
-    assert len(fits) == 5
+    assert len(fits) == 6
     assert shifts == list(fits[0].poles)
     monkeypatch.undo()
     per_segment = psi_without_source(spec, op20)
@@ -115,16 +118,32 @@ def test_homogenize_applies_psis_segment_integrals_in_one_pass(op20, monkeypatch
 
 
 def test_2d_homogenize_and_phi0_factor_the_problem_fit_once():
-    # homogenize factors the problem fit's poles; Phi(0) applies Psi and r_0
-    # on those factors and adds only S_T's for g: 11 + 6 shifts, where the
-    # separate segment-integral, Psi, S_T and r_0 fits took 9 + 8 + 6 + 9
+    # homogenize factors the problem fit's poles; Phi(0) applies S_T, Psi and
+    # r_0 on those factors and adds none: 12 shifts, where the problem fit
+    # without S_T and the semigroup fit for g took 11 + 6, and the separate
+    # segment-integral, Psi, S_T and r_0 fits 9 + 8 + 6 + 9
     cfg = load_config("example2d")
     op = cli.build_operator_2d(cfg)
     hd = ctl.homogenize(cli.build_problem_2d(cfg, op, 1.0), op)
-    assert len(op._solvers) == len(ctl._psi_fit(hd).poles)
+    assert len(op._solvers) == len(ctl._psi_fit(hd).poles) == 12
     ctl.phi(hd, op, 0.0)
-    assert len(op._solvers) == len(ctl._psi_fit(hd).poles) \
-        + len(rat.semigroup_fit(cfg.T).poles) == 17
+    assert len(op._solvers) == 12
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_problem_fits_s_t_matches_the_semigroup(dim):
+    # the problem fit's S_T component is within FIT_TOL of e^{T lam}'s own
+    # norm, and on the published ystar_hom and psi it agrees with the
+    # semigroup fit of the frozen exponential table (measured 1.2e-12 to
+    # 3.3e-12 relative)
+    _, op, hd, _ = _example1d(62) if dim == "1d" else _example2d(1 / 30)
+    st, g = ctl._st_fit(hd), sym.expm(hd.spec.T)
+    assert np.max(np.abs(st(rat._VALID) - g(rat._VALID))) \
+        <= rat.FIT_TOL * rat._norm_estimate(g(rat._TRAIN))
+    for v in (hd.ystar_hom, hd.psi):
+        want = rat.semigroup_apply(op, hd.spec.T, v).values
+        got = rat.apply_rational(op, st, v).values
+        assert ops.norm_m(op, got - want) <= 1e-10 * ops.norm_m(op, want)
 
 
 def test_psi_symbol_dominates_alpha(hd62):
@@ -263,7 +282,8 @@ def _example2d(h):
 
 
 def test_fine_2d_mesh_homogenizes():
-    # h = 1/60 (n = 10,561): about 90 MB of shifted factors for Phi(0)
+    # h = 1/60 (n = 10,561): about 70 MB of shifted factors for Phi(0), the
+    # problem fit's 12
     coarse, fine = _example2d(1 / 30)[3], _example2d(1 / 60)[3]
     assert np.isfinite(fine) and fine > 0
     assert abs(fine - coarse) <= 1e-2 * coarse
@@ -868,6 +888,25 @@ def test_solution_with_source_matches_oracle(op62, case):
     assert u_err <= 1e-7
     assert abs(sol.mu_eps - osol.mu_eps) <= 1e-8 * osol.mu_eps
     assert abs(sol.cost - osol.cost) <= 1e-7 * abs(osol.cost)
+
+
+@pytest.mark.parametrize("case", ["one", "three", "inside"])
+def test_final_state_with_source_is_s_t_u_plus_the_source_response(op62, case):
+    # y(T) = S_T u + p(T) = S_T u + (ystar - ystar_hom) with the problem
+    # fit's S_T, and the final miss is its distance to ystar; it agrees with
+    # the trajectory's semigroup and source-integral route to the fits'
+    # accuracy (measured 1.0e-12 to 1.5e-12 relative)
+    spec = replace(make_spec_51(op62, 1.0), f_segments=_source_cases(op62)[case])
+    hd = ctl.homogenize(spec, op62)
+    spec = replace(spec, eps=0.5 * ctl.phi(hd, op62, 0.0))
+    sol = ctl.solve_problem(spec, op62, hd=hd)
+    st_u = rat.apply_rational(op62, ctl._st_fit(hd), sol.u_opt).values
+    want = st_u + (spec.ystar.values - hd.ystar_hom.values)
+    assert ops.norm_m(op62, sol.y_opt.values - want) <= 1e-14 * ops.norm_m(op62, want)
+    miss = ops.norm_m(op62, sol.y_opt.values - spec.ystar.values)
+    assert abs(sol.final_miss - miss) <= 1e-12 * miss
+    y_t = ctl.trajectory(spec, op62, sol.u_opt, [spec.T])[0].values
+    assert ops.norm_m(op62, sol.y_opt.values - y_t) <= 1e-10 * ops.norm_m(op62, y_t)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ releases:
 - `phi-curve`: 70 MB measured (74 MB with SuperLU's default panel size);
   bound 91 MB.  It reads all 350 values from the Phi surrogate's space, so
   it holds the factors of Phi(0) and that space only.
-- the three 2D solves at h = 1/60: 570 MB measured (666 MB with the
-  default panel size); bound 740 MB.
+- the three 2D solves at h = 1/60: 408 MB measured with 46 factors (537 MB
+  with the default panel size); bound 530 MB.
 
 The fit path's transients do not grow with the mesh, but they set the peak
 of runs on small meshes: sampling a source-response integral on a fit grid,
@@ -35,7 +35,7 @@ from parabolic_control import rational as rat
 from parabolic_control import symbols as sym
 
 PHI_CURVE_MAX_MB = 91
-SOLVES_2D_H60_MAX_MB = 740
+SOLVES_2D_H60_MAX_MB = 530
 
 # The published phi-curve verb, writing to the directory argv[1].
 _PHI_CURVE_CHILD = PEAK_RSS_SOURCE + """
@@ -74,8 +74,8 @@ def test_phi_curve_peak_rss(tmp_path):
 
 
 def test_2d_solves_at_h60_peak_rss_and_factor_count():
-    # the factor count does not grow with the mesh: measured 66 at h = 1/60
-    # against 67 at h = 1/30
+    # the factor count does not grow with the mesh: measured 46 at h = 1/60
+    # and at h = 1/30
     coarse = run_child(_SOLVES_2D_CHILD, 30)
     fine = run_child(_SOLVES_2D_CHILD, 60)
     assert fine["n"] == 10561

@@ -181,17 +181,19 @@ def _surrogate_oracle_error(op, hd, ds):
 
 
 def test_phi_surrogate_matches_oracle_1d(example1d):
-    # two Arnoldi passes over the S_T, S_2T, Psi and r_0 poles: measured
-    # 8.7e-13 on n_el = 62, where the space fills, and 7.4e-13 on n_el =
-    # 1000, where one pass was 6.9e-5 off
+    # two Arnoldi passes over the S_2T poles and twice the problem fit's
+    # (which S_T, Psi and r_0 share), then one more over the problem fit's:
+    # measured 9.9e-13 on n_el = 62, where the space fills, and 8.9e-13 on
+    # n_el = 1000, where one pass was 6.9e-5 off
     _, op, hd, ds = example1d
     assert _surrogate_oracle_error(op, hd, ds) <= 1e-11
 
 
 def test_phi_surrogate_matches_oracle_2d(example2d):
-    # within solve_mu's tolerance 1e-8 Phi(0): measured 3.6e-12 with Psi and
-    # r_0 on the problem fit's shared poles (1.3e-9 with separate fits),
-    # where one pass was 4.6e-5 off
+    # within solve_mu's tolerance 1e-8 Phi(0): measured 6.7e-13 with S_T,
+    # Psi and r_0 on the problem fit's shared poles (3.6e-12 with S_T on a
+    # fit of its own, 1.3e-9 with separate Psi and r_0 fits), where one pass
+    # was 4.6e-5 off
     _, op, hd, _, ds = example2d
     assert _surrogate_oracle_error(op, hd, ds) <= 1e-8
 
