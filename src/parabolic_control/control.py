@@ -19,21 +19,21 @@ multiplier both need one operator function, the resolvent r_mu(lam) = 1 /
 Phi(mu) = ||r_mu(A) g||_M, g = Psi ystar_hom - S_T psi.  Every operator
 function is a fitted partial-fraction rational applied through shifted
 solves, every fit requested through rational.fit_required.  The functions
-that do not depend on mu, psi's segment integrals, S_T = e^{TA}, Psi and r_0
-= 1/Psi, are one fit, the problem fit, on one shared pole set, so one set
-of factors serves homogenize, g, S_T ystar_hom, Phi(0), the control at mu =
-0, the cost, every stationarity residual and the realized final state
-S_T u + p(T).  The root is found on a Ritz surrogate of Phi, a rational
-Gauss quadrature on a rational Krylov space built once per problem by
-Arnoldi passes over the factors the solve holds anyway (the S_2T and
-problem-fit poles), where a value costs microseconds; the Phi curve is read
-from the same space.  One exact Phi value certifies that root; where it
-misses, the root find runs on the exact Phi.  The control at a certified mu
-reuses that resolvent's fit and factors, and so does every control of the
-realized-miss polish within 10 % of that mu: it continues from the previous
-control with the certified root's resolvent as its approximate inverse, and
-from the products Psi u and S_2T u that the previous control's refinement
-kept.
+that do not depend on mu (the segment integrals and source responses of
+psi, those of p(T), S_T = e^{TA}, Psi and r_0 = 1/Psi) are one fit, the
+problem fit, on one shared pole set, so one set of factors serves psi,
+ystar_hom, g, S_T ystar_hom, Phi(0), the control at mu = 0, the cost, every
+stationarity residual and the realized final state S_T u + p(T).  The root
+is found on a Ritz surrogate of Phi, a rational Gauss quadrature on a
+rational Krylov space built once per problem by Arnoldi passes over the
+factors the solve holds anyway (the S_2T and problem-fit poles), where a
+value costs microseconds; the Phi curve is read from the same space.  One
+exact Phi value certifies that root; where it misses, the root find runs on
+the exact Phi.  The control at a certified mu reuses that resolvent's fit
+and factors, and so does every control of the realized-miss polish within
+10 % of that mu: it continues from the previous control with the certified
+root's resolvent as its approximate inverse, and from the products Psi u
+and S_2T u that the previous control's refinement kept.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class HomogenizedData:
     attributes S_T ystar_hom, g = Psi ystar_hom - S_T psi, the constant J(0)
     and the base space of the Phi surrogate.  S_T, Psi and r_0 are read from
     the problem fit of spec and big_psi_symbol (_problem_fit), the fit whose
-    segment-integral components homogenize applied for psi.
+    other components homogenize applied for psi and ystar_hom.
     """
 
     spec: ProblemSpec
@@ -228,18 +228,13 @@ class ControlSolution:
 # ---------------------------------------------------------------------------
 
 def source_integral(op, f_segments, t):
-    """int_0^t S_{t-tau} f(tau) dtau for piecewise-constant-in-time f."""
-    out = op.function(np.zeros(op.n))
-    if t <= 0:
-        return out
-    for (a, b, fvec) in f_segments:
-        if a >= t:
-            continue
-        lo = t - min(b, t)
-        hi = t - a
-        r, = fit_required([sym.segment_integral(lo, hi, 1)], "segment-integral fit")
-        out = op.function(out.values + apply_rational(op, r, fvec).values)
-    return out
+    """p(t) = int_0^t S_{t-tau} f(tau) dtau = sum_j SI(t - min(d_j, t), t -
+    c_j, 1)(A) f_j for piecewise-constant f, over the segments [c_j, d_j]
+    with c_j < t: one shared fit of those segment integrals, one pass."""
+    active = [(c, d, f.values) for c, d, f in f_segments if c < t]
+    fits = fit_required([sym.segment_integral(t - min(d, t), t - c, 1)
+                         for c, d, _ in active], "source-integral fit") if active else ()
+    return op.function(_apply_first(op, fits, [f for *_, f in active]))
 
 
 def homogenize(spec, op):
@@ -251,31 +246,29 @@ def homogenize(spec, op):
     int_{a_k}^{b_k} e^{t lam} dt and G_kj = int_{a_k}^{b_k}
     int_{c_j}^{min(d_j, t)} e^{(2t - tau) lam} dtau dt
     (symbols.SourceResponseIntegral), so J(u) = 1/2 <u, Psi u> - <u, psi> +
-    J(0) holds with a source too.  The I_k are the segment-integral
-    components of the problem fit (_problem_fit), applied in one pass over
-    its poles; each G_kj is a fit of its own.
+    J(0) holds with a source too; ystar_hom = ystar - p(T).  The I_k, the
+    G_kj and p(T)'s segment integrals are components of the problem fit
+    (_problem_fit): psi is one pass over its poles, p(T) a second one.
     """
     for mf in (spec.ystar, *spec.w_segments, *(f for _, _, f in spec.f_segments)):
         if len(mf.values) != op.n:
             raise DimensionError("problem data does not match operator dimension")
-    ystar_hom = op.function(
-        spec.ystar.values - source_integral(op, spec.f_segments, spec.T).values)
     big_psi = _big_psi(spec)
-    active = [(a, b, beta, w) for (a, b, beta), w
+    fits = _problem_fit(spec, big_psi)
+    active = [(b, beta, w) for (_, b, beta), w
               in zip(spec.beta_segments, spec.w_segments) if beta != 0.0]
-    psi_vals = np.zeros(op.n)
-    if active:
-        psi_vals = apply_rational_shared(op, _problem_fit(spec, big_psi)[:len(active)],
-                                         [beta * w.values for *_, beta, w in active]).values
-    for a, b, beta, _ in active:
-        for (c, d, fvec) in spec.f_segments:
-            if c < b:   # a source that starts after b has no response before it
-                r, = fit_required([sym.source_response_integral(a, b, c, d)],
-                                  "source-response fit")
-                psi_vals = psi_vals - beta * apply_rational(op, r, fvec).values
-    return HomogenizedData(
-        spec=spec, op=op, ystar_hom=ystar_hom,
-        psi=op.function(psi_vals), big_psi_symbol=big_psi)
+    psi_vecs = [beta * w.values for _, beta, w in active] + [
+        -beta * f.values for b, beta, _ in active for c, _, f in spec.f_segments if c < b]
+    p_vecs = [f.values for c, _, f in spec.f_segments if c < spec.T]
+    p_t = _apply_first(op, fits[len(psi_vecs):], p_vecs)
+    return HomogenizedData(spec=spec, op=op, ystar_hom=op.function(spec.ystar.values - p_t),
+                           psi=op.function(_apply_first(op, fits, psi_vecs)),
+                           big_psi_symbol=big_psi)
+
+
+def _apply_first(op, fits, vecs):
+    """sum_i fits[i](A) vecs[i] over the first len(vecs) fits, one pass."""
+    return apply_rational_shared(op, fits[:len(vecs)], vecs).values if vecs else np.zeros(op.n)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +286,19 @@ def _big_psi(spec):
 
 def _problem_fit(spec, big_psi):
     """The problem fit: the mu-free functions of one problem on one shared
-    pole set, each within FIT_TOL of its own norm.  Its components are the
-    segment integrals SI(a_k, b_k, 1) of psi, one per active beta segment in
-    order, then S_T = e^{T lam}, Psi = big_psi and r_0 = 1 / Psi.  S_2T is
-    not one of them: it stays on the frozen exponential table."""
-    sis = [sym.segment_integral(a, b, 1) for a, b, beta in spec.beta_segments
-           if beta != 0.0]
-    return fit_required([*sis, sym.expm(spec.T), big_psi, sym.const(1.0) / big_psi],
+    pole set, each within FIT_TOL of its own norm.  Its components, in
+    order: psi's SI(a_k, b_k, 1) per active beta segment k; psi's source
+    responses G_kj = SourceResponseIntegral(a_k, b_k, c_j, d_j) per such k
+    and source segment j with c_j < b_k; p(T)'s SI(T - min(d_j, T), T - c_j,
+    1) per source segment with c_j < T; then S_T = e^{T lam}, Psi = big_psi
+    and r_0 = 1 / Psi.  S_2T stays on the frozen exponential table."""
+    T, active = spec.T, [(a, b) for a, b, beta in spec.beta_segments if beta != 0.0]
+    sis = [sym.segment_integral(a, b, 1) for a, b in active]
+    gs = [sym.source_response_integral(a, b, c, d) for a, b in active
+          for c, d, _ in spec.f_segments if c < b]
+    ps = [sym.segment_integral(T - min(d, T), T - c, 1) for c, d, _ in spec.f_segments
+          if c < T]
+    return fit_required([*sis, *gs, *ps, sym.expm(T), big_psi, sym.const(1.0) / big_psi],
                         "problem fit")
 
 
