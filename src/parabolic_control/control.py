@@ -20,20 +20,21 @@ Phi(mu) = ||r_mu(A) g||_M, g = Psi ystar_hom - S_T psi.  Every operator
 function is a fitted partial-fraction rational applied through shifted
 solves, every fit requested through rational.fit_required.  The functions
 that do not depend on mu (the segment integrals and source responses of
-psi, those of p(T), S_T = e^{TA}, Psi and r_0 = 1/Psi) are one fit, the
-problem fit, on one shared pole set, so one set of factors serves psi,
-ystar_hom, g, S_T ystar_hom, Phi(0), the control at mu = 0, the cost, every
-stationarity residual and the realized final state S_T u + p(T).  The root
-is found on a Ritz surrogate of Phi, a rational Gauss quadrature on a
-rational Krylov space built once per problem by Arnoldi passes over the
-factors the solve holds anyway (the S_2T and problem-fit poles), where a
-value costs microseconds; the Phi curve is read from the same space.  One
-exact Phi value certifies that root; where it misses, the root find runs on
-the exact Phi.  The control at a certified mu reuses that resolvent's fit
-and factors, and so does every control of the realized-miss polish within
-10 % of that mu: it continues from the previous control with the certified
-root's resolvent as its approximate inverse, and from the products Psi u
-and S_2T u that the previous control's refinement kept.
+psi, those of p(T), S_T = e^{TA}, Psi and r_0 = 1/Psi; a short SI(0, h, 1)
+has a fit of its own) are one fit, the problem fit, on one shared pole set,
+so one set of factors serves psi, ystar_hom, g, S_T ystar_hom, Phi(0), the
+control at mu = 0, the cost, every stationarity residual and the realized
+final state S_T u + p(T).  The root is found on a Ritz surrogate of Phi, a
+rational Gauss quadrature on a rational Krylov space built once per problem
+by Arnoldi passes over the factors the solve holds anyway (the S_2T and
+problem-fit poles), where a value costs microseconds; the Phi curve is read
+from the same space.  One exact Phi value certifies that root; where it
+misses, the root find runs on the exact Phi.  The control at a certified mu
+reuses that resolvent's fit and factors, and so does every control of the
+realized-miss polish within 10 % of that mu: it continues from the previous
+control with the certified root's resolvent as its approximate inverse, and
+from the products Psi u and S_2T u that the previous control's refinement
+kept.
 """
 
 from __future__ import annotations
@@ -228,13 +229,12 @@ class ControlSolution:
 # ---------------------------------------------------------------------------
 
 def source_integral(op, f_segments, t):
-    """p(t) = int_0^t S_{t-tau} f(tau) dtau = sum_j SI(t - min(d_j, t), t -
-    c_j, 1)(A) f_j for piecewise-constant f, over the segments [c_j, d_j]
-    with c_j < t: one shared fit of those segment integrals, one pass."""
-    active = [(c, d, f.values) for c, d, f in f_segments if c < t]
-    fits = fit_required([sym.segment_integral(t - min(d, t), t - c, 1)
-                         for c, d, _ in active], "source-integral fit") if active else ()
-    return op.function(_apply_first(op, fits, [f for *_, f in active]))
+    """p(t) = int_0^t S_{t-tau} f(tau) dtau for piecewise-constant f: its
+    terms (_source_terms) through one shared fit, in one pass."""
+    terms = _source_terms(f_segments, t)
+    shared = _shared(terms, t)
+    fits = fit_required(shared, "source-integral fit") if shared else ()
+    return op.function(_apply_terms(op, terms, shared, fits))
 
 
 def homogenize(spec, op):
@@ -246,29 +246,58 @@ def homogenize(spec, op):
     int_{a_k}^{b_k} e^{t lam} dt and G_kj = int_{a_k}^{b_k}
     int_{c_j}^{min(d_j, t)} e^{(2t - tau) lam} dtau dt
     (symbols.SourceResponseIntegral), so J(u) = 1/2 <u, Psi u> - <u, psi> +
-    J(0) holds with a source too; ystar_hom = ystar - p(T).  The I_k, the
-    G_kj and p(T)'s segment integrals are components of the problem fit
-    (_problem_fit): psi is one pass over its poles, p(T) a second one.
+    J(0) holds with a source too; ystar_hom = ystar - p(T).  The symbols of
+    psi's terms and p(T)'s (_psi_terms, _source_terms) are components of the
+    problem fit (_problem_fit), but for a short segment integral from 0
+    (_shared): psi is one pass over its poles, p(T) a second one.
     """
     for mf in (spec.ystar, *spec.w_segments, *(f for _, _, f in spec.f_segments)):
         if len(mf.values) != op.n:
             raise DimensionError("problem data does not match operator dimension")
     big_psi = _big_psi(spec)
-    fits = _problem_fit(spec, big_psi)
-    active = [(b, beta, w) for (_, b, beta), w
-              in zip(spec.beta_segments, spec.w_segments) if beta != 0.0]
-    psi_vecs = [beta * w.values for _, beta, w in active] + [
-        -beta * f.values for b, beta, _ in active for c, _, f in spec.f_segments if c < b]
-    p_vecs = [f.values for c, _, f in spec.f_segments if c < spec.T]
-    p_t = _apply_first(op, fits[len(psi_vecs):], p_vecs)
+    psi_terms, p_terms = _psi_terms(spec), _source_terms(spec.f_segments, spec.T)
+    shared, fits = _shared(psi_terms + p_terms, spec.T), _problem_fit(spec, big_psi)
+    p_t = _apply_terms(op, p_terms, shared, fits)
     return HomogenizedData(spec=spec, op=op, ystar_hom=op.function(spec.ystar.values - p_t),
-                           psi=op.function(_apply_first(op, fits, psi_vecs)),
+                           psi=op.function(_apply_terms(op, psi_terms, shared, fits)),
                            big_psi_symbol=big_psi)
 
 
-def _apply_first(op, fits, vecs):
-    """sum_i fits[i](A) vecs[i] over the first len(vecs) fits, one pass."""
-    return apply_rational_shared(op, fits[:len(vecs)], vecs).values if vecs else np.zeros(op.n)
+def _psi_terms(spec):
+    """psi's terms (symbol, vector): (I_k, beta_k w_k) per active beta segment
+    k, then (G_kj, -beta_k f_j) per such k and source segment with c_j < b_k."""
+    active = [(a, b, beta, w.values) for (a, b, beta), w
+              in zip(spec.beta_segments, spec.w_segments) if beta != 0.0]
+    return [(sym.segment_integral(a, b, 1), beta * w) for a, b, beta, w in active] + [
+        (sym.source_response_integral(a, b, c, d), -beta * f.values)
+        for a, b, beta, _ in active for c, d, f in spec.f_segments if c < b]
+
+
+def _source_terms(f_segments, t):
+    """p(t)'s terms (SI(t - min(d_j, t), t - c_j, 1), f_j), one per c_j < t."""
+    return [(sym.segment_integral(t - min(d, t), t - c, 1), f.values)
+            for c, d, f in f_segments if c < t]
+
+
+def _shared(terms, t):
+    """The symbols of terms that join one shared fit at time t, in order: all
+    but SI(0, h, 1) with h < 1e-4 max(1, t), where the adaptive fit misses
+    FIT_TOL (measured from h = 3e-5 at t = 0.01, 4e-5 at t = 1 and 1e-4 at
+    t = 10); its own fit is the rescaled ready-made fit of SI(0, 1, 1)."""
+    return [g for g, _ in terms if not (isinstance(g, sym.SegmentIntegral) and g.a == 0.0
+                                        and g.b < 1e-4 * max(1.0, t))]
+
+
+def _apply_terms(op, terms, shared, fits):
+    """sum_i g_i(A) v_i over the terms (g_i, v_i): those in shared, whose
+    fits lead fits, in one pass; each other one through a fit of its own."""
+    fit_of = dict(zip((g.key for g in shared), fits))
+    held = [(fit_of[g.key], v) for g, v in terms if g.key in fit_of]
+    out = apply_rational_shared(op, *zip(*held)).values if held else np.zeros(op.n)
+    for g, v in terms:
+        if g.key not in fit_of:
+            out = out + apply_rational(op, *fit_required([g], "segment-integral fit"), v).values
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +316,12 @@ def _big_psi(spec):
 def _problem_fit(spec, big_psi):
     """The problem fit: the mu-free functions of one problem on one shared
     pole set, each within FIT_TOL of its own norm.  Its components, in
-    order: psi's SI(a_k, b_k, 1) per active beta segment k; psi's source
-    responses G_kj = SourceResponseIntegral(a_k, b_k, c_j, d_j) per such k
-    and source segment j with c_j < b_k; p(T)'s SI(T - min(d_j, T), T - c_j,
-    1) per source segment with c_j < T; then S_T = e^{T lam}, Psi = big_psi
-    and r_0 = 1 / Psi.  S_2T stays on the frozen exponential table."""
-    T, active = spec.T, [(a, b) for a, b, beta in spec.beta_segments if beta != 0.0]
-    sis = [sym.segment_integral(a, b, 1) for a, b in active]
-    gs = [sym.source_response_integral(a, b, c, d) for a, b in active
-          for c, d, _ in spec.f_segments if c < b]
-    ps = [sym.segment_integral(T - min(d, T), T - c, 1) for c, d, _ in spec.f_segments
-          if c < T]
-    return fit_required([*sis, *gs, *ps, sym.expm(T), big_psi, sym.const(1.0) / big_psi],
+    order: the shared symbols (_shared) of psi's terms (_psi_terms), then of
+    p(T)'s (_source_terms), then S_T = e^{T lam}, Psi = big_psi and r_0 = 1 /
+    Psi.  S_2T stays on the frozen exponential table."""
+    T = spec.T
+    shared = _shared(_psi_terms(spec) + _source_terms(spec.f_segments, T), T)
+    return fit_required([*shared, sym.expm(T), big_psi, sym.const(1.0) / big_psi],
                         "problem fit")
 
 

@@ -682,6 +682,52 @@ def test_trajectory_just_after_a_source_starts(op64):
     assert ops.norm_m(op64, y.values - want.values) <= 1e-10 * ops.norm_m(op64, want)
 
 
+def test_trajectory_and_cost_constant_just_after_a_later_source_starts(op64):
+    # 1e-5 after [0.0055, T] starts, while [0, T/10] is active, p(t) has the
+    # terms SI(t - T/10, t, 1) and SI(0, 1e-5, 1); the short one stays out of
+    # their shared fit and takes the rescaled fit of SI(0, 1, 1) of its own.
+    # J(0)'s Gauss rule meets the same at its node 2.3e-5 into [0.0055, 2T/3]
+    ds = orc.decompose(op64)
+    f = op64.function(50.0 * np.sin(op64.coords))
+    segs, t = ((0.0, T_1D / 10, f), (0.0055, T_1D, f)), 0.0055 + 1e-5
+    spec = replace(make_spec_51(op64, 1.0), f_segments=segs)
+    y = ctl.trajectory(spec, op64, op64.function(np.zeros(op64.n)), [t])[0]
+    want = ds.from_eig(orc._source_eig(ds, segs, t))
+    assert ops.norm_m(op64, y.values - want.values) <= 1e-10 * ops.norm_m(op64, want)
+    want = orc.oracle_cost(spec, ds, np.zeros(op64.n))
+    assert abs(ctl.homogenize(spec, op64).cost_constant - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+def test_homogenize_with_a_short_last_source_segment(earlier, monkeypatch):
+    # p(T) of the segment [T - 1e-5, T] is SI(0, 1e-5, 1), which stays out
+    # of the problem fit and takes a fit of its own; its source response
+    # G = SourceResponseIntegral(2T/3, T, T - 1e-5, T), beta being active on
+    # [2T/3, T] too, is a component of the problem fit.  psi, ystar_hom, the
+    # root and the control at it match the dense oracle.
+    op = ops.assemble_1d(62)
+    f = op.function(50.0 * np.sin(op.coords))
+    segs = ((0.0, T_1D / 2, f),) * earlier + ((T_1D - 1e-5, T_1D, f),)
+    spec = make_spec_51(op, 1.0)
+    spec = replace(spec, f_segments=segs, beta_segments=spec.beta_segments[:2]
+                   + ((2 * T_1D / 3, T_1D, 1.0),))
+    required, _ = _counting(monkeypatch)
+    hd = ctl.homogenize(spec, op)
+    monkeypatch.undo()
+    assert required == ["problem fit", "segment-integral fit"]
+    ds = orc.decompose(op)
+    ystar_hom, psi, _ = orc._homogenized_eig(spec, ds)
+    for got, want in ((hd.ystar_hom, ystar_hom), (hd.psi, psi)):
+        assert ops.norm_m(op, got.values - ds.from_eig(want).values) \
+            <= 1e-10 * float(np.linalg.norm(want))
+    spec = replace(spec, eps=0.5 * ctl.phi(hd, op, 0.0))
+    mu = ctl.solve_mu(hd, op, spec.eps)
+    u = ctl.optimal_control(hd, op, mu)
+    osol = orc.oracle_solve_control(spec, op)
+    assert ops.norm_m(op, u.values - osol.u_opt.values) <= 1e-7 * ops.norm_m(op, osol.u_opt)
+    assert abs(mu - osol.mu_eps) <= 1e-8 * osol.mu_eps
+
+
 @pytest.mark.xfail(strict=True, raises=rat.FitError, reason=(
     "1e-5 after the source changes at c, the segment [0, c] contributes"
     " SI(1e-5, c + 1e-5, 1), whose adaptive fit misses FIT_TOL; the"
