@@ -21,10 +21,13 @@ function is a fitted partial-fraction rational applied through shifted
 solves, every fit requested through rational.fit_required.  The functions
 that do not depend on mu (the segment integrals and source responses of
 psi, those of p(T), S_T = e^{TA}, Psi and r_0 = 1/Psi; a short SI(0, h, 1)
-has a fit of its own) are one fit, the problem fit, on one shared pole set,
-so one set of factors serves psi, ystar_hom, g, S_T ystar_hom, Phi(0), the
-control at mu = 0, the cost, every stationarity residual and the realized
-final state S_T u + p(T).  The root is found on a Ritz surrogate of Phi, a
+has a fit of its own) are one fit, the problem fit, on one shared pole set.
+homogenize makes it and HomogenizedData keeps it, so one fit and one set of
+factors serve psi, ystar_hom, g, S_T ystar_hom, Phi(0), the control at
+mu = 0, the cost, every stationarity residual and the realized final state
+S_T u + p(T).  A state y(t) = S_t u + p(t) is likewise one shared fit per
+time t, of e^{t lam} and p(t)'s segment integrals (trajectory; J(0)'s Gauss
+nodes take p(t) the same way).  The root is found on a Ritz surrogate of Phi, a
 rational Gauss quadrature on a rational Krylov space built once per problem
 by Arnoldi passes over the factors the solve holds anyway (the S_2T and
 problem-fit poles), where a value costs microseconds; the Phi curve is read
@@ -122,9 +125,11 @@ class HomogenizedData:
     once: the Phi values, the stop reports of the control's refinement and
     the products Psi u and S_2T u of the control it returned, and as lazy
     attributes S_T ystar_hom, g = Psi ystar_hom - S_T psi, the constant J(0)
-    and the base space of the Phi surrogate.  S_T, Psi and r_0 are read from
-    the problem fit of spec and big_psi_symbol (_problem_fit), the fit whose
-    other components homogenize applied for psi and ystar_hom.
+    and the base space of the Phi surrogate.  It owns the problem fit
+    (_problem_fit), which homogenize made and applied for psi and ystar_hom:
+    every later reader (g, S_T ystar_hom, the surrogate's poles, r_0, Psi u,
+    the cost and the final state) takes S_T, Psi and r_0 from problem_fit
+    and looks no fit up again.
     """
 
     spec: ProblemSpec
@@ -132,6 +137,9 @@ class HomogenizedData:
     ystar_hom: MeshFunction
     psi: MeshFunction
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
+    # the problem fit's components (_problem_fit), the last three S_T, Psi
+    # and r_0
+    problem_fit: tuple
     # mu -> Phi(mu), every value phi computed
     _phi_values: dict = field(default_factory=dict, repr=False)
     # mu -> (why the control's refinement stopped: "converged" or
@@ -146,15 +154,15 @@ class HomogenizedData:
     def st_ystar_hom(self):
         """S_T ystar_hom, the mu-free part of the stationarity right-hand
         side, through the problem fit's S_T component."""
-        return apply_rational(self.op, _st_fit(self), self.ystar_hom)
+        return apply_rational(self.op, self.problem_fit[-3], self.ystar_hom)
 
     @cached_property
     def g(self):
         """g = Psi ystar_hom - S_T psi, the problem fit's Psi and S_T
         components applied in one pass over its poles: Phi(mu) = ||r_mu(A)
         g||_M."""
-        return apply_rational_shared(self.op, [_psi_fit(self), _st_fit(self)],
-                                     [self.ystar_hom, -self.psi.values])
+        *_, s_t, big_psi, _ = self.problem_fit
+        return apply_rational_shared(self.op, [big_psi, s_t], [self.ystar_hom, -self.psi.values])
 
     @cached_property
     def cost_constant(self):
@@ -163,7 +171,8 @@ class HomogenizedData:
         Without a source it is 1/2 sum_k beta_k (b_k - a_k) ||w_k||_M^2.  With
         one, an 8-point Gauss rule on every panel between the source
         breakpoints inside [a_k, b_k] integrates the data-only integrand;
-        p(t) is smooth on each panel.
+        p(t) is smooth on each panel, and at each node it is one shared fit
+        of the active segments' integrals (_state).
         """
         spec, op = self.spec, self.op
         nodes, weights = np.polynomial.legendre.leggauss(8)
@@ -179,8 +188,8 @@ class HomogenizedData:
             for lo, hi in zip(cuts, cuts[1:]):
                 half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
                 for x, wt in zip(nodes, weights):
-                    p = source_integral(op, spec.f_segments, mid + half * x)
-                    diff = w.values - p.values
+                    t = mid + half * x
+                    diff = w.values - _state(op, _source_terms(spec.f_segments, t), t)
                     c += 0.5 * beta * half * wt * inner_m(op, diff, diff)
         return c
 
@@ -201,7 +210,7 @@ class HomogenizedData:
         """
         op = self.op
         g = np.sqrt(op.M) * self.g.values
-        shared = list(_psi_fit(self).poles)
+        shared = list(self.problem_fit[0].poles)
         poles = [*semigroup_fit(2 * self.spec.T).poles, *shared, *shared] * 2 + shared
         return _ritz(self, _rational_arnoldi(op, g, poles), g)
 
@@ -228,15 +237,6 @@ class ControlSolution:
 # homogenization
 # ---------------------------------------------------------------------------
 
-def source_integral(op, f_segments, t):
-    """p(t) = int_0^t S_{t-tau} f(tau) dtau for piecewise-constant f: its
-    terms (_source_terms) through one shared fit, in one pass."""
-    terms = _source_terms(f_segments, t)
-    shared = _shared(terms, t)
-    fits = fit_required(shared, "source-integral fit") if shared else ()
-    return op.function(_apply_terms(op, terms, shared, fits))
-
-
 def homogenize(spec, op):
     """Absorb the source into the final target and assemble psi and the Psi
     symbol, both exact in time.
@@ -260,7 +260,7 @@ def homogenize(spec, op):
     p_t = _apply_terms(op, p_terms, shared, fits)
     return HomogenizedData(spec=spec, op=op, ystar_hom=op.function(spec.ystar.values - p_t),
                            psi=op.function(_apply_terms(op, psi_terms, shared, fits)),
-                           big_psi_symbol=big_psi)
+                           big_psi_symbol=big_psi, problem_fit=fits)
 
 
 def _psi_terms(spec):
@@ -274,9 +274,19 @@ def _psi_terms(spec):
 
 
 def _source_terms(f_segments, t):
-    """p(t)'s terms (SI(t - min(d_j, t), t - c_j, 1), f_j), one per c_j < t."""
+    """p(t)'s terms (SI(t - min(d_j, t), t - c_j, 1), f_j), one per c_j < t:
+    p(t) = int_0^t S_{t-tau} f(tau) dtau for piecewise-constant f."""
     return [(sym.segment_integral(t - min(d, t), t - c, 1), f.values)
             for c, d, f in f_segments if c < t]
+
+
+def _state(op, terms, t):
+    """sum_i g_i(A) v_i over the terms (g_i, v_i) of one time t, a state y(t)
+    or its source response p(t): the shared symbols (_shared) as one fit,
+    applied in one pass."""
+    shared = _shared(terms, t)
+    fits = fit_required(shared, f"state fit at t={t}") if shared else ()
+    return _apply_terms(op, terms, shared, fits)
 
 
 def _shared(terms, t):
@@ -325,20 +335,12 @@ def _problem_fit(spec, big_psi):
                         "problem fit")
 
 
-def _st_fit(hd):
-    return _problem_fit(hd.spec, hd.big_psi_symbol)[-3]
-
-
-def _psi_fit(hd):
-    return _problem_fit(hd.spec, hd.big_psi_symbol)[-2]
-
-
 def _resolvent(hd, mu):
     """The fit of r_mu(lam) = 1 / (mu e^{2T lam} + Psi(lam)), the one
     operator function that Phi and the control need at mu; r_0 is the
     problem fit's."""
     if mu == 0.0:
-        return _problem_fit(hd.spec, hd.big_psi_symbol)[-1]
+        return hd.problem_fit[-1]
     denom = sym.const(mu) * sym.expm(2 * hd.spec.T) + hd.big_psi_symbol
     return fit_required([sym.const(1.0) / denom], f"resolvent fit at mu={mu}")[0]
 
@@ -530,7 +532,7 @@ def _stationarity_residual(hd, mu, u):
     operator fits, the residual of the stationarity system at u, and the
     products (Psi u, S_2T u) it applied, which do not depend on mu."""
     op = hd.op
-    products = (apply_rational(op, _psi_fit(hd), u).values,
+    products = (apply_rational(op, hd.problem_fit[-2], u).values,
                 semigroup_apply(op, 2 * hd.spec.T, u).values)
     return _residual_from(hd, mu, products), products
 
@@ -615,15 +617,21 @@ def _continued_control(hd, root, m, u, products=None):
 
 
 def trajectory(spec, op, u, times):
-    """State snapshots y(t) = S_t u + int_0^t S_tau f(t - tau) dtau."""
+    """State snapshots y(t) = S_t u + p(t), p(t) = int_0^t S_tau f(t - tau) dtau.
+
+    y(t) is one operator function of time t: e^{t lam} and p(t)'s segment
+    integrals (_source_terms) are one shared fit, applied in one pass
+    (_state).  Without a source, or before it starts, e^{t lam} is a lone
+    fit, the frozen table's, and y(t) is semigroup_apply's bit for bit; y(0)
+    is u.
+    """
     out = []
     for t in times:
         if not 0 <= t <= spec.T + 1e-12:
             raise ValueError(f"snapshot time {t} outside [0, T]")
-        y = semigroup_apply(op, t, u)
-        if spec.f_segments:
-            y = op.function(y.values + source_integral(op, spec.f_segments, t).values)
-        out.append(y)
+        y = _state(op, [(sym.expm(t), u), *_source_terms(spec.f_segments, t)], t) \
+            if t > 0 else u.values.copy()
+        out.append(op.function(y))
     return out
 
 
@@ -636,7 +644,7 @@ def cost_j(hd, op, u):
     instead of applying it again.
     """
     _check_op(hd, op)
-    return _cost(hd, u, apply_rational(op, _psi_fit(hd), u).values)
+    return _cost(hd, u, apply_rational(op, hd.problem_fit[-2], u).values)
 
 
 def _cost(hd, u, psi_u):
@@ -688,7 +696,7 @@ def solve_problem(spec, op, hd=None):
     phi_count = len(hd._phi_values)
     root = solve_mu(hd, op, spec.eps)
     phi0 = phi(hd, op, 0.0)
-    st_fit = _st_fit(hd)
+    st_fit = hd.problem_fit[-3]
     seen = {}   # m -> (miss, u, S_T u), in the order the polish visits m
 
     def miss_at(m):

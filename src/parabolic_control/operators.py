@@ -131,9 +131,6 @@ class MeshFunction:
                 f"vector length {len(self.values)} != operator dimension {self.op.n}"
             )
 
-    def copy(self):
-        return MeshFunction(self.values.copy(), self.op)
-
 
 # ---------------------------------------------------------------------------
 # assembly
@@ -403,7 +400,8 @@ class GaussianSum:
 
 
 def project_to_mesh(op, descriptor):
-    """Nodal interpolation of a descriptor (or raw samples) onto the mesh."""
+    """Nodal interpolation of a descriptor, or of a function of a point,
+    onto the mesh."""
     x = op.coords
     if isinstance(descriptor, Indicator1D):
         vals = ((x >= descriptor.a) & (x <= descriptor.b)).astype(float)
@@ -420,9 +418,7 @@ def project_to_mesh(op, descriptor):
     elif callable(descriptor):
         vals = np.array([descriptor(p) for p in x], dtype=float)
     else:
-        vals = np.asarray(descriptor, dtype=float)
-        if len(vals) != op.n:
-            raise DimensionError("sampled values length != operator dimension")
+        raise TypeError(f"unknown data descriptor of type {type(descriptor).__name__}")
     return op.function(vals)
 
 

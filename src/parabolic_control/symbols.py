@@ -47,29 +47,14 @@ class SymbolExpr:
     def __add__(self, other):
         return Sum(self, _wrap(other))
 
-    def __radd__(self, other):
-        return Sum(_wrap(other), self)
-
     def __sub__(self, other):
         return Sum(self, Prod(Const(-1.0), _wrap(other)))
-
-    def __rsub__(self, other):
-        return Sum(_wrap(other), Prod(Const(-1.0), self))
 
     def __mul__(self, other):
         return Prod(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return Prod(_wrap(other), self)
-
     def __truediv__(self, other):
         return Quot(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return Quot(_wrap(other), self)
-
-    def __neg__(self):
-        return Prod(Const(-1.0), self)
 
 
 def _wrap(x):

@@ -33,6 +33,45 @@ def test_problem_spec_validation(op20):
                         w_segments=(w, w), ystar=w, eps=0.1)
 
 
+@pytest.mark.parametrize("change, message", [
+    ("T", "horizon T must be positive"),
+    ("eps", "tolerance eps must be positive"),
+    ("w", "need one w snapshot per beta segment"),
+    ("breakpoints", "beta segment breakpoints must increase"),
+    ("end", "beta segments must end at T"),
+    ("source", "source segments need 0 <= a < b"),
+])
+def test_problem_spec_names_each_bad_input(op20, change, message):
+    spec, T = make_spec_51(op20, 1.0), T_1D
+    w, f = spec.w_segments[0], spec.ystar
+    bad = {
+        "T": dict(T=-T),
+        "eps": dict(eps=0.0),
+        "w": dict(w_segments=(w, w)),
+        "breakpoints": dict(beta_segments=((0.0, 0.0, 1.0), (0.0, T, 1.0)),
+                            w_segments=(w, w)),
+        "end": dict(beta_segments=((0.0, T / 2, 1.0), (T / 2, 0.9 * T, 1.0)),
+                    w_segments=(w, w)),
+        "source": dict(f_segments=((T / 2, T / 2, f),)),
+    }[change]
+    with pytest.raises(ValueError, match=message):
+        replace(spec, **bad)
+
+
+def test_solve_inputs_out_of_range_are_named(op20):
+    spec = make_spec_51(op20, 1.0)
+    hd = ctl.homogenize(spec, op20)
+    u = op20.function(np.ones(op20.n))
+    for t in (-1e-3, 1.5 * spec.T):
+        with pytest.raises(ValueError, match=r"snapshot time \S+ outside \[0, T\]"):
+            ctl.trajectory(spec, op20, u, [0.5 * spec.T, t])
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            ctl.solve_mu(hd, op20, eps)
+    with pytest.raises(ValueError, match="mu must be >= 0"):
+        ctl.optimal_control(hd, op20, -1.0)
+
+
 # ---------------------------------------------------------------------------
 # homogenization
 # ---------------------------------------------------------------------------
@@ -46,12 +85,14 @@ def test_homogeneous_source_is_identity(op62, hd62):
 
 
 def test_constant_source_matches_resolvent_formula(op64):
-    # int_0^T S_tau f dtau = A^{-1}(S_T - I) f, checked on dense eigenpairs
+    # int_0^T S_tau f dtau = A^{-1}(S_T - I) f, checked on dense eigenpairs:
+    # it is the final state of the zero control
     ds = orc.decompose(op64)
     lam = ds.eigenvalues
     rng = np.random.default_rng(21)
     f = op64.function(rng.standard_normal(op64.n))
-    got = ctl.source_integral(op64, ((0.0, T_1D, f),), T_1D).values
+    spec = replace(make_spec_51(op64, 1.0), f_segments=((0.0, T_1D, f),))
+    got = ctl.trajectory(spec, op64, op64.function(np.zeros(op64.n)), [T_1D])[0].values
     want = ds.from_eig((np.expm1(T_1D * lam) / lam) * ds.to_eig(f)).values
     assert ops.norm_m(op64, got - want) <= 1e-8 * ops.norm_m(op64, want)
 
@@ -94,8 +135,7 @@ def test_problem_fit_is_one_pole_set_within_each_components_target(op20, T, case
         err = np.max(np.abs(f(rat._VALID) - g(rat._VALID)))
         assert err <= rat.FIT_TOL * rat._norm_estimate(g(rat._TRAIN))
     hd = ctl.homogenize(spec, op20)
-    assert ctl._st_fit(hd) is fits[-3] and ctl._psi_fit(hd) is fits[-2] \
-        and ctl._resolvent(hd, 0.0) is fits[-1]
+    assert hd.problem_fit is fits and ctl._resolvent(hd, 0.0) is fits[-1]
 
 
 def test_homogenize_applies_psis_segment_integrals_in_one_pass(op20, monkeypatch):
@@ -119,7 +159,7 @@ def test_homogenize_applies_psis_segment_integrals_in_one_pass(op20, monkeypatch
         return solve(op, z, v)
     monkeypatch.setattr(rat, "solve_shifted", counting)
     hd = ctl.homogenize(spec, op20)
-    fits = ctl._problem_fit(spec, hd.big_psi_symbol)
+    fits = hd.problem_fit
     assert len(fits) == 6
     assert shifts == list(fits[0].poles)
     monkeypatch.undo()
@@ -135,7 +175,7 @@ def test_2d_homogenize_and_phi0_factor_the_problem_fit_once():
     cfg = load_config("example2d")
     op = cli.build_operator_2d(cfg)
     hd = ctl.homogenize(cli.build_problem_2d(cfg, op, 1.0), op)
-    assert len(op._solvers) == len(ctl._psi_fit(hd).poles) == 12
+    assert len(op._solvers) == len(hd.problem_fit[0].poles) == 12
     ctl.phi(hd, op, 0.0)
     assert len(op._solvers) == 12
 
@@ -153,7 +193,7 @@ def test_2d_homogenize_with_a_source_factors_the_problem_fit_once():
         for j, amp in enumerate((50.0, -25.0, 100.0))))
     hd = ctl.homogenize(spec, op)
     ctl.phi(hd, op, 0.0)
-    assert len(op._solvers) == len(ctl._psi_fit(hd).poles) <= 13
+    assert len(op._solvers) == len(hd.problem_fit[0].poles) <= 13
 
 
 @pytest.mark.parametrize("dim", ["1d", "2d"])
@@ -163,7 +203,7 @@ def test_problem_fits_s_t_matches_the_semigroup(dim):
     # semigroup fit of the frozen exponential table (measured 1.2e-12 to
     # 3.3e-12 relative)
     _, op, hd, _ = _example1d(62) if dim == "1d" else _example2d(1 / 30)
-    st, g = ctl._st_fit(hd), sym.expm(hd.spec.T)
+    st, g = hd.problem_fit[-3], sym.expm(hd.spec.T)
     assert np.max(np.abs(st(rat._VALID) - g(rat._VALID))) \
         <= rat.FIT_TOL * rat._norm_estimate(g(rat._TRAIN))
     for v in (hd.ystar_hom, hd.psi):
@@ -243,9 +283,10 @@ def test_u_min_reduces_to_psi_over_alpha(op20):
     zero = op20.function(np.zeros(op20.n))
     spec = ctl.ProblemSpec(T=T_1D, alpha=ALPHA, beta_segments=((0.0, T_1D, 0.0),),
                            w_segments=(zero,), ystar=zero, eps=1.0)
+    big_psi = sym.const(ALPHA)
     hd = ctl.HomogenizedData(
-        spec=spec, op=op20, ystar_hom=zero,
-        psi=op20.function(psi_vec), big_psi_symbol=sym.const(ALPHA))
+        spec=spec, op=op20, ystar_hom=zero, psi=op20.function(psi_vec),
+        big_psi_symbol=big_psi, problem_fit=ctl._problem_fit(spec, big_psi))
     got = ctl.optimal_control(hd, op20, 0.0).values
     assert np.allclose(got, psi_vec / ALPHA, rtol=1e-10)
 
@@ -396,6 +437,20 @@ def test_root_find_raises_when_a_newton_step_leaves_the_cap():
     # exp overflows; the step is checked against the cap first
     with pytest.raises(RuntimeError, match="no root"):
         ctl._root(lambda mu: 2.0, 1.0, 1e-3, 1.0, slope=-1e-4)
+
+
+def test_root_find_raises_after_its_evaluation_limit(monkeypatch):
+    # f stays above the target and mu climbs by a factor 10 a step: the
+    # limit ends the find before the cap would
+    calls = []
+
+    def f(mu):
+        calls.append(mu)
+        return 2.0
+    monkeypatch.setattr(ctl, "_ROOT_EVALS", 5)
+    with pytest.raises(RuntimeError, match="root find did not converge in 5 evaluations"):
+        ctl._root(f, 1.0, 1e-3, 1.0)
+    assert calls == pytest.approx([1.0, 1e1, 1e2, 1e3, 1e4])
 
 
 @pytest.mark.parametrize("start", [1.0, 1e4])
@@ -882,7 +937,7 @@ def test_solve_applies_psi_once_per_refinement_iterate(op62, frac, monkeypatch):
     # residual of a new iterate, and the cost is cost_j's bit for bit
     hd = ctl.homogenize(make_spec_51(op62, 1.0), op62)
     spec = make_spec_51(op62, frac * ctl.phi(hd, op62, 0.0))
-    psi_fit = ctl._psi_fit(hd)
+    psi_fit = hd.problem_fit[-2]
     counts = {"psi": 0, "residual": 0, "refine": 0}
     apply, residual, refine = ctl.apply_rational, ctl._stationarity_residual, ctl._refine
 
@@ -965,28 +1020,70 @@ def test_homogenize_with_a_source_is_one_fit(case, monkeypatch):
     required, shifts = _counting(monkeypatch)
     hd = ctl.homogenize(spec, op)
     monkeypatch.undo()
-    poles = list(ctl._psi_fit(hd).poles)
+    poles = list(hd.problem_fit[0].poles)
     assert required == ["problem fit"]
     assert shifts == poles * 2
     ctl.phi(hd, op, 0.0)
     assert len(op._solvers) == len(poles)
 
 
-def test_source_integral_applies_its_segments_in_one_pass(op62, monkeypatch):
-    # at t = 0.8 T the three segments of the "three" layout are active, the
-    # last one up to t only; their segment integrals are one shared fit,
-    # applied with one shifted solve per stored pole, and p(t) matches the
-    # dense oracle (measured 6.4e-14)
-    segs, t = _source_cases(op62)["three"], 0.8 * T_1D
-    fits = rat.fit_required([sym.segment_integral(t - min(d, t), t - c, 1)
-                             for c, d, _ in segs], "source-integral fit")
+@pytest.mark.parametrize("case", ["one", "three", "inside"])
+def test_trajectory_with_a_source_is_one_fit_per_time(case, monkeypatch):
+    # y(t) = S_t u + p(t): e^{t lam} and the segment integrals of the
+    # segments active at t (at 0.8 T all three of "three", the last one up
+    # to t only) are one shared fit per time, applied with one shifted solve
+    # per stored pole, and y(t) matches the dense oracle (measured 9.3e-14
+    # to 1.9e-13; 21, 27 and 23 LUs, where a semigroup fit and a
+    # source-integral fit per time took 39, 43 and 42)
+    op = ops.assemble_1d(62)
+    segs, times = _source_cases(op)[case], [T_1D / 4, T_1D / 2, 0.8 * T_1D]
+    spec = replace(make_spec_51(op, 1.0), f_segments=segs)
+    u = op.function(np.cos(op.coords))
+    fits = [rat.fit_required([sym.expm(t), *(sym.segment_integral(t - min(d, t), t - c, 1)
+                                              for c, d, _ in segs if c < t)], "state fit")
+            for t in times]
     required, shifts = _counting(monkeypatch)
-    got = ctl.source_integral(op62, segs, t)
+    got = ctl.trajectory(spec, op, u, times)
     monkeypatch.undo()
-    assert required == ["source-integral fit"] and shifts == list(fits[0].poles)
-    ds = orc.decompose(op62)
-    want = ds.from_eig(orc._source_eig(ds, segs, t))
-    assert ops.norm_m(op62, got.values - want.values) <= 1e-10 * ops.norm_m(op62, want)
+    assert required == [f"state fit at t={t}" for t in times]
+    assert shifts == [p for f in fits for p in f[0].poles]
+    ds = orc.decompose(op)
+    for t, y in zip(times, got):
+        want = ds.from_eig(np.exp(t * ds.eigenvalues) * ds.to_eig(u)
+                           + orc._source_eig(ds, segs, t))
+        assert ops.norm_m(op, y.values - want.values) <= 1e-10 * ops.norm_m(op, want)
+
+
+def test_trajectory_without_a_source_is_the_semigroup(op62, hd62):
+    # a lone e^{t lam} takes the frozen table's fit: y(t) is semigroup_apply's
+    # bit for bit, also before a source starts
+    u = ctl.optimal_control(hd62, op62, 0.0)
+    f = op62.function(np.sin(op62.coords))
+    for segs, t in (((), 0.3 * T_1D), (((0.5 * T_1D, T_1D, f),), 0.4 * T_1D)):
+        spec = replace(make_spec_51(op62, 1.0), f_segments=segs)
+        y = ctl.trajectory(spec, op62, u, [t])[0]
+        assert np.array_equal(y.values, rat.semigroup_apply(op62, t, u).values)
+
+
+@pytest.mark.parametrize("frac", [0.5, 1.5])
+def test_solve_problem_reads_the_problem_fit_from_hd(op62, frac, monkeypatch):
+    # homogenize keeps its problem fit on hd, and every later reader (g,
+    # S_T ystar_hom, r_0, Psi u, the cost and the final state) takes it
+    # from there: a solve looks no problem fit up, at mu > 0 or mu = 0
+    hd = ctl.homogenize(make_spec_51(op62, 1.0), op62)
+    spec = make_spec_51(op62, frac * ctl.phi(hd, op62, 0.0))
+    fit_cached, keys = rat.fit_cached, []
+
+    def recording(gs, d, tol):
+        keys.extend(g.key for g in gs)
+        return fit_cached(gs, d, tol)
+    required, _ = _counting(monkeypatch)
+    monkeypatch.setattr(rat, "fit_cached", recording)
+    sol = ctl.solve_problem(spec, op62, hd=hd)
+    monkeypatch.undo()
+    assert (sol.mu_eps == 0.0) == (frac > 1)
+    assert "problem fit" not in required
+    assert (sym.const(1.0) / hd.big_psi_symbol).key not in keys
 
 
 def _equal_source_segments(n_seg, eps=1.0):
@@ -1007,7 +1104,7 @@ def test_many_source_segments_match_the_oracle(n_seg):
     # mu 4.8e-12 and 5.3e-12 relative)
     spec, op = _equal_source_segments(n_seg)
     hd = ctl.homogenize(spec, op)
-    assert len(op._solvers) == len(ctl._psi_fit(hd).poles)
+    assert len(op._solvers) == len(hd.problem_fit[0].poles)
     spec = replace(spec, eps=0.5 * ctl.phi(hd, op, 0.0))
     mu = ctl.solve_mu(hd, op, spec.eps)
     u = ctl.optimal_control(hd, op, mu)
@@ -1043,7 +1140,7 @@ def test_cost_is_stationary_at_u_min_with_source(op62, case):
     hd = ctl.homogenize(spec, op62)
     ds = orc.decompose(op62)
     u = ctl.optimal_control(hd, op62, 0.0)
-    psi_u = rat.apply_rational(op62, ctl._psi_fit(hd), u).values
+    psi_u = rat.apply_rational(op62, hd.problem_fit[-2], u).values
     u_hat, h = ds.to_eig(u), ops.norm_m(op62, u)
     rng = np.random.default_rng(25)
     for _ in range(5):
@@ -1076,13 +1173,14 @@ def test_solution_with_source_matches_oracle(op62, case):
 def test_final_state_with_source_is_s_t_u_plus_the_source_response(op62, case):
     # y(T) = S_T u + p(T) = S_T u + (ystar - ystar_hom) with the problem
     # fit's S_T, and the final miss is its distance to ystar; it agrees with
-    # the trajectory's semigroup and source-integral route to the fits'
+    # the trajectory's one fit of e^{T lam} and p(T)'s segment integrals to
+    # the fits'
     # accuracy (measured 1.0e-12 to 1.5e-12 relative)
     spec = replace(make_spec_51(op62, 1.0), f_segments=_source_cases(op62)[case])
     hd = ctl.homogenize(spec, op62)
     spec = replace(spec, eps=0.5 * ctl.phi(hd, op62, 0.0))
     sol = ctl.solve_problem(spec, op62, hd=hd)
-    st_u = rat.apply_rational(op62, ctl._st_fit(hd), sol.u_opt).values
+    st_u = rat.apply_rational(op62, hd.problem_fit[-3], sol.u_opt).values
     want = st_u + (spec.ystar.values - hd.ystar_hom.values)
     assert ops.norm_m(op62, sol.y_opt.values - want) <= 1e-14 * ops.norm_m(op62, want)
     miss = ops.norm_m(op62, sol.y_opt.values - spec.ystar.values)

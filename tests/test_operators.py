@@ -83,6 +83,13 @@ def test_1d_rejects_bad_input():
         ops.assemble_1d(10, gamma=4.0)
 
 
+def test_1d_mesh_names_bad_nodes():
+    with pytest.raises(ValueError, match=r"1D mesh must span \[0, pi\]"):
+        ops.Mesh1D(np.linspace(0.0, 3.0, 5))
+    with pytest.raises(ValueError, match="1D mesh nodes must be strictly increasing"):
+        ops.Mesh1D(np.array([0.0, 2.0, 1.0, np.pi]))
+
+
 def assemble_1d_loop(n_el, a=0.0, gamma=2.2):
     """Per-element loop reference of assemble_1d's K and M (dense K)."""
     nodes = np.linspace(0.0, np.pi, n_el + 1)
@@ -275,6 +282,9 @@ def test_2d_rejects_coarse_mesh():
         ops.assemble_2d_lshape(0.5001)
     with pytest.raises(ValueError):
         ops.assemble_2d_lshape(0.3)
+    for h in (0.3, 1.0):
+        with pytest.raises(ValueError, match="h must be 1/m with integer m >= 2"):
+            ops.lshape_mesh(h)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +419,29 @@ def test_shifted_solve_rejects_spectral_shift(op20):
                           op20.function(np.ones(op20.n)))
 
 
+@pytest.mark.parametrize("every", [False, True])
+def test_shifted_solve_refines_once_then_raises(every, monkeypatch):
+    # a factor solve that misses the backward-error bound gets one step of
+    # iterative refinement: a miss in the first solve only is repaired, a
+    # miss in every solve raises ShiftError
+    op = ops.assemble_1d(20)
+    z, v = 1.0 + 1.0j, np.sin(op.coords)
+    want = ops.solve_shifted(op, z, v).values
+    factor_solve, calls, miss = ops._factor_solve, [], 1e-6 * np.max(np.abs(want))
+
+    def perturbed(op_, lu, b):
+        calls.append(b)
+        return factor_solve(op_, lu, b) + (miss if every or len(calls) == 1 else 0.0)
+    monkeypatch.setattr(ops, "_factor_solve", perturbed)
+    if every:
+        with pytest.raises(ops.ShiftError, match=r"shifted solve residual \S+ exceeds"):
+            ops.solve_shifted(op, z, v)
+    else:
+        got = ops.solve_shifted(op, z, v).values
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert len(calls) == 2
+
+
 def test_inner_norm_basics(op20):
     z = op20.function(np.zeros(op20.n))
     assert ops.norm_m(op20, z) == 0.0
@@ -476,6 +509,11 @@ def test_gaussian_sum_projection_peak():
 def test_zero_projection(op20):
     v = ops.project_to_mesh(op20, lambda p: 0.0)
     assert np.all(v.values == 0.0)
+
+
+def test_unknown_descriptor_is_named(op20):
+    with pytest.raises(TypeError, match="of type ndarray"):
+        ops.project_to_mesh(op20, np.zeros(op20.n))
 
 
 def test_mesh_dump_one_record_per_line(tmp_path, op20):
