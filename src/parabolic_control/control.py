@@ -22,7 +22,7 @@ solves, every fit requested through rational.fit_required.  The functions
 that do not depend on mu (the segment integrals and source responses of
 psi, those of p(T), S_T = e^{TA}, Psi and r_0 = 1/Psi; a short SI(0, h, 1)
 has a fit of its own) are one fit, the problem fit, on one shared pole set.
-homogenize makes it and HomogenizedData keeps it, so one fit and one set of
+homogenize alone makes it and HomogenizedData keeps it; one fit and one set of
 factors serve psi, ystar_hom, g, S_T ystar_hom, Phi(0), the control at
 mu = 0, the cost, every stationarity residual and the realized final state
 S_T u + p(T).  A state y(t) = S_t u + p(t) is likewise one shared fit per
@@ -125,11 +125,10 @@ class HomogenizedData:
     once: the Phi values, the stop reports of the control's refinement and
     the products Psi u and S_2T u of the control it returned, and as lazy
     attributes S_T ystar_hom, g = Psi ystar_hom - S_T psi, the constant J(0)
-    and the base space of the Phi surrogate.  It owns the problem fit
-    (_problem_fit), which homogenize made and applied for psi and ystar_hom:
-    every later reader (g, S_T ystar_hom, the surrogate's poles, r_0, Psi u,
-    the cost and the final state) takes S_T, Psi and r_0 from problem_fit
-    and looks no fit up again.
+    and the base space of the Phi surrogate.  It owns the problem fit, which
+    homogenize made and applied for psi and ystar_hom: every later reader (g,
+    S_T ystar_hom, the surrogate's poles, r_0, Psi u, the cost and the final
+    state) takes S_T, Psi and r_0 from problem_fit and looks no fit up again.
     """
 
     spec: ProblemSpec
@@ -137,7 +136,7 @@ class HomogenizedData:
     ystar_hom: MeshFunction
     psi: MeshFunction
     big_psi_symbol: sym.SymbolExpr  # lambda -> alpha + beta0_tilde(lambda)
-    # the problem fit's components (_problem_fit), the last three S_T, Psi
+    # the problem fit's components (see homogenize), the last three S_T, Psi
     # and r_0
     problem_fit: tuple
     # mu -> Phi(mu), every value phi computed
@@ -246,20 +245,22 @@ def homogenize(spec, op):
     int_{a_k}^{b_k} e^{t lam} dt and G_kj = int_{a_k}^{b_k}
     int_{c_j}^{min(d_j, t)} e^{(2t - tau) lam} dtau dt
     (symbols.SourceResponseIntegral), so J(u) = 1/2 <u, Psi u> - <u, psi> +
-    J(0) holds with a source too; ystar_hom = ystar - p(T).  The symbols of
-    psi's terms and p(T)'s (_psi_terms, _source_terms) are components of the
-    problem fit (_problem_fit), but for a short segment integral from 0
-    (_shared): psi is one pass over its poles, p(T) a second one.
+    J(0) holds with a source too; ystar_hom = ystar - p(T).  homogenize
+    alone makes the problem fit, of the shared symbols of psi's and p(T)'s
+    terms (_split), S_T, Psi and r_0 = 1/Psi; psi and p(T) are one pass each
+    over its poles, with its leading components by position (_apply).
     """
     for mf in (spec.ystar, *spec.w_segments, *(f for _, _, f in spec.f_segments)):
         if len(mf.values) != op.n:
             raise DimensionError("problem data does not match operator dimension")
-    big_psi = _big_psi(spec)
-    psi_terms, p_terms = _psi_terms(spec), _source_terms(spec.f_segments, spec.T)
-    shared, fits = _shared(psi_terms + p_terms, spec.T), _problem_fit(spec, big_psi)
-    p_t = _apply_terms(op, p_terms, shared, fits)
+    big_psi, T = _big_psi(spec), spec.T
+    psi_shared, psi_lone = _split(_psi_terms(spec), T)
+    p_shared, p_lone = _split(_source_terms(spec.f_segments, T), T)
+    fits = fit_required([*(g for g, _ in psi_shared + p_shared), sym.expm(T), big_psi,
+                         sym.const(1.0) / big_psi], "problem fit")
+    p_t = _apply(op, p_shared, fits[len(psi_shared):], p_lone)
     return HomogenizedData(spec=spec, op=op, ystar_hom=op.function(spec.ystar.values - p_t),
-                           psi=op.function(_apply_terms(op, psi_terms, shared, fits)),
+                           psi=op.function(_apply(op, psi_shared, fits, psi_lone)),
                            big_psi_symbol=big_psi, problem_fit=fits)
 
 
@@ -282,31 +283,41 @@ def _source_terms(f_segments, t):
 
 def _state(op, terms, t):
     """sum_i g_i(A) v_i over the terms (g_i, v_i) of one time t, a state y(t)
-    or its source response p(t): the shared symbols (_shared) as one fit,
+    or its source response p(t): the shared terms (_split) as one fit,
     applied in one pass."""
-    shared = _shared(terms, t)
-    fits = fit_required(shared, f"state fit at t={t}") if shared else ()
-    return _apply_terms(op, terms, shared, fits)
+    shared, lone = _split(terms, t)
+    fits = fit_required([g for g, _ in shared], f"state fit at t={t}") if shared else ()
+    return _apply(op, shared, fits, lone)
 
 
-def _shared(terms, t):
-    """The symbols of terms that join one shared fit at time t, in order: all
-    but SI(0, h, 1) with h < 1e-4 max(1, t), where the adaptive fit misses
-    FIT_TOL (measured from h = 3e-5 at t = 0.01, 4e-5 at t = 1 and 1e-4 at
-    t = 10); its own fit is the rescaled ready-made fit of SI(0, 1, 1)."""
-    return [g for g, _ in terms if not (isinstance(g, sym.SegmentIntegral) and g.a == 0.0
-                                        and g.b < 1e-4 * max(1.0, t))]
-
-
-def _apply_terms(op, terms, shared, fits):
-    """sum_i g_i(A) v_i over the terms (g_i, v_i): those in shared, whose
-    fits lead fits, in one pass; each other one through a fit of its own."""
-    fit_of = dict(zip((g.key for g in shared), fits))
-    held = [(fit_of[g.key], v) for g, v in terms if g.key in fit_of]
-    out = apply_rational_shared(op, *zip(*held)).values if held else np.zeros(op.n)
+def _split(terms, t):
+    """(shared, lone) in order: the terms (g, v) of time t for one shared fit,
+    and each SI(0, h, 1) with h < cut = 1e-4 max(1, t), whose adaptive fit
+    misses FIT_TOL (from h = 3e-5 at t = 0.01, 1e-4 at t = 10), for the
+    rescaled ready-made fit of SI(0, 1, 1).  SI(d, b, 1) with 0 < d < cut
+    misses too (7.1e-14 against 3.5e-14 at d = 1.99e-5): it is taken as
+    SI(0, b, 1) v + SI(0, d, 1) (-v)."""
+    cut = 1e-4 * max(1.0, t)
+    shared, lone = [], []
     for g, v in terms:
-        if g.key not in fit_of:
-            out = out + apply_rational(op, *fit_required([g], "segment-integral fit"), v).values
+        pieces = [(g, v)]
+        if isinstance(g, sym.SegmentIntegral) and 0.0 < g.a < cut:
+            pieces = [(sym.segment_integral(0.0, g.b, g.scale), v),
+                      (sym.segment_integral(0.0, g.a, g.scale), -v)]
+        for h, w in pieces:
+            short = isinstance(h, sym.SegmentIntegral) and h.a == 0.0 and h.b < cut
+            (lone if short else shared).append((h, w))
+    return shared, lone
+
+
+def _apply(op, shared, fits, lone):
+    """sum_i g_i(A) v_i over the terms (g_i, v_i): the shared ones with the
+    leading fits, paired by position, in one pass; each lone one through a
+    fit of its own."""
+    out = apply_rational_shared(op, fits[:len(shared)], [v for _, v in shared]).values \
+        if shared else np.zeros(op.n)
+    for g, v in lone:
+        out = out + apply_rational(op, *fit_required([g], "segment-integral fit"), v).values
     return out
 
 
@@ -321,18 +332,6 @@ def _big_psi(spec):
         if beta != 0.0:
             big_psi = big_psi + sym.const(beta) * sym.segment_integral(a, b, 2)
     return big_psi
-
-
-def _problem_fit(spec, big_psi):
-    """The problem fit: the mu-free functions of one problem on one shared
-    pole set, each within FIT_TOL of its own norm.  Its components, in
-    order: the shared symbols (_shared) of psi's terms (_psi_terms), then of
-    p(T)'s (_source_terms), then S_T = e^{T lam}, Psi = big_psi and r_0 = 1 /
-    Psi.  S_2T stays on the frozen exponential table."""
-    T = spec.T
-    shared = _shared(_psi_terms(spec) + _source_terms(spec.f_segments, T), T)
-    return fit_required([*shared, sym.expm(T), big_psi, sym.const(1.0) / big_psi],
-                        "problem fit")
 
 
 def _resolvent(hd, mu):
@@ -382,6 +381,8 @@ def _root(f, target, tol, mu, slope=None, xtol=1e-10):
     x, prev, xa, ya = math.log(mu), None, None, 0.0
     for _ in range(_ROOT_EVALS):
         v = f(mu)
+        if not 0.0 < v < math.inf:      # NaN too
+            raise RuntimeError(f"root find needs positive finite values: f({mu!r}) = {v!r}")
         y = math.log(v / target)
         if prev is not None:
             slope = (y - prev[1]) / (x - prev[0])
@@ -623,15 +624,14 @@ def trajectory(spec, op, u, times):
     integrals (_source_terms) are one shared fit, applied in one pass
     (_state).  Without a source, or before it starts, e^{t lam} is a lone
     fit, the frozen table's, and y(t) is semigroup_apply's bit for bit; y(0)
-    is u.
+    is u, in a new array (e^{0 lam} = 1 fits as 1, with no pole).
     """
     out = []
     for t in times:
         if not 0 <= t <= spec.T + 1e-12:
             raise ValueError(f"snapshot time {t} outside [0, T]")
-        y = _state(op, [(sym.expm(t), u), *_source_terms(spec.f_segments, t)], t) \
-            if t > 0 else u.values.copy()
-        out.append(op.function(y))
+        out.append(op.function(_state(op, [(sym.expm(t), u),
+                                           *_source_terms(spec.f_segments, t)], t)))
     return out
 
 

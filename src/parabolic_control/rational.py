@@ -687,10 +687,8 @@ def semigroup_fit(t):
 
 
 def semigroup_apply(op, t, v):
-    """S_t v = exp(t A) v, fitted to tolerance FIT_TOL; exact identity at t = 0."""
+    """S_t v = exp(t A) v, fitted to tolerance FIT_TOL; at t = 0 the fit is
+    the constant 1 with no pole, so S_0 v is a new array equal to v."""
     if t < 0:
         raise ValueError(f"semigroup time must be >= 0, got {t}")
-    if t == 0:
-        vals = np.asarray(v.values if isinstance(v, MeshFunction) else v, dtype=float)
-        return op.function(vals.copy())
     return apply_rational(op, semigroup_fit(t), v)

@@ -23,7 +23,7 @@ def psi_without_source(spec, op):
     apply of the problem fit's segment-integral component per active beta
     segment.  homogenize applies those components together; with one active
     segment, that is the same arithmetic, bit for bit."""
-    fits = iter(ctl._problem_fit(spec, ctl._big_psi(spec)))
+    fits = iter(ctl.homogenize(spec, op).problem_fit)
     psi = np.zeros(op.n)
     for (a, b, beta), w in zip(spec.beta_segments, spec.w_segments):
         if beta != 0.0:
