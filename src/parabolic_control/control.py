@@ -36,8 +36,9 @@ misses, the root find runs on the exact Phi.  The control at a certified mu
 reuses that resolvent's fit and factors, and so does every control of the
 realized-miss polish within 10 % of that mu: it continues from the previous
 control with the certified root's resolvent as its approximate inverse, and
-from the products Psi u and S_2T u that the previous control's refinement
-kept.
+from the products Psi u and S_2T u that it returned.  A control is one
+routine (_control) that returns u with those products and its refinement's
+stop report; nothing of it is kept on HomogenizedData.
 """
 
 from __future__ import annotations
@@ -92,24 +93,26 @@ class ProblemSpec:
     f_segments: tuple = ()
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("horizon T must be positive")
-        if self.alpha <= 0:
-            raise ValueError("control weight alpha must be positive")
-        if self.eps <= 0:
+        # each check is written so that NaN fails it; eps = inf means no
+        # constraint
+        if not 0 < self.T < math.inf:
+            raise ValueError("horizon T must be positive and finite")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("control weight alpha must be positive and finite")
+        if not self.eps > 0:
             raise ValueError("tolerance eps must be positive")
         if len(self.beta_segments) != len(self.w_segments):
             raise ValueError("need one w snapshot per beta segment")
         t_prev = 0.0
         for (a, b, beta) in self.beta_segments:
-            if abs(a - t_prev) > 1e-14 * max(1.0, self.T):
+            if not abs(a - t_prev) <= 1e-14 * max(1.0, self.T):
                 raise ValueError("beta segments must partition [0, T]")
-            if b <= a:
+            if not b > a:
                 raise ValueError("beta segment breakpoints must increase")
-            if beta < 0:
-                raise ValueError("beta must be nonnegative")
+            if not 0 <= beta < math.inf:
+                raise ValueError("beta must be nonnegative and finite")
             t_prev = b
-        if abs(t_prev - self.T) > 1e-14 * max(1.0, self.T):
+        if not abs(t_prev - self.T) <= 1e-14 * max(1.0, self.T):
             raise ValueError("beta segments must end at T")
         for (a, b, _f) in self.f_segments:
             if not 0 <= a < b:
@@ -122,10 +125,11 @@ class HomogenizedData:
     gradient data psi and Psi.
 
     It also keeps what one problem computes on its operator op, each value
-    once: the Phi values, the stop reports of the control's refinement and
-    the products Psi u and S_2T u of the control it returned, and as lazy
-    attributes S_T ystar_hom, g = Psi ystar_hom - S_T psi, the constant J(0)
-    and the base space of the Phi surrogate.  It owns the problem fit, which
+    once: the Phi values, and as lazy attributes S_T ystar_hom, g = Psi
+    ystar_hom - S_T psi, the constant J(0) and the base space of the Phi
+    surrogate.  Nothing else is written to it after homogenize, so its
+    arrays stay the same over any number of solves; a control returns its
+    own products and stop report (_control).  It owns the problem fit, which
     homogenize made and applied for psi and ystar_hom: every later reader (g,
     S_T ystar_hom, the surrogate's poles, r_0, Psi u, the cost and the final
     state) takes S_T, Psi and r_0 from problem_fit and looks no fit up again.
@@ -141,13 +145,6 @@ class HomogenizedData:
     problem_fit: tuple
     # mu -> Phi(mu), every value phi computed
     _phi_values: dict = field(default_factory=dict, repr=False)
-    # mu -> (why the control's refinement stopped: "converged" or
-    # "stalled"; the residual of the control it returned, normalized as
-    # kkt_residual)
-    pcg_reports: dict = field(default_factory=dict, repr=False)
-    # mu -> (Psi u, S_2T u) of the control the refinement returned there,
-    # which the cost and the polish's next control read
-    products: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def st_ystar_hom(self):
@@ -224,8 +221,7 @@ class ControlSolution:
     final_miss: float
     phi0: float
     # why the control's refinement stopped at mu_eps, "converged" or
-    # "stalled" (see HomogenizedData.pcg_reports); "not run" for the dense
-    # oracle
+    # "stalled" (see _refine); "not run" for the dense oracle
     pcg_stop: str = "not run"
     # Phi values this solve computed (cached ones from earlier solves on the
     # same HomogenizedData are not counted)
@@ -353,7 +349,7 @@ def phi(hd, op, mu):
     """Phi(mu) = ||ystar_hom - (mu S_2T + Psi)^{-1}(mu S_2T ystar_hom + S_T psi)||_M,
     taken as ||r_mu(A) g||_M with g = hd.g; cached in hd._phi_values."""
     _check_op(hd, op)
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("mu must be >= 0")
     mu = float(mu)
     val = hd._phi_values.get(mu)
@@ -510,7 +506,7 @@ def solve_mu(hd, op, eps):
     depends on the problem data only, never on earlier calls.
     """
     _check_op(hd, op)
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     phi0 = phi(hd, op, 0.0)
     if eps >= phi0:
@@ -528,24 +524,22 @@ def solve_mu(hd, op, eps):
     return _root(lambda m: phi(hd, op, m), eps, tol, 1.0)
 
 
-def _stationarity_residual(hd, mu, u):
+def _stationarity_residual(hd, mu, u, products=None):
     """(mu S_T ystar_hom + psi) - (Psi u + mu S_2T u) through the realized
     operator fits, the residual of the stationarity system at u, and the
-    products (Psi u, S_2T u) it applied, which do not depend on mu."""
-    op = hd.op
-    products = (apply_rational(op, hd.problem_fit[-2], u).values,
-                semigroup_apply(op, 2 * hd.spec.T, u).values)
-    return _residual_from(hd, mu, products), products
-
-
-def _residual_from(hd, mu, products):
+    products (Psi u, S_2T u), which do not depend on mu: applied unless
+    given."""
+    if products is None:
+        products = (apply_rational(hd.op, hd.problem_fit[-2], u).values,
+                    semigroup_apply(hd.op, 2 * hd.spec.T, u).values)
     psi_u, s2t_u = products
-    return mu * hd.st_ystar_hom.values + hd.psi.values - (psi_u + mu * s2t_u)
+    return mu * hd.st_ystar_hom.values + hd.psi.values - (psi_u + mu * s2t_u), products
 
 
 def _refine(hd, mu, r, u, products=None):
     """Iterative refinement of u on the stationarity system at mu, with the
-    fit r of a resolvent as its approximate inverse.
+    fit r of a resolvent as its approximate inverse; returns the control
+    (u, (Psi u, S_2T u), (stop, kkt)).
 
     The system is the realized one (the same fitted Psi and semigroup
     actions the KKT residual measures): each step adds r(A) res, and every
@@ -555,18 +549,13 @@ def _refine(hd, mu, r, u, products=None):
     ystar_hom + psi: below 1 the floor alone would leave the resolvent fit's
     error in u, about 1e-10 relative and different at every mu.  It stops
     "stalled" when a step fails to cut the residual by _CUT, keeping the
-    better of the last two iterates.
-    The stop reason and the residual of the returned iterate, normalized as
-    kkt_residual, go to hd.pcg_reports[mu], and its products to
-    hd.products[mu].
+    better of the last two iterates.  It returns that iterate, its products,
+    the stop reason and its residual, normalized as kkt_residual.
     """
     op = hd.op
     scale = max(1.0, norm_m(op, hd.psi))
     target = 1e-10 * min(scale, norm_m(op, mu * hd.st_ystar_hom.values + hd.psi.values))
-    if products is None:
-        res, products = _stationarity_residual(hd, mu, u)
-    else:
-        res = _residual_from(hd, mu, products)
+    res, products = _stationarity_residual(hd, mu, u, products)
     rn = norm_m(op, res)
     while not rn <= target:
         u_new = op.function(u.values + apply_rational(op, r, op.function(res)).values)
@@ -577,44 +566,44 @@ def _refine(hd, mu, r, u, products=None):
             u, res, rn, products = u_new, res_new, rn_new, products_new
         if not cut:
             break
-    hd.pcg_reports[mu] = ("converged" if rn <= target else "stalled", rn / scale)
-    hd.products[mu] = products
-    return u
+    return u, products, ("converged" if rn <= target else "stalled", rn / scale)
+
+
+def _control(hd, mu, near=None):
+    """The control (u, (Psi u, S_2T u), (stop, kkt)) at mu (see _refine).
+
+    near = (root, control) holds a certified root and a control at a
+    multiplier near mu.  While |mu - root| <= _CUT root, the refinement
+    continues from that control, its products forming the first residual, on
+    the root's resolvent r_root, which the certified root has fitted and
+    factored: ||I - r_root(A)(mu S_2T + Psi)|| = max |(root - mu) e^{2T lam}
+    / (root e^{2T lam} + Psi(lam))| <= |1 - mu / root| <= _CUT, the cut each
+    step asks for.  Otherwise the first iterate is r_mu(A) rhs with the
+    resolvent fit r_mu, which the refinement then takes as its approximate
+    inverse.
+    """
+    if near is not None and abs(mu - near[0]) <= _CUT * near[0]:
+        root, (u, products, _) = near
+        return _refine(hd, mu, _resolvent(hd, root), u, products)
+    op, r_mu = hd.op, _resolvent(hd, mu)
+    u = apply_rational(op, r_mu, op.function(mu * hd.st_ystar_hom.values + hd.psi.values))
+    return _refine(hd, mu, r_mu, u)
 
 
 def optimal_control(hd, op, mu):
     """u_opt = (mu S_2T + Psi)^{-1} (mu S_T ystar_hom + psi), for every mu >= 0.
 
-    The first iterate is r_mu(A) rhs with the resolvent fit r_mu, which
-    _refine then takes as its approximate inverse.  Large multipliers
-    amplify any fit discrepancy by mu, and the refinement removes it at the
-    cost of a few reused-factorization applies.  At a mu where phi has run,
-    zero included, the control costs no fit and no factorization once an
-    earlier control or the surrogate's Arnoldi has factored S_2T.
+    The resolvent fit r_mu gives the first iterate and the approximate
+    inverse of the refinement (_control).  Large multipliers amplify any fit
+    discrepancy by mu, and the refinement removes it at the cost of a few
+    reused-factorization applies.  At a mu where phi has run, zero included,
+    the control costs no fit and no factorization once an earlier control or
+    the surrogate's Arnoldi has factored S_2T.
     """
     _check_op(hd, op)
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("mu must be >= 0")
-    mu = float(mu)
-    r_mu = _resolvent(hd, mu)
-    u = apply_rational(op, r_mu, op.function(mu * hd.st_ystar_hom.values + hd.psi.values))
-    return _refine(hd, mu, r_mu, u)
-
-
-def _continued_control(hd, root, m, u, products=None):
-    """The control at m, refined from u, the control at a nearby multiplier,
-    whose products (Psi u, S_2T u) form the first residual when given.
-
-    While |m - root| <= _CUT root, the refinement runs on the root's
-    resolvent r_root, which the certified root has fitted and factored:
-    ||I - r_root(A)(m S_2T + Psi)|| = max |(root - m) e^{2T lam} /
-    (root e^{2T lam} + Psi(lam))| <= |1 - m / root| <= _CUT, the cut each
-    step asks for.  Farther away, it is optimal_control at m, with a fit of
-    its own.
-    """
-    if abs(m - root) <= _CUT * root:
-        return _refine(hd, m, _resolvent(hd, root), u, products)
-    return optimal_control(hd, hd.op, m)
+    return _control(hd, float(mu))[0]
 
 
 def trajectory(spec, op, u, times):
@@ -640,7 +629,7 @@ def cost_j(hd, op, u):
 
     Psi is applied through the problem fit, which g, the control's
     refinement and the KKT residual share, so J costs no fit and no
-    factorization of its own; solve_problem reads Psi u from the refinement
+    factorization of its own; solve_problem reads Psi u from the control
     instead of applying it again.
     """
     _check_op(hd, op)
@@ -675,15 +664,16 @@ def solve_problem(spec, op, hd=None):
     ystar_hom), with S_T the problem fit's component, so the miss is
     ||S_T u - ystar_hom||_M: one apply on factors the problem holds, and no
     source integral at T.  The polish starts from the Phi-route mu with the
-    slope of the Ritz surrogate there.  Its first control is
-    optimal_control at that root; every later one continues from the
-    previous control on the root's resolvent (_continued_control), so a
-    polish close to the root costs no fit and no factorization.  A polish
-    whose root find fails (it leaves MU_BRACKET_CAP, stalls or runs out of
-    steps) raises a RuntimeError that names the certified mu and the
-    realized miss there, with _root's error as its cause: Phi has that
-    root, so _root's own message, which calls the problem data
-    inconsistent, would mislead.
+    slope of the Ritz surrogate there.  Its first control is the one at
+    that root; every later one is _control near the root and the previous
+    control, so a polish close to the root continues on the root's
+    resolvent and costs no fit and no factorization.  The solution's kkt,
+    pcg_stop and cost read the stop report and Psi u that the returned
+    control carries.  A polish whose root find fails (it leaves
+    MU_BRACKET_CAP, stalls or runs out of steps) raises a RuntimeError that
+    names the certified mu and the realized miss there, with _root's error
+    as its cause: Phi has that root, so _root's own message, which calls
+    the problem data inconsistent, would mislead.
 
     A spec whose data other than eps differ from hd.spec's raises
     ValueError: the solve would mix the two problems.
@@ -697,16 +687,12 @@ def solve_problem(spec, op, hd=None):
     root = solve_mu(hd, op, spec.eps)
     phi0 = phi(hd, op, 0.0)
     st_fit = hd.problem_fit[-3]
-    seen = {}   # m -> (miss, u, S_T u), in the order the polish visits m
+    seen = {}   # m -> (miss, S_T u, control), in the order the polish visits m
 
     def miss_at(m):
-        if seen:
-            last = next(reversed(seen))
-            u_m = _continued_control(hd, root, m, seen[last][1], hd.products[last])
-        else:
-            u_m = optimal_control(hd, op, m)
-        st_u = apply_rational(op, st_fit, u_m).values
-        seen[m] = (norm_m(op, st_u - hd.ystar_hom.values), u_m, st_u)
+        control = _control(hd, m, (root, seen[next(reversed(seen))][2]) if seen else None)
+        st_u = apply_rational(op, st_fit, control[0]).values
+        seen[m] = (norm_m(op, st_u - hd.ystar_hom.values), st_u, control)
         return seen[m][0]
 
     mu = root
@@ -723,14 +709,13 @@ def solve_problem(spec, op, hd=None):
                 f" root find on the miss found no root") from exc
     else:
         miss_at(mu)
-    miss, u, st_u = seen[mu]
     # the refinement reports the stationarity residual of u: the KKT one
-    pcg_stop, kkt = hd.pcg_reports[mu]
+    miss, st_u, (u, (psi_u, _), (pcg_stop, kkt)) = seen[mu]
     return ControlSolution(
         mu_eps=mu,
         u_opt=u,
         y_opt=op.function(st_u + (spec.ystar.values - hd.ystar_hom.values)),
-        cost=_cost(hd, u, hd.products[mu][0]),
+        cost=_cost(hd, u, psi_u),
         kkt=kkt,
         final_miss=miss,
         phi0=phi0,

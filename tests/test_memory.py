@@ -28,9 +28,12 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
-from conftest import PEAK_RSS_SOURCE, T_1D
+from conftest import PEAK_RSS_SOURCE, T_1D, make_spec_51
 
+from parabolic_control import control as ctl
+from parabolic_control import operators as ops
 from parabolic_control import rational as rat
 from parabolic_control import symbols as sym
 
@@ -112,3 +115,31 @@ def test_low_degree_fit_allocates_loewner_rows_for_its_support():
     budget_rows = 2 * (rat.DEGREE_CAP + 1) * len(rat._TRAIN) * 8
     assert traced_peak_bytes(lambda: rat.fit_rational(g, rat.DEGREE_CAP, 1e-12)) \
         < budget_rows
+
+
+def _array_bytes(obj):
+    """Bytes of the arrays in obj: an ndarray, a MeshFunction's values, and
+    those inside dicts, tuples and lists."""
+    if isinstance(obj, ops.MeshFunction):
+        obj = obj.values
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return sum(_array_bytes(x) for x in obj)
+    return 0
+
+
+def test_sweep_keeps_the_problem_state_bounded(op62):
+    # a control returns its products Psi u and S_2T u and its stop report;
+    # HomogenizedData keeps the Phi values and its lazy attributes only, so
+    # after the first solve of a sweep its arrays stop growing (a dict of
+    # products by mu gained 2 n floats per multiplier refined)
+    hd = ctl.homogenize(make_spec_51(op62, 1.0), op62)
+    phi0 = ctl.phi(hd, op62, 0.0)
+    sizes = []
+    for frac in np.linspace(0.2, 0.9, 10):
+        ctl.solve_problem(make_spec_51(op62, frac * phi0), op62, hd=hd)
+        sizes.append(sum(map(_array_bytes, vars(hd).values())))
+    assert sizes[0] > 0 and sizes == [sizes[0]] * 10
