@@ -61,7 +61,6 @@ from .rational import (  # noqa: F401
     fit_rational_shared,
     fit_required,
     semigroup_apply,
-    semigroup_fit,
 )
 
 MU_BRACKET_CAP = 1e30
@@ -114,9 +113,15 @@ class ProblemSpec:
             t_prev = b
         if not abs(t_prev - self.T) <= 1e-14 * max(1.0, self.T):
             raise ValueError("beta segments must end at T")
-        for (a, b, _f) in self.f_segments:
+        for (a, b, f) in self.f_segments:
             if not 0 <= a < b:
                 raise ValueError("source segments need 0 <= a < b")
+            if not np.all(np.isfinite(f.values)):
+                raise ValueError("source f must be finite")
+        if not np.all(np.isfinite(self.ystar.values)):
+            raise ValueError("final target ystar must be finite")
+        if not all(np.all(np.isfinite(w.values)) for w in self.w_segments):
+            raise ValueError("target trajectory w must be finite")
 
 
 @dataclass
@@ -207,7 +212,9 @@ class HomogenizedData:
         op = self.op
         g = np.sqrt(op.M) * self.g.values
         shared = list(self.problem_fit[0].poles)
-        poles = [*semigroup_fit(2 * self.spec.T).poles, *shared, *shared] * 2 + shared
+        t = 2 * self.spec.T
+        (s2t,) = fit_required([sym.expm(t)], f"semigroup fit at t={t}")
+        poles = [*s2t.poles, *shared, *shared] * 2 + shared
         return _ritz(self, _rational_arnoldi(op, g, poles), g)
 
 

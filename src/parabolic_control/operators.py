@@ -144,8 +144,8 @@ def assemble_1d(n_el, a=0.0, gamma=2.2):
     """
     if n_el < 2:
         raise ValueError(f"need at least 2 elements, got {n_el}")
-    if 1.0 + a <= 0.0:
-        raise ValueError(f"diffusion 1 + a must be positive, got a={a}")
+    if not 0.0 < 1.0 + a < np.inf:
+        raise ValueError(f"diffusion 1 + a must be positive and finite, got a={a}")
     if not DOMAIN_1D[0] < gamma < DOMAIN_1D[1]:
         raise ValueError(f"interface gamma must lie in (0, pi), got {gamma}")
     nodes = np.linspace(DOMAIN_1D[0], DOMAIN_1D[1], n_el + 1)

@@ -17,9 +17,9 @@ real parameterization; the result is validated on a denser independent
 grid _VALID.  Every component of a shared fit aims for tol times the norm
 of its own decaying part and is judged against tol times its own norm, so
 components of very different scale can share poles; a single symbol is
-fitted as a one-component shared fit.  The solve path requests every fit
-as fit_required(gs, what): fit_cached at DEGREE_CAP and FIT_TOL, and a
-FitError naming what on a miss.
+fitted as a one-component shared fit.  The program requests every fit as
+fit_required(gs, what): fit_rational_shared at DEGREE_CAP and FIT_TOL,
+memoized by the symbols' keys, with a FitError naming what on a miss.
 
 A lone pure exponential exp(t*lambda) bypasses the adaptive fit: a frozen
 table of near-best approximants of exp(x) (Caratheodory-Fejer, see
@@ -85,7 +85,6 @@ class FitReport:
     max_error: float
     norm_estimate: float
     tol: float
-    sample_count: int
     success: bool
 
 
@@ -502,28 +501,20 @@ def fit_rational(g, d, tol):
     is unreachable at degree d the best-effort rational is returned with
     report.success = False (callers may raise the degree).
     """
-    fits, report = _fit([g], d, tol)
+    fits, report = fit_rational_shared([g], d, tol)
     return fits[0], report
 
 
 def fit_rational_shared(gs, d, tol):
-    """Fit several symbols with one shared pole set (joint-support AAA).
-
-    Each component has its own absolute error target, tol * ||g_i||_est:
-    a component many orders of magnitude smaller than another keeps its
-    own relative accuracy.
-    """
-    return _fit(gs, d, tol)
-
-
-def _fit(gs, d, tol):
-    """The one fit path of fit_rational and fit_rational_shared.
+    """Fit several symbols with one shared pole set (joint-support AAA); the
+    one fit path.
 
     Component i aims for tol times the norm of its decaying part
     g_i - g_i(-inf), which is tighter, and its success is judged against
-    tol times the norm of g_i itself.  A lone pure exponential or segment
-    integral from 0 first tries a rescaled ready-made fit, and takes the
-    adaptive fit only where that one misses.
+    tol times the norm of g_i itself: a component many orders of magnitude
+    smaller than another keeps its own relative accuracy.  A lone pure
+    exponential or segment integral from 0 first tries a rescaled ready-made
+    fit, and takes the adaptive fit only where that one misses.
     """
     if not gs:
         raise ValueError("need at least one symbol to fit")
@@ -535,7 +526,7 @@ def _fit(gs, d, tol):
     scales = np.array([_norm_estimate(s["train"]) for s in samples])
     targets = np.array([max(tol * _norm_estimate(s["train"] - s["train"][0]), 1e-300)
                         for s in samples])
-    ready = _ready_made(gs[0], samples[0], d, tol, targets[0]) if len(gs) == 1 else None
+    ready = _ready_made(gs[0], samples[0], d, targets[0]) if len(gs) == 1 else None
     if ready is not None and ready[1] <= targets[0]:
         fits, errs = [ready[0]], np.array([ready[1]])
     else:
@@ -545,19 +536,19 @@ def _fit(gs, d, tol):
     worst = int(np.argmax(errs / np.maximum(scales, 1e-300)))
     return fits, FitReport(degree=max(f.degree for f in fits),
                            max_error=float(errs[worst]), norm_estimate=float(scales[worst]),
-                           tol=tol, sample_count=len(_TRAIN),
-                           success=bool(np.all(errs <= tol * scales)))
+                           tol=tol, success=bool(np.all(errs <= tol * scales)))
 
 
-def _ready_made(g, sample, d, tol, target):
+def _ready_made(g, sample, d, target):
     """(rational, validation error) of a rescaled ready-made fit of g, or
     None when g has none.
 
     exp(a lam), a > 0: the frozen near-best table, rescaled by a, at the
     least degree <= d that meets target, else its best degree.
     SI(0, h, s) = h U(s h lam), other than U = SI(0, 1, 1) itself: the
-    cached fit of U, rescaled.  The adaptive fit of SI(0, h, s) misses its
-    target below h ~ 3e-5 (by a factor 6.6e5 at 1e-6).
+    required fit of U, rescaled, unless its degree exceeds d.  The adaptive
+    fit of SI(0, h, s) misses its target below h ~ 3e-5 (by a factor 6.6e5
+    at 1e-6).
     """
     if isinstance(g, sym.Exp) and g.a > 0:
         a = g.a
@@ -566,9 +557,9 @@ def _ready_made(g, sample, d, tol, target):
     elif isinstance(g, sym.SegmentIntegral) and g.a == 0 \
             and (g.b, g.scale) != (1.0, 1.0):
         h, s = g.b, g.scale
-        (u,), _ = fit_cached([sym.segment_integral(0.0, 1.0, 1)], d, tol)
-        cands = [_rational(u.r0 * h, ((p / (s * h), r / s)
-                                      for p, r in zip(u.poles, u.residues)))]
+        (u,) = fit_required([sym.segment_integral(0.0, 1.0, 1)], "segment-integral fit")
+        rescaled = ((p / (s * h), r / s) for p, r in zip(u.poles, u.residues))
+        cands = [_rational(u.r0 * h, rescaled)] if u.degree <= d else []
     else:
         return None
     best = None
@@ -583,35 +574,31 @@ def _ready_made(g, sample, d, tol, target):
 
 _MEMO_SIZE = 256
 _fit_memo = OrderedDict()
-DEGREE_CAP = 40     # the degree budget of every fit the solve path requires
+DEGREE_CAP = 40     # the degree budget of every fit that fit_required makes
 FIT_TOL = 1e-12     # and its tolerance
 
 
-def fit_cached(gs, d, tol):
-    """fit_rational_shared(gs, d, tol) for a sequence of symbols, with the
-    fits as a tuple, computed once per process.
-
-    A fit depends on its symbols, d and tol only, never on an operator or
-    on data, so the (fits, FitReport) pairs are kept by (symbol keys, d,
-    tol) in one least-recently-used memo of _MEMO_SIZE entries: problems
-    that share T, alpha, beta and mu share their fits.
-    """
-    key = (tuple(g.key for g in gs), d, tol)
-    out = _fit_memo.get(key)
-    if out is not None:
-        _fit_memo.move_to_end(key)
-        return out
-    fits, report = fit_rational_shared(gs, d, tol)
-    out = _fit_memo[key] = (tuple(fits), report)
-    if len(_fit_memo) > _MEMO_SIZE:
-        _fit_memo.popitem(last=False)
-    return out
-
-
 def fit_required(gs, what):
-    """The fits of fit_cached(gs, DEGREE_CAP, FIT_TOL); raises FitError
-    naming what when they miss FIT_TOL."""
-    fits, report = fit_cached(gs, DEGREE_CAP, FIT_TOL)
+    """The fits of fit_rational_shared(gs, DEGREE_CAP, FIT_TOL), as a tuple
+    computed once per process; raises FitError naming what when they miss
+    FIT_TOL.
+
+    Such a fit depends on its symbols only, never on an operator or on
+    data, so the (fits, FitReport) pairs are kept by the symbols' keys in
+    one least-recently-used memo of _MEMO_SIZE entries: problems that share
+    T, alpha, beta and mu share their fits.  A failed fit is kept too, and
+    raises again on every request.
+    """
+    key = tuple(g.key for g in gs)
+    out = _fit_memo.get(key)
+    if out is None:
+        fits, report = fit_rational_shared(gs, DEGREE_CAP, FIT_TOL)
+        out = _fit_memo[key] = (tuple(fits), report)
+        if len(_fit_memo) > _MEMO_SIZE:
+            _fit_memo.popitem(last=False)
+    else:
+        _fit_memo.move_to_end(key)
+    fits, report = out
     if not report.success:
         raise FitError(f"{what}: tolerance unreachable at degree {DEGREE_CAP}"
                        f" (best error {report.max_error:.3e})", report)
@@ -681,14 +668,10 @@ def apply_rational_shared(op, rationals, vectors):
 # semigroup action
 # ---------------------------------------------------------------------------
 
-def semigroup_fit(t):
-    """Partial-fraction approximant of exp(t*lambda) to tolerance FIT_TOL."""
-    return fit_required([sym.Exp(t)], f"semigroup fit at t={t}")[0]
-
-
 def semigroup_apply(op, t, v):
     """S_t v = exp(t A) v, fitted to tolerance FIT_TOL; at t = 0 the fit is
     the constant 1 with no pole, so S_0 v is a new array equal to v."""
     if t < 0:
         raise ValueError(f"semigroup time must be >= 0, got {t}")
-    return apply_rational(op, semigroup_fit(t), v)
+    (r,) = fit_required([sym.Exp(t)], f"semigroup fit at t={t}")
+    return apply_rational(op, r, v)

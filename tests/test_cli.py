@@ -87,6 +87,21 @@ def test_cli_rejects_a_section_that_names_no_experiment(tmp_path):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("jump", ["nan", "inf"])
+def test_cli_names_a_non_finite_diffusion_jump(tmp_path, jump):
+    # the operator's set-up used to die inside SuperLU ("Factor is exactly
+    # singular"), which names no input
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[example1d]\nvariant = discontinuous\ndiffusion_jump = {jump}\n")
+    out = tmp_path / "x"
+    res = run_cli(["example1d", "--config", str(p), "--out", str(out)])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err == {"error": "ValueError",
+                   "message": f"diffusion 1 + a must be positive and finite, got a={jump}"}
+    assert not list(out.glob("*.csv"))
+
+
 def test_config_file_may_hold_sections_for_several_experiments(tmp_path):
     # each verb reads its own section only
     p = tmp_path / "run.ini"

@@ -77,8 +77,11 @@ def test_1d_discontinuous_differs_only_past_interface():
 def test_1d_rejects_bad_input():
     with pytest.raises(ValueError):
         ops.assemble_1d(1)
-    with pytest.raises(ValueError):
-        ops.assemble_1d(10, a=-1.0)
+    # NaN compares False with every bound, and +inf left SuperLU an exactly
+    # singular factor
+    for a in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="diffusion 1 \\+ a must be positive and finite"):
+            ops.assemble_1d(10, a=a)
     with pytest.raises(ValueError):
         ops.assemble_1d(10, gamma=4.0)
 

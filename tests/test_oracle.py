@@ -78,7 +78,7 @@ def test_oracle_semigroup_cross_validation(op64):
     v = op64.function(rng.standard_normal(op64.n))
     want = orc.oracle_apply(ds, sym.expm(T_1D), v)
     got = rat.semigroup_apply(op64, T_1D, v)
-    _, rep = rat.fit_cached([sym.expm(T_1D)], rat.DEGREE_CAP, 1e-12)
+    _, rep = rat.fit_rational(sym.expm(T_1D), rat.DEGREE_CAP, rat.FIT_TOL)
     bound = (rep.max_error + 1e-9) * ops.norm_m(op64, v)
     assert ops.norm_m(op64, got.values - want.values) <= bound
 
