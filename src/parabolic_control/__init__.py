@@ -51,4 +51,4 @@ from .control import (
     solve_problem,
 )
 from .sensitivity import PerturbationSpec, perturb, sensitivity_sweep
-from .oracle import DenseSpectral, decompose, oracle_apply, oracle_solve_control
+from .oracle import DenseSpectral, SineSpectral, decompose, oracle_apply, oracle_solve_control

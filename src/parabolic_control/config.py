@@ -48,8 +48,10 @@ discontinuous only.
 
 Each key is parsed as the type of its default; a list takes the type of
 the default's first element.  A value of another type is an error that
-names the key.  The experiment is the verb's, not a key.  The
-lists eps_fractions, nu_list and channels must not be empty.
+names the key, and so is a float or list entry that is not finite, and a
+negative seed.  Keys are case-sensitive.  The experiment is the verb's,
+not a key.  The lists eps_fractions, nu_list and channels must not be
+empty.
 """
 
 from __future__ import annotations
@@ -113,6 +115,13 @@ class RunConfig:
     def __post_init__(self):
         if self.experiment not in VERBS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(x, float) and not np.isfinite(x)
+                   for x in (value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in ("isotropic", "discontinuous"):
             raise ValueError(f"variant must be isotropic or discontinuous, "
                              f"got {self.variant!r}")
@@ -146,6 +155,7 @@ def load_config(experiment, path=None, **overrides):
     raw = {}
     if path is not None:
         parser = configparser.ConfigParser()
+        parser.optionxform = str    # keys keep their case: T is not t
         with open(path) as fh:
             parser.read_file(fh)
         stray = [name for name in parser.sections() if name not in VERBS]

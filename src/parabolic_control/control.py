@@ -32,13 +32,14 @@ rational Gauss quadrature on a rational Krylov space built once per problem
 by Arnoldi passes over the factors the solve holds anyway (the S_2T and
 problem-fit poles), where a value costs microseconds; the Phi curve is read
 from the same space.  One exact Phi value certifies that root; where it
-misses, the root find runs on the exact Phi.  The control at a certified mu
-reuses that resolvent's fit and factors, and so does every control of the
-realized-miss polish within 10 % of that mu: it continues from the previous
-control with the certified root's resolvent as its approximate inverse, and
-from the products Psi u and S_2T u that it returned.  A control is one
-routine (_control) that returns u with those products and its refinement's
-stop report; nothing of it is kept on HomogenizedData.
+misses, the root find runs on the exact Phi.  A control is one routine
+(_refine) that returns u with the products Psi u and S_2T u and its stop
+report; nothing of it is kept on HomogenizedData.  Every control of a solve
+refines on the certified root's resolvent, which the certificate fitted and
+factored: the realized-miss polish continues each one from the previous
+control and its products, within 10 % of the root, so a solve makes no fit
+after its certificate (nor a factorization, but S_2T's where the surrogate's
+space ran no solve).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .operators import DimensionError, MeshFunction, inner_m, norm_m, solve_shif
 # every fit goes through fit_required; fit_rational and fit_rational_shared
 # stay bound for perfbench's tracer self-test
 from .rational import (  # noqa: F401
-    FitError,
     apply_rational,
     apply_rational_shared,
     fit_rational,
@@ -65,9 +65,9 @@ from .rational import (  # noqa: F401
 
 MU_BRACKET_CAP = 1e30
 _ROOT_EVALS = 100
-# the residual cut each refinement step must make, and the relative distance
-# from the certified root within which a polish control continues on the
-# root's resolvent, whose refinement contracts by that distance
+# the residual cut each refinement step must make, and the polish's window
+# |mu - root| <= _CUT root, within which the certified root's resolvent
+# contracts the refinement by that cut
 _CUT = 0.1
 _LN10 = math.log(10.0)
 
@@ -134,7 +134,7 @@ class HomogenizedData:
     ystar_hom - S_T psi, the constant J(0) and the base space of the Phi
     surrogate.  Nothing else is written to it after homogenize, so its
     arrays stay the same over any number of solves; a control returns its
-    own products and stop report (_control).  It owns the problem fit, which
+    own products and stop report (_refine).  It owns the problem fit, which
     homogenize made and applied for psi and ystar_hom: every later reader (g,
     S_T ystar_hom, the surrogate's poles, r_0, Psi u, the cost and the final
     state) takes S_T, Psi and r_0 from problem_fit and looks no fit up again.
@@ -543,25 +543,32 @@ def _stationarity_residual(hd, mu, u, products=None):
     return mu * hd.st_ystar_hom.values + hd.psi.values - (psi_u + mu * s2t_u), products
 
 
-def _refine(hd, mu, r, u, products=None):
-    """Iterative refinement of u on the stationarity system at mu, with the
-    fit r of a resolvent as its approximate inverse; returns the control
-    (u, (Psi u, S_2T u), (stop, kkt)).
+def _refine(hd, mu, r, u=None, products=None):
+    """The control (u, (Psi u, S_2T u), (stop, kkt)) at mu: iterative
+    refinement on the stationarity system at mu, with the fit r of a
+    resolvent as its approximate inverse, from u, or from r(A) rhs, rhs = mu
+    S_T ystar_hom + psi, when no u is given.
 
     The system is the realized one (the same fitted Psi and semigroup
     actions the KKT residual measures): each step adds r(A) res, and every
     residual is the true one of its iterate.  The first residual reuses the
-    products (Psi u, S_2T u) when they are given.  It stops "converged" once
-    ||res||_M <= 1e-10 min(max(1, ||psi||_M), ||rhs||_M), rhs = mu S_T
-    ystar_hom + psi: below 1 the floor alone would leave the resolvent fit's
-    error in u, about 1e-10 relative and different at every mu.  It stops
-    "stalled" when a step fails to cut the residual by _CUT, keeping the
-    better of the last two iterates.  It returns that iterate, its products,
-    the stop reason and its residual, normalized as kkt_residual.
+    products (Psi u, S_2T u) when they are given.  With r = r_root, the
+    resolvent at a multiplier root, a step contracts by ||I - r_root(A)(mu
+    S_2T + Psi)|| = max |(root - mu) e^{2T lam} / (root e^{2T lam} +
+    Psi(lam))| <= |1 - mu / root|.  It stops "converged" once ||res||_M <=
+    1e-10 min(max(1, ||psi||_M), ||rhs||_M): below 1 the floor alone would
+    leave the resolvent fit's error in u, about 1e-10 relative and different
+    at every mu.  It stops "stalled" when a step fails to cut the residual
+    by _CUT, keeping the better of the last two iterates.  It returns that
+    iterate, its products, the stop reason and its residual, normalized as
+    kkt_residual.
     """
     op = hd.op
+    rhs = mu * hd.st_ystar_hom.values + hd.psi.values
+    if u is None:
+        u = apply_rational(op, r, op.function(rhs))
     scale = max(1.0, norm_m(op, hd.psi))
-    target = 1e-10 * min(scale, norm_m(op, mu * hd.st_ystar_hom.values + hd.psi.values))
+    target = 1e-10 * min(scale, norm_m(op, rhs))
     res, products = _stationarity_residual(hd, mu, u, products)
     rn = norm_m(op, res)
     while not rn <= target:
@@ -576,32 +583,11 @@ def _refine(hd, mu, r, u, products=None):
     return u, products, ("converged" if rn <= target else "stalled", rn / scale)
 
 
-def _control(hd, mu, near=None):
-    """The control (u, (Psi u, S_2T u), (stop, kkt)) at mu (see _refine).
-
-    near = (root, control) holds a certified root and a control at a
-    multiplier near mu.  While |mu - root| <= _CUT root, the refinement
-    continues from that control, its products forming the first residual, on
-    the root's resolvent r_root, which the certified root has fitted and
-    factored: ||I - r_root(A)(mu S_2T + Psi)|| = max |(root - mu) e^{2T lam}
-    / (root e^{2T lam} + Psi(lam))| <= |1 - mu / root| <= _CUT, the cut each
-    step asks for.  Otherwise the first iterate is r_mu(A) rhs with the
-    resolvent fit r_mu, which the refinement then takes as its approximate
-    inverse.
-    """
-    if near is not None and abs(mu - near[0]) <= _CUT * near[0]:
-        root, (u, products, _) = near
-        return _refine(hd, mu, _resolvent(hd, root), u, products)
-    op, r_mu = hd.op, _resolvent(hd, mu)
-    u = apply_rational(op, r_mu, op.function(mu * hd.st_ystar_hom.values + hd.psi.values))
-    return _refine(hd, mu, r_mu, u)
-
-
 def optimal_control(hd, op, mu):
     """u_opt = (mu S_2T + Psi)^{-1} (mu S_T ystar_hom + psi), for every mu >= 0.
 
     The resolvent fit r_mu gives the first iterate and the approximate
-    inverse of the refinement (_control).  Large multipliers amplify any fit
+    inverse of the refinement (_refine).  Large multipliers amplify any fit
     discrepancy by mu, and the refinement removes it at the cost of a few
     reused-factorization applies.  At a mu where phi has run, zero included,
     the control costs no fit and no factorization once an earlier control or
@@ -610,7 +596,8 @@ def optimal_control(hd, op, mu):
     _check_op(hd, op)
     if not mu >= 0:
         raise ValueError("mu must be >= 0")
-    return _control(hd, float(mu))[0]
+    mu = float(mu)
+    return _refine(hd, mu, _resolvent(hd, mu))[0]
 
 
 def trajectory(spec, op, u, times):
@@ -671,16 +658,18 @@ def solve_problem(spec, op, hd=None):
     ystar_hom), with S_T the problem fit's component, so the miss is
     ||S_T u - ystar_hom||_M: one apply on factors the problem holds, and no
     source integral at T.  The polish starts from the Phi-route mu with the
-    slope of the Ritz surrogate there.  Its first control is the one at
-    that root; every later one is _control near the root and the previous
-    control, so a polish close to the root continues on the root's
-    resolvent and costs no fit and no factorization.  The solution's kkt,
-    pcg_stop and cost read the stop report and Psi u that the returned
-    control carries.  A polish whose root find fails (it leaves
-    MU_BRACKET_CAP, stalls or runs out of steps) raises a RuntimeError that
-    names the certified mu and the realized miss there, with _root's error
-    as its cause: Phi has that root, so _root's own message, which calls
-    the problem data inconsistent, would mislead.
+    slope of the Ritz surrogate there.  Every control of it refines on the
+    certified root's resolvent r_root, which solve_mu's certificate fitted
+    and factored (_refine), the first from r_root(A) rhs and every later one
+    from the previous control and its products: a solve makes no fit after
+    its certificate.  The solution's kkt, pcg_stop and cost read the stop
+    report and Psi u that the returned control carries.  A polish whose root
+    find fails (a step leaves the window |mu - root| <= _CUT root, in which
+    r_root contracts the refinement by _CUT, or MU_BRACKET_CAP, or the find
+    stalls or runs out of steps) raises a RuntimeError naming the certified
+    mu, the realized miss there and the window, with the step's or _root's
+    error as its cause: Phi has that root, so _root's own message, which
+    calls the problem data inconsistent, would mislead.
 
     A spec whose data other than eps differ from hd.spec's raises
     ValueError: the solve would mix the two problems.
@@ -693,31 +682,34 @@ def solve_problem(spec, op, hd=None):
     phi_count = len(hd._phi_values)
     root = solve_mu(hd, op, spec.eps)
     phi0 = phi(hd, op, 0.0)
-    st_fit = hd.problem_fit[-3]
-    seen = {}   # m -> (miss, S_T u, control), in the order the polish visits m
+    st_fit, r_root = hd.problem_fit[-3], _resolvent(hd, root)
+    first = last = None     # the polish's (m, miss, S_T u, control) at root and last
 
     def miss_at(m):
-        control = _control(hd, m, (root, seen[next(reversed(seen))][2]) if seen else None)
+        nonlocal first, last
+        if last and not abs(m - root) <= _CUT * root:
+            raise RuntimeError(f"polish step to mu = {m!r} leaves the window")
+        control = _refine(hd, m, r_root, *(last[3][:2] if last else ()))
         st_u = apply_rational(op, st_fit, control[0]).values
-        seen[m] = (norm_m(op, st_u - hd.ystar_hom.values), st_u, control)
-        return seen[m][0]
+        last = (m, norm_m(op, st_u - hd.ystar_hom.values), st_u, control)
+        first = first or last
+        return last[1]
 
-    mu = root
-    if mu > 0.0:
+    if root > 0.0:
         try:
-            mu = _root(miss_at, spec.eps, 1e-7 * phi0, mu,
-                       slope=_phi_surrogate(hd, op)(mu)[1], xtol=math.inf)
-        except FitError:
-            raise
+            _root(miss_at, spec.eps, 1e-7 * phi0, root,
+                  slope=_phi_surrogate(hd, op)(root)[1], xtol=math.inf)
         except RuntimeError as exc:
             raise RuntimeError(
                 f"realized-miss polish failed from the certified mu = {root!r}: the"
-                f" realized miss there is {seen[root][0] / spec.eps:.3g} eps, and the"
-                f" root find on the miss found no root") from exc
+                f" realized miss there is {first[1] / spec.eps:.3g} eps, and the root"
+                f" find on the miss found no root in its window |mu - root| <="
+                f" {_CUT:g} root") from exc
     else:
-        miss_at(mu)
-    # the refinement reports the stationarity residual of u: the KKT one
-    miss, st_u, (u, (psi_u, _), (pcg_stop, kkt)) = seen[mu]
+        miss_at(root)
+    # _root returns the mu of its last value; the refinement reports the
+    # stationarity residual of u: the KKT one
+    mu, miss, st_u, (u, (psi_u, _), (pcg_stop, kkt)) = last
     return ControlSolution(
         mu_eps=mu,
         u_opt=u,

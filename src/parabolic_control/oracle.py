@@ -10,7 +10,8 @@ breakpoints, so J stays an independent check of the production quadratic
 form.  Trusted for dimensions up to MAX_DENSE_N, which covers the 2D
 L-shape at h = 1/30 (n = 2,581, whose eigendecomposition takes a few
 seconds), and used by the tests to validate the rational-calculus
-production path; never the production path itself.
+production path; never the production path itself.  SineSpectral is the
+same interface in closed form for the isotropic 1D operator, at any n.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ GAUSS_POINTS = 8
 
 _gauss_x, _gauss_w = np.polynomial.legendre.leggauss(GAUSS_POINTS)
 _psi_x, _psi_w = np.polynomial.legendre.leggauss(16)
+# scipy's type-1 DST is 2 sum_j x_j sin(j k pi / N), and the sine
+# eigenvectors' scale is sqrt(2 / (N h)) = sqrt(2 / pi): half of it each
+_SINE_SCALE = 0.5 * math.sqrt(2 / np.pi)
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,47 @@ class DenseSpectral:
 
     def from_eig(self, coef):
         return self.op.function(self.vectors @ coef)
+
+
+@dataclass(frozen=True)
+class SineSpectral:
+    """DenseSpectral's interface for the isotropic 1D operator at any n, in
+    closed form: assemble_1d(N) with a = 0 is K = tridiag(-1, 2, -1) / h and
+    M = h I, h = pi / N, whose eigenvalues are -(4 / h^2) sin^2(k pi / 2N)
+    (ascending from k = N - 1, as decompose's; sin^2 keeps the digits of
+    the smallest, which 1 - cos loses) and whose M-orthonormal eigenvectors
+    are sqrt(2 / (N h)) sin(j k pi / N).  So to_eig and from_eig are one
+    type-1 discrete sine transform each, O(n log n)."""
+
+    op: object
+
+    def __post_init__(self):
+        n, K = self.op.n, self.op.K
+        h = np.pi / (n + 1)
+        if not (K.nnz == 3 * n - 2 and np.allclose(K.diagonal(), 2 / h, rtol=1e-12)
+                and np.allclose(K.diagonal(1), -1 / h, rtol=1e-12)
+                and np.allclose(self.op.M, h, rtol=1e-12)):
+            raise ValueError("the sine oracle needs the isotropic 1D operator")
+
+    @property
+    def eigenvalues(self):
+        n_el = self.op.n + 1
+        k = np.arange(n_el - 1, 0, -1)
+        return -(2 * n_el / np.pi) ** 2 * np.sin(k * np.pi / (2 * n_el)) ** 2
+
+    def to_eig(self, v):
+        vals = v.values if hasattr(v, "values") else np.asarray(v)
+        return _SINE_SCALE * np.pi / (self.op.n + 1) * _dst1(vals)[::-1]
+
+    def from_eig(self, coef):
+        return self.op.function(_SINE_SCALE * _dst1(coef[::-1]))
+
+
+def _dst1(x):
+    # imported on use: importing scipy.fft with the package would add about
+    # 3 MB and 0.1 s to every run, none of which reads the sine oracle
+    from scipy.fft import dst
+    return dst(x, type=1)
 
 
 def decompose(op):

@@ -303,25 +303,20 @@ def test_2d_tight_solve_reports_pcg_miss(twod, monkeypatch):
     # each refinement run of that solve applies at most four residuals, the
     # first iterate's and three steps' (PCG applied the stationarity
     # operator five times); the polish's second control, continued from the
-    # first on the root's resolvent (a _control near the root), applies at
-    # most three, its first residual formed from the first's products
-    runs, continued = [], [False]     # [continued, residuals] per refinement run
-    residual, refine, control = ctl._stationarity_residual, ctl._refine, ctl._control
+    # first on the root's resolvent (a _refine given a u), applies at most
+    # three, its first residual formed from the first's products
+    runs = []     # [continued, residuals] per refinement run
+    residual, refine = ctl._stationarity_residual, ctl._refine
 
     def counted_residual(hd, mu, u, products=None):
         runs[-1][1] += products is None
         return residual(hd, mu, u, products)
 
     def counted_refine(*args):
-        runs.append([continued[0], 0])
+        runs.append([len(args) > 3, 0])
         return refine(*args)
-
-    def marked_control(hd, mu, near=None):
-        continued[0] = near is not None
-        return control(hd, mu, near)
     monkeypatch.setattr(ctl, "_stationarity_residual", counted_residual)
     monkeypatch.setattr(ctl, "_refine", counted_refine)
-    monkeypatch.setattr(ctl, "_control", marked_control)
     assert ctl.solve_problem(spec, op, hd=hd).mu_eps == sol.mu_eps
     assert runs and max(count for _, count in runs) <= 4
     continued = [count for is_continued, count in runs if is_continued]

@@ -90,7 +90,8 @@ def test_cli_rejects_a_section_that_names_no_experiment(tmp_path):
 @pytest.mark.parametrize("jump", ["nan", "inf"])
 def test_cli_names_a_non_finite_diffusion_jump(tmp_path, jump):
     # the operator's set-up used to die inside SuperLU ("Factor is exactly
-    # singular"), which names no input
+    # singular"), which names no input; the config refuses it first, as
+    # every non-finite float key
     p = tmp_path / "bad.ini"
     p.write_text(f"[example1d]\nvariant = discontinuous\ndiffusion_jump = {jump}\n")
     out = tmp_path / "x"
@@ -98,8 +99,47 @@ def test_cli_names_a_non_finite_diffusion_jump(tmp_path, jump):
     assert res.returncode == 2
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert err == {"error": "ValueError",
-                   "message": f"diffusion 1 + a must be positive and finite, got a={jump}"}
+                   "message": f"diffusion_jump must be finite, got {jump}"}
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("verb, line, key", [
+    ("phi-curve", "mu_max = inf", "mu_max"),
+    ("example1d", "eps_fractions = 0.5, nan", "eps_fractions"),
+    ("sensitivity", "nu_list = 0.01, -inf", "nu_list")])
+def test_cli_names_a_non_finite_float_key(tmp_path, verb, line, key):
+    # phi-curve with mu_max = inf wrote rows of nan and inf and exited 0
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[{verb}]\nn_el = 24\n{line}\n")
+    out = tmp_path / "x"
+    res = run_cli([verb, "--config", str(p), "--out", str(out)])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{key} must be finite, got ")
+    assert not out.exists()
+
+
+def test_cli_names_a_negative_seed(tmp_path):
+    # sensitivity --seed -1 ran every row into numpy's seed check and wrote
+    # all-NaN CSVs with rows_failed = 18, exiting 0
+    out = tmp_path / "x"
+    res = run_cli(["sensitivity", "--seed", "-1", "--out", str(out)])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": "seed must be >= 0, got -1"}
+    assert not out.exists()
+
+
+def test_config_file_sets_the_horizon(tmp_path):
+    # INI keys keep their case, so T is settable from a file (a lowercased
+    # t was an unknown key, exit 2)
+    p = tmp_path / "run.ini"
+    p.write_text("[example1d]\nn_el = 24\nT = 0.02\neps_fractions = 0.5\n"
+                 "phi_curve_points = 9\n")
+    out = tmp_path / "x"
+    assert cli.main(["example1d", "--config", str(p), "--out", str(out)]) == 0
+    assert "T = 0.02" in (out / "run_meta.txt").read_text().splitlines()
 
 
 def test_config_file_may_hold_sections_for_several_experiments(tmp_path):

@@ -803,7 +803,8 @@ def test_optimal_control_reduces_to_umin_at_zero(hd62, op62):
     u0 = ctl.optimal_control(hd62, op62, 0.0)
     other = replace(hd62, ystar_hom=op62.function(np.ones(op62.n)))
     assert np.array_equal(ctl.optimal_control(other, op62, 0.0).values, u0.values)
-    (u, _, report), (_, _, other_report) = (ctl._control(h, 0.0) for h in (hd62, other))
+    (u, _, report), (_, _, other_report) = (ctl._refine(h, 0.0, ctl._resolvent(h, 0.0))
+                                            for h in (hd62, other))
     assert np.array_equal(u.values, u0.values)
     assert report == other_report and report[0] == "converged"
 
@@ -1078,26 +1079,35 @@ def test_tight_2d_polish_adds_no_fit_and_no_factorization():
     assert len(op._solvers) == factors
 
 
-def test_continued_control_refits_only_far_from_the_root():
-    # within _CUT of the certified root, the control refined from a nearby
-    # one on the root's resolvent meets the stationarity target 1e-10
-    # without a fit, and then lies within 1e-10 / alpha of optimal_control's
-    # (Psi >= alpha; measured 1.0e-8 relative); at twice the root it is
-    # optimal_control's own, with a fit
+def test_polish_step_out_of_the_window_raises_with_no_fit(monkeypatch):
+    # every control of the polish refines on the certified root's resolvent,
+    # which contracts the refinement only within |mu - root| <= _CUT root; a
+    # step beyond that window raises, naming the root and the window, where
+    # a fit and factors at the far multiplier were made before.  At 1D eps =
+    # 0.1 Phi(0) the realized miss at the root is off eps by more than the
+    # polish's tolerance, and a surrogate slope of 1e-6 sends the first step
+    # to 15.5 root.  The surrogate's space (n = 61) runs no solve, so the
+    # root's control factors S_2T's poles, and nothing else is factored
     cfg, op, hd, phi0 = _example1d(62)
-    root = ctl.solve_mu(hd, op, 0.5 * phi0)
-    near = (root, ctl._control(hd, root))
-    m = 1.05 * root
-    fits = set(rat._fit_memo)
-    u, _, (stop, _) = ctl._control(hd, m, near)
-    assert not set(rat._fit_memo) - fits
-    assert stop == "converged"
-    assert ctl.kkt_residual(hd, op, u, m) <= 1e-10
-    exact = ctl.optimal_control(hd, op, m)
-    assert ops.norm_m(op, u.values - exact.values) <= 1e-10 / cfg.alpha
-    fits = set(rat._fit_memo)
-    ctl._control(hd, 2 * root, near)
-    assert set(rat._fit_memo) - fits
+    spec = cli.build_problem_1d(cfg, op, 0.1 * phi0)
+    root = ctl.solve_mu(hd, op, spec.eps)
+    (s2t,) = rat.fit_required([sym.expm(2 * hd.spec.T)], "semigroup fit")
+    fits, factors = set(rat._fit_memo), set(op._solvers)
+    surrogate = ctl._phi_surrogate
+
+    def flat(hd, op):
+        value = surrogate(hd, op)
+        return lambda m: (value(m)[0], 1e-6)
+    monkeypatch.setattr(ctl, "_phi_surrogate", flat)
+    with pytest.raises(RuntimeError, match="realized-miss polish") as info:
+        ctl.solve_problem(spec, op, hd=hd)
+    monkeypatch.undo()
+    msg = str(info.value)
+    assert f"certified mu = {root!r}" in msg
+    assert f"window |mu - root| <= {ctl._CUT:g} root" in msg
+    assert "leaves the window" in str(info.value.__cause__)
+    assert set(rat._fit_memo) == fits
+    assert set(op._solvers) - factors == {complex(p) for p in s2t.poles}
 
 
 @pytest.mark.parametrize("frac", [0.1, 0.5])
@@ -1136,14 +1146,24 @@ def test_solve_applies_psi_once_per_refinement_iterate(op62, frac, monkeypatch):
 
 
 def test_continued_control_from_products_is_bit_identical():
-    # the first residual from the previous control's products is the one
-    # the refinement would apply them for
+    # within _CUT of the certified root, the control refined from the root's
+    # on the root's resolvent meets the stationarity target 1e-10 without a
+    # fit, and then lies within 1e-10 / alpha of optimal_control's (Psi >=
+    # alpha; measured 1.0e-8 relative).  Its first residual, from the root
+    # control's products, is the one the refinement would apply them for
     cfg, op, hd, phi0 = _example1d(62)
     root = ctl.solve_mu(hd, op, 0.5 * phi0)
-    previous = ctl._control(hd, root)
+    r_root = ctl._resolvent(hd, root)
+    previous = ctl._refine(hd, root, r_root)
     m = 1.05 * root
-    u, kept, report = ctl._control(hd, m, (root, previous))
-    again, applied, report_again = ctl._refine(hd, m, ctl._resolvent(hd, root), previous[0])
+    fits = set(rat._fit_memo)
+    u, kept, report = ctl._refine(hd, m, r_root, *previous[:2])
+    assert not set(rat._fit_memo) - fits
+    assert report[0] == "converged"
+    assert ctl.kkt_residual(hd, op, u, m) <= 1e-10
+    exact = ctl.optimal_control(hd, op, m)
+    assert ops.norm_m(op, u.values - exact.values) <= 1e-10 / cfg.alpha
+    again, applied, report_again = ctl._refine(hd, m, r_root, previous[0])
     assert np.array_equal(u.values, again.values)
     assert report_again == report
     assert all(np.array_equal(a, b) for a, b in zip(kept, applied))

@@ -219,3 +219,56 @@ def test_oracle_solve_problem_on_a_fine_1d_mesh(example1d):
         / ops.norm_m(op, osol.u_opt)
     assert u_err <= 1e-6
     assert abs(sol.mu_eps - osol.mu_eps) <= 1e-6 * osol.mu_eps
+
+
+@pytest.mark.parametrize("example1d", [1000], indirect=True)
+def test_sine_oracle_matches_the_dense_one(example1d):
+    # the closed form of the isotropic operator against its dense
+    # eigendecomposition: eigenvalues within 1e-13 of the largest (measured
+    # 1.0e-14; eigh's absolute error leaves the smallest 1.6e-11 relative
+    # off), an apply within 2e-12 (measured 2.0e-13), and the oracle solve's
+    # mu and u within 3e-11 at every published eps (measured 2.5e-12 and
+    # 1.3e-12 at most)
+    cfg, op, _, ds = example1d
+    ss = orc.SineSpectral(op)
+    lam = ds.eigenvalues
+    assert np.max(np.abs(ss.eigenvalues - lam)) <= 1e-13 * np.max(np.abs(lam))
+    spec = cli.build_problem_1d(cfg, op, 1.0)
+    want, got = (orc.oracle_apply(s, sym.expm(T_1D), spec.ystar) for s in (ds, ss))
+    assert ops.norm_m(op, got.values - want.values) <= 2e-12 * ops.norm_m(op, want)
+    phi0 = orc.oracle_phi(spec, ds)(0.0)
+    for frac in (0.1, 0.5, 0.9):
+        spec = cli.build_problem_1d(cfg, op, frac * phi0)
+        want, got = (orc.oracle_solve_control(spec, op, s) for s in (ds, ss))
+        assert abs(got.mu_eps - want.mu_eps) <= 3e-11 * want.mu_eps
+        assert ops.norm_m(op, got.u_opt.values - want.u_opt.values) \
+            <= 3e-11 * ops.norm_m(op, want.u_opt)
+
+
+def test_sine_oracle_needs_the_isotropic_operator():
+    with pytest.raises(ValueError, match="isotropic 1D operator"):
+        orc.SineSpectral(ops.assemble_1d(62, a=-0.8))
+
+
+@pytest.fixture(scope="module")
+def example1d_4000():
+    """The published 1D problem on n_el = 4000 with its sine oracle: n =
+    3,999 is above the dense oracle's MAX_DENSE_N."""
+    cfg = load_config("example1d", n_el=4000)
+    op = cli.build_operator_1d(cfg)
+    hd = ctl.homogenize(cli.build_problem_1d(cfg, op, 1.0), op)
+    return cfg, op, hd, orc.SineSpectral(op)
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.9])
+def test_solve_problem_matches_the_sine_oracle_at_n_el_4000(example1d_4000, frac):
+    # measured mu 1.1e-11 and 6.1e-11 off, u 1.1e-11 and 2.4e-11 (eps = 0.5
+    # and 0.9 Phi(0)); at eps = 0.9 the root's tolerance, 1e-8 Phi(0) on a
+    # flat Phi, sets mu's error.  eps = 0.1 raises (ROADMAP item 2)
+    cfg, op, hd, ss = example1d_4000
+    spec = cli.build_problem_1d(cfg, op, frac * ctl.phi(hd, op, 0.0))
+    sol = ctl.solve_problem(spec, op, hd=hd)
+    osol = orc.oracle_solve_control(spec, op, ss)
+    assert abs(sol.mu_eps - osol.mu_eps) <= 2e-10 * osol.mu_eps
+    assert ops.norm_m(op, sol.u_opt.values - osol.u_opt.values) \
+        <= 1e-10 * ops.norm_m(op, osol.u_opt)
