@@ -21,8 +21,9 @@ Keys and types (defaults in parentheses):
     diffusion_jump    float  coefficient jump a of 1 + a*chi_[gamma, pi] (-0.8)
     interface         float  jump location gamma (2.2)
     beta_lo, beta_hi  float  active window of beta as fractions of T (1/3, 2/3)
-    w_indicator       2 floats   1D target-trajectory indicator interval
-    ystar_indicator   2 floats   1D final-target indicator interval
+    w_indicator       2 floats   1D target-trajectory indicator interval a, b
+    ystar_indicator   2 floats   1D final-target indicator interval a, b
+                             (each with 0 <= a < b <= pi)
     eps_fractions     floats  constraint levels as fractions of Phi(0), in (0, 1]
                              ((0.2, 0.5, 0.9); (0.1, 0.5, 0.9) in example2d)
     phi_curve_points  int    number of log-spaced mu samples (350; 41 in example1d)
@@ -48,10 +49,11 @@ discontinuous only.
 
 Each key is parsed as the type of its default; a list takes the type of
 the default's first element.  A value of another type is an error that
-names the key, and so is a float or list entry that is not finite, and a
-negative seed.  Keys are case-sensitive.  The experiment is the verb's,
-not a key.  The lists eps_fractions, nu_list and channels must not be
-empty.
+names the key, and so is a float or list entry that is not finite, a
+negative seed, and an indicator interval that is not two entries with 0 <=
+a < b <= pi (one outside [0, pi] or reversed projects to zero data).  Keys
+are case-sensitive.  The experiment is the verb's, not a key.  The lists
+eps_fractions, nu_list and channels must not be empty.
 """
 
 from __future__ import annotations
@@ -132,6 +134,12 @@ class RunConfig:
             raise ValueError(f"eps_fractions must lie in (0, 1], got {self.eps_fractions}")
         if not all(0 <= nu < 1 for nu in self.nu_list):
             raise ValueError(f"nu_list magnitudes must lie in [0, 1), got {self.nu_list}")
+        for key in _DATA_1D:
+            interval = getattr(self, key)
+            if len(interval) != 2:
+                raise ValueError(f"{key} must have two entries a, b, got {interval}")
+            if not 0 <= interval[0] < interval[1] <= PI:
+                raise ValueError(f"{key} must satisfy 0 <= a < b <= pi, got {interval}")
         if not 0 <= self.beta_lo < self.beta_hi <= 1:
             raise ValueError("beta window fractions must satisfy 0 <= lo < hi <= 1")
         if self.phi_curve_points < 1:

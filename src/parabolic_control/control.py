@@ -40,6 +40,13 @@ factored: the realized-miss polish continues each one from the previous
 control and its products, within 10 % of the root, so a solve makes no fit
 after its certificate (nor a factorization, but S_2T's where the surrogate's
 space ran no solve).
+
+The factors of a resolvent r_mu, mu > 0, serve one solve only: they are
+cached on a child of the operator (DiscreteOperator.child) that
+HomogenizedData holds and solve_problem drops when it returns, so a sweep
+of solves holds the factors of the mu-free functions and of one root at a
+time.  Every mu-free function is applied through the operator itself and
+keeps its factors for the operator's life.
 """
 
 from __future__ import annotations
@@ -132,7 +139,8 @@ class HomogenizedData:
     It also keeps what one problem computes on its operator op, each value
     once: the Phi values, and as lazy attributes S_T ystar_hom, g = Psi
     ystar_hom - S_T psi, the constant J(0) and the base space of the Phi
-    surrogate.  Nothing else is written to it after homogenize, so its
+    surrogate.  Nothing else is written to it after homogenize but the
+    child of op that holds the resolvents' factors (resolvent_op), so its
     arrays stay the same over any number of solves; a control returns its
     own products and stop report (_refine).  It owns the problem fit, which
     homogenize made and applied for psi and ystar_hom: every later reader (g,
@@ -216,6 +224,19 @@ class HomogenizedData:
         (s2t,) = fit_required([sym.expm(t)], f"semigroup fit at t={t}")
         poles = [*s2t.poles, *shared, *shared] * 2 + shared
         return _ritz(self, _rational_arnoldi(op, g, poles), g)
+
+    @cached_property
+    def resolvent_op(self):
+        """The child of op (DiscreteOperator.child) that caches the factors
+        of the resolvents r_mu, mu > 0, which phi's certificate and the
+        control apply through it.  Every mu-free function (the problem fit,
+        S_2T and S_t, the surrogate's Arnoldi pass, the residual's Psi u and
+        S_2T u) is applied through op, so its factors serve every solve and
+        none is made twice.  solve_problem drops the child when it
+        returns (_drop_resolvents): a later phi or optimal_control at mu > 0,
+        the solve's mu_eps included, makes a new one and factors r_mu again.
+        """
+        return self.op.child()
 
 
 @dataclass
@@ -338,13 +359,21 @@ def _big_psi(spec):
 
 
 def _resolvent(hd, mu):
-    """The fit of r_mu(lam) = 1 / (mu e^{2T lam} + Psi(lam)), the one
-    operator function that Phi and the control need at mu; r_0 is the
-    problem fit's."""
+    """r_mu(lam) = 1 / (mu e^{2T lam} + Psi(lam)), the one operator function
+    that Phi and the control need at mu, as the pair (operator, fit) that
+    apply_rational takes: r_0 is the problem fit's, applied through op, and
+    every other r_mu is a fit of its own, applied through hd.resolvent_op."""
     if mu == 0.0:
-        return hd.problem_fit[-1]
+        return hd.op, hd.problem_fit[-1]
     denom = sym.const(mu) * sym.expm(2 * hd.spec.T) + hd.big_psi_symbol
-    return fit_required([sym.const(1.0) / denom], f"resolvent fit at mu={mu}")[0]
+    return hd.resolvent_op, fit_required([sym.const(1.0) / denom],
+                                         f"resolvent fit at mu={mu}")[0]
+
+
+def _drop_resolvents(hd):
+    """Release the factors of hd's resolvents r_mu, mu > 0, by dropping the
+    child of hd.op that holds them (hd.resolvent_op)."""
+    vars(hd).pop("resolvent_op", None)
 
 
 def _check_op(hd, op):
@@ -354,14 +383,15 @@ def _check_op(hd, op):
 
 def phi(hd, op, mu):
     """Phi(mu) = ||ystar_hom - (mu S_2T + Psi)^{-1}(mu S_2T ystar_hom + S_T psi)||_M,
-    taken as ||r_mu(A) g||_M with g = hd.g; cached in hd._phi_values."""
+    taken as ||r_mu(A) g||_M with g = hd.g; cached in hd._phi_values.  At mu
+    > 0 the factors of r_mu go to hd.resolvent_op (_resolvent)."""
     _check_op(hd, op)
     if not mu >= 0:
         raise ValueError("mu must be >= 0")
     mu = float(mu)
     val = hd._phi_values.get(mu)
     if val is None:
-        r = apply_rational(op, _resolvent(hd, mu), hd.g)
+        r = apply_rational(*_resolvent(hd, mu), hd.g)
         val = hd._phi_values[mu] = norm_m(op, r)
     return val
 
@@ -545,9 +575,9 @@ def _stationarity_residual(hd, mu, u, products=None):
 
 def _refine(hd, mu, r, u=None, products=None):
     """The control (u, (Psi u, S_2T u), (stop, kkt)) at mu: iterative
-    refinement on the stationarity system at mu, with the fit r of a
-    resolvent as its approximate inverse, from u, or from r(A) rhs, rhs = mu
-    S_T ystar_hom + psi, when no u is given.
+    refinement on the stationarity system at mu, with a resolvent r (the
+    pair (operator, fit) of _resolvent) as its approximate inverse, from u,
+    or from r(A) rhs, rhs = mu S_T ystar_hom + psi, when no u is given.
 
     The system is the realized one (the same fitted Psi and semigroup
     actions the KKT residual measures): each step adds r(A) res, and every
@@ -566,13 +596,13 @@ def _refine(hd, mu, r, u=None, products=None):
     op = hd.op
     rhs = mu * hd.st_ystar_hom.values + hd.psi.values
     if u is None:
-        u = apply_rational(op, r, op.function(rhs))
+        u = apply_rational(*r, rhs)
     scale = max(1.0, norm_m(op, hd.psi))
     target = 1e-10 * min(scale, norm_m(op, rhs))
     res, products = _stationarity_residual(hd, mu, u, products)
     rn = norm_m(op, res)
     while not rn <= target:
-        u_new = op.function(u.values + apply_rational(op, r, op.function(res)).values)
+        u_new = op.function(u.values + apply_rational(*r, res).values)
         res_new, products_new = _stationarity_residual(hd, mu, u_new)
         rn_new = norm_m(op, res_new)
         cut = rn_new <= _CUT * rn     # False on NaN too
@@ -591,7 +621,9 @@ def optimal_control(hd, op, mu):
     discrepancy by mu, and the refinement removes it at the cost of a few
     reused-factorization applies.  At a mu where phi has run, zero included,
     the control costs no fit and no factorization once an earlier control or
-    the surrogate's Arnoldi has factored S_2T.
+    the surrogate's Arnoldi has factored S_2T, unless a solve_problem has
+    dropped r_mu's factors since (hd.resolvent_op): then, at that solve's
+    mu_eps too, it factors r_mu again.
     """
     _check_op(hd, op)
     if not mu >= 0:
@@ -673,12 +705,25 @@ def solve_problem(spec, op, hd=None):
 
     A spec whose data other than eps differ from hd.spec's raises
     ValueError: the solve would mix the two problems.
+
+    The solve drops hd's resolvent factors when it returns or raises
+    (hd.resolvent_op): the factors of its root and of every multiplier
+    phi took live for the one solve, and a later optimal_control(hd, op,
+    mu_eps) factors r_mu again.  The mu-free factors stay on op.
     """
     if hd is None:
         hd = homogenize(spec, op)
     elif _data(spec) != _data(hd.spec):
         raise ValueError("spec differs from the problem hd was homogenized from"
                          " in more than eps")
+    try:
+        return _solve(spec, op, hd)
+    finally:
+        _drop_resolvents(hd)
+
+
+def _solve(spec, op, hd):
+    """solve_problem's root find, polish and solution bundle."""
     phi_count = len(hd._phi_values)
     root = solve_mu(hd, op, spec.eps)
     phi0 = phi(hd, op, 0.0)

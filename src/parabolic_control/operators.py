@@ -12,20 +12,27 @@ entry in the order of a per-element loop, so K and M are bit-identical to
 that loop's.
 
 Shifted systems (z - A) x = v are solved as (z M + K) x = M v with one
-sparse LU factorization per shift, cached on the operator for its whole
-life; the LU pivots on the diagonal.  Each operator has one fill-reducing
-order: the minimum-degree column order of one real symmetric-mode LU of K,
-which also serves the spectral enclosure.  Each shifted matrix is written
-into a complex copy of K that carries an explicit slot on every diagonal
-entry and is stored in that order, built once per operator, so no
-factorization reorders.  A cached factor costs far more memory than its L
-and U values: measured as growth of the peak RSS, about 25 KB for the 1D
-n = 61 operator (whose L+U takes 4 KB) and 1.3 MB for the 2D h = 1/30 one,
-with SuperLU's panel size set to 1.
+sparse LU factorization per shift; the LU pivots on the diagonal.  A
+factor is cached on the operator it was made through, and no cache evicts
+one.  An operator's child (DiscreteOperator.child) shares every array of
+it and keeps a cache of its own: a shift is looked up in the child's cache,
+then in its parent's, and a new factor goes to the child, so dropping the
+child releases the factors made through it while the parent's stay.
+
+Each operator has one fill-reducing order, which its children share: the
+minimum-degree column order of one real symmetric-mode LU of K, which also
+serves the spectral enclosure.  Each shifted matrix is written into a
+complex copy of K that carries an explicit slot on every diagonal entry and
+is stored in that order, built once per operator, so no factorization
+reorders.  A cached factor costs far more memory than its L and U values:
+measured as growth of the peak RSS, about 25 KB for the 1D n = 61 operator
+(whose L+U takes 4 KB) and 1.3 MB for the 2D h = 1/30 one, with SuperLU's
+panel size set to 1.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +103,7 @@ class DiscreteOperator:
 
     def __post_init__(self):
         self._solvers = {}
+        self._parent = None
         # one symmetric-mode factor of K serves the enclosure, and its column
         # order is the fill-reducing order of every shifted matrix, whose
         # pattern is that of K with its diagonal
@@ -114,8 +122,19 @@ class DiscreteOperator:
     def n(self):
         return self.K.shape[0]
 
+    def child(self):
+        """An operator that shares every array of this one and starts with
+        an empty factor cache: solve_shifted looks a shift up in the child's
+        cache, then in this one's, and stores a new factor on the child.
+        Dropping the child releases the factors made through it.  Its
+        vectors are this operator's, so they do not keep the child alive."""
+        kid = copy.copy(self)
+        kid._solvers, kid._parent = {}, self
+        return kid
+
     def function(self, values):
-        return MeshFunction(np.asarray(values), self)
+        return MeshFunction(np.asarray(values),
+                            self if self._parent is None else self._parent)
 
 
 @dataclass
@@ -249,9 +268,11 @@ def spectral_bounds(op):
 def solve_shifted(op, z, v):
     """Solve (z - A) x = v via (z M + K) x = M v.  Returns complex values.
 
-    The residual is judged against the normwise backward-error scale
-    (|z| |M| + |K|) |x| + |rhs|: above 1e-12 of it the solve takes one step
-    of iterative refinement, and raises ShiftError if it is still above.
+    The factor of z is looked up on op, then on op's parent when op is a
+    child; a new one is cached on op.  The residual is judged against the
+    normwise backward-error scale (|z| |M| + |K|) |x| + |rhs|: above 1e-12
+    of it the solve takes one step of iterative refinement, and raises
+    ShiftError if it is still above.
     """
     z = complex(z)
     dist = _dist_to_interval(z, op.lam_min, op.kappa)
@@ -260,6 +281,8 @@ def solve_shifted(op, z, v):
                          f"enclosure [{op.lam_min}, {op.kappa}]")
     rhs = op.M * _vec(op, v, allow_complex=True)
     solver = op._solvers.get(z)
+    if solver is None and op._parent is not None:
+        solver = op._parent._solvers.get(z)
     if solver is None:
         mat = op._shift_base.copy()
         mat.data[op._shift_diag] += z * op.M

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,29 @@ def psi_without_source(spec, op):
         if beta != 0.0:
             psi = psi + beta * rat.apply_rational(op, next(fits), w).values
     return psi
+
+
+@contextmanager
+def shifted_factors():
+    """Every shifted factorization made inside the block, counted at
+    operators.spla.splu: the block gets a list that holds one (matrix, fill)
+    pair per factor, the factored matrix and its L+U nonzeros, whichever
+    cache the factor goes to.  An operator's own cache misses what a call
+    made through a child (the factors of a resolvent r_mu, mu > 0), and the
+    child may be gone when the call returns.  The enclosure's real factor of
+    K is not counted."""
+    made, splu = [], ops.spla.splu
+
+    def counted(A, *args, **kwargs):
+        lu = splu(A, *args, **kwargs)
+        if np.iscomplexobj(A):
+            made.append((A, lu.nnz))
+        return lu
+    ops.spla.splu = counted
+    try:
+        yield made
+    finally:
+        ops.spla.splu = splu
 
 
 # Source of peak_rss_kb() for the fresh child processes of the memory tests.

@@ -131,6 +131,41 @@ def test_cli_names_a_negative_seed(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["w_indicator", "ystar_indicator"])
+@pytest.mark.parametrize("value, problem", [
+    ("1", "must have two entries a, b"),
+    ("0.5, 1, 1.5", "must have two entries a, b"),
+    # a reversed interval projected to zero data and exited 0
+    ("2, 1", "must satisfy 0 <= a < b <= pi"),
+    # one outside [0, pi] too, or failed on eps = 0 where both were
+    ("5, 6", "must satisfy 0 <= a < b <= pi"),
+    ("-0.5, 1", "must satisfy 0 <= a < b <= pi")],
+    ids=["one", "three", "reversed", "outside", "below"])
+def test_cli_names_an_invalid_indicator_interval(tmp_path, key, value, problem):
+    # one entry exited with a bare TypeError about Indicator1D
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[example1d]\nn_el = 24\n{key} = {value}\n")
+    out = tmp_path / "x"
+    res = run_cli(["example1d", "--config", str(p), "--out", str(out)])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{key} {problem}, got ")
+    assert not out.exists()
+
+
+def test_both_indicators_outside_the_domain_name_the_first_key(tmp_path):
+    # 5, 6 in both keys exited with "tolerance eps must be positive"
+    p = tmp_path / "bad.ini"
+    p.write_text("[sensitivity]\nn_el = 24\nw_indicator = 5, 6\n"
+                 "ystar_indicator = 5, 6\n")
+    res = run_cli(["sensitivity", "--config", str(p), "--out", str(tmp_path / "x")])
+    assert res.returncode == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message":
+                   "w_indicator must satisfy 0 <= a < b <= pi, got (5.0, 6.0)"}
+
+
 def test_config_file_sets_the_horizon(tmp_path):
     # INI keys keep their case, so T is settable from a file (a lowercased
     # t was an unknown key, exit 2)

@@ -14,7 +14,7 @@ from parabolic_control import sensitivity as sens
 from parabolic_control import symbols as sym
 from parabolic_control.config import load_config
 
-from conftest import make_spec_51, psi_without_source, T_1D, ALPHA
+from conftest import make_spec_51, psi_without_source, shifted_factors, T_1D, ALPHA
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,9 @@ def test_problem_fit_is_one_pole_set_within_each_components_target(op20, T, case
     for g, f in zip(symbols, fits):
         err = np.max(np.abs(f(rat._VALID) - g(rat._VALID)))
         assert err <= rat.FIT_TOL * rat._norm_estimate(g(rat._TRAIN))
-    assert ctl._resolvent(hd, 0.0) is fits[-1]
+    # r_0 is the problem fit's, applied through the operator itself
+    r_op, r_0 = ctl._resolvent(hd, 0.0)
+    assert r_op is op20 and r_0 is fits[-1]
 
 
 _ITEM_9 = ("ROADMAP item 9: every fit samples and judges in lambda, not in z = T lambda, "
@@ -383,12 +385,14 @@ def _example1d(n_el):
 
 
 def _published_1d_solves(n_el):
-    """Cached LU factors and exact Phi values per solve of the published
-    example1d solves on n_el elements."""
-    cfg, op, hd, phi0 = _example1d(n_el)
-    evals = [ctl.solve_problem(cli.build_problem_1d(cfg, op, f * phi0), op, hd=hd).phi_evals
-             for f in cfg.eps_fractions]
-    return len(op._solvers), evals
+    """Shifted factorizations, set-up included, and exact Phi values per
+    solve of the published example1d solves on n_el elements."""
+    with shifted_factors() as made:
+        cfg, op, hd, phi0 = _example1d(n_el)
+        evals = [ctl.solve_problem(cli.build_problem_1d(cfg, op, f * phi0), op,
+                                   hd=hd).phi_evals
+                 for f in cfg.eps_fractions]
+    return len(made), evals
 
 
 @pytest.mark.parametrize("n_el", [500, 2000])
@@ -661,13 +665,15 @@ def test_solve_problem_takes_the_same_fits_and_factors_across_meshes(
     counts, evals = [], []
 
     def counted(f):
-        fits, factors = len(rat._fit_memo), len(op._solvers)
-        out = f()
-        counts.append((len(rat._fit_memo) - fits, len(op._solvers) - factors))
+        fits = len(rat._fit_memo)
+        with shifted_factors() as made:
+            out = f()
+        counts.append((len(rat._fit_memo) - fits, len(made)))
         return out
-    hd = ctl.homogenize(build(cfg, op, 1.0), op)
-    phi0 = ctl.phi(hd, op, 0.0)
-    counts.append((len(rat._fit_memo), len(op._solvers)))
+    with shifted_factors() as made:
+        hd = ctl.homogenize(build(cfg, op, 1.0), op)
+        phi0 = ctl.phi(hd, op, 0.0)
+    counts.append((len(rat._fit_memo), len(made)))
     for frac in (0.5, 0.9):
         spec = build(cfg, op, frac * phi0)
         evals.append(counted(lambda: ctl.solve_problem(spec, op, hd=hd)).phi_evals)
@@ -1034,11 +1040,11 @@ def test_cost_adds_no_fit_and_no_factorization(op62, hd62, monkeypatch):
     # refinement) already factored
     umin = ctl.optimal_control(hd62, op62, 0.0)
     ctl.kkt_residual(hd62, op62, umin, 0.0)
-    factors = len(op62._solvers)
     monkeypatch.setattr(rat, "fit_rational", None)
     monkeypatch.setattr(rat, "fit_rational_shared", None)
-    assert np.isfinite(ctl.cost_j(hd62, op62, umin))
-    assert len(op62._solvers) == factors
+    with shifted_factors() as made:
+        assert np.isfinite(ctl.cost_j(hd62, op62, umin))
+    assert not made
 
 
 @pytest.mark.parametrize("dim", ["1d", "2d"])
@@ -1049,7 +1055,8 @@ def test_control_at_a_phi_mu_adds_no_fit_and_no_factorization(dim):
     # the surrogate's Arnoldi has factored S_2T too, so no control adds a
     # factor.  In 1D (n = 61) the surrogate's space is the whole space and
     # runs no solve, so the first control's residual factors exactly S_2T's
-    # poles, and the next control adds none
+    # poles, on the operator, and the next control adds none: r_mu's factors
+    # wait on hd's child, where the certificate left them
     _, op, hd, phi0 = _example1d(62) if dim == "1d" else _example2d(1 / 30)
     (s2t,) = rat.fit_required([sym.expm(2 * hd.spec.T)], "semigroup fit")
     s2t = {complex(p) for p in s2t.poles}
@@ -1058,10 +1065,11 @@ def test_control_at_a_phi_mu_adds_no_fit_and_no_factorization(dim):
     fits, added = set(rat._fit_memo), []
     for m in (0.0, mu):
         before = set(op._solvers)
-        ctl.optimal_control(hd, op, m)
-        added.append(set(op._solvers) - before)
+        with shifted_factors() as made:
+            ctl.optimal_control(hd, op, m)
+        added.append((set(op._solvers) - before, len(made)))
     assert set(rat._fit_memo) == fits
-    assert added == ([s2t, set()] if dim == "1d" else [set(), set()])
+    assert added == ([(s2t, len(s2t)), (set(), 0)] if dim == "1d" else [(set(), 0)] * 2)
 
 
 def test_tight_2d_polish_adds_no_fit_and_no_factorization():
@@ -1072,11 +1080,12 @@ def test_tight_2d_polish_adds_no_fit_and_no_factorization():
     cfg, op, hd, phi0 = _example2d(1 / 30)
     spec = cli.build_problem_2d(cfg, op, 0.1 * phi0)
     root = ctl.solve_mu(hd, op, spec.eps)
-    fits, factors = set(rat._fit_memo), len(op._solvers)
-    sol = ctl.solve_problem(spec, op, hd=hd)
+    fits = set(rat._fit_memo)
+    with shifted_factors() as made:
+        sol = ctl.solve_problem(spec, op, hd=hd)
     assert 0 < abs(sol.mu_eps / root - 1) <= 1e-3
     assert not set(rat._fit_memo) - fits
-    assert len(op._solvers) == factors
+    assert not made
 
 
 def test_polish_step_out_of_the_window_raises_with_no_fit(monkeypatch):
@@ -1099,7 +1108,8 @@ def test_polish_step_out_of_the_window_raises_with_no_fit(monkeypatch):
         value = surrogate(hd, op)
         return lambda m: (value(m)[0], 1e-6)
     monkeypatch.setattr(ctl, "_phi_surrogate", flat)
-    with pytest.raises(RuntimeError, match="realized-miss polish") as info:
+    with shifted_factors() as made, \
+            pytest.raises(RuntimeError, match="realized-miss polish") as info:
         ctl.solve_problem(spec, op, hd=hd)
     monkeypatch.undo()
     msg = str(info.value)
@@ -1108,6 +1118,7 @@ def test_polish_step_out_of_the_window_raises_with_no_fit(monkeypatch):
     assert "leaves the window" in str(info.value.__cause__)
     assert set(rat._fit_memo) == fits
     assert set(op._solvers) - factors == {complex(p) for p in s2t.poles}
+    assert len(made) == len(s2t.poles)
 
 
 @pytest.mark.parametrize("frac", [0.1, 0.5])
@@ -1211,13 +1222,14 @@ def test_homogenize_with_a_source_is_one_fit(case, monkeypatch):
     op = ops.assemble_1d(62)
     spec = replace(make_spec_51(op, 1.0), f_segments=_source_cases(op)[case])
     required, shifts = _counting(monkeypatch)
-    hd = ctl.homogenize(spec, op)
-    monkeypatch.undo()
+    with shifted_factors() as made:
+        hd = ctl.homogenize(spec, op)
+        monkeypatch.undo()
+        ctl.phi(hd, op, 0.0)
     poles = list(hd.problem_fit[0].poles)
     assert required == ["problem fit"]
     assert shifts == poles * 2
-    ctl.phi(hd, op, 0.0)
-    assert len(op._solvers) == len(poles)
+    assert len(made) == len(poles)
 
 
 @pytest.mark.parametrize("case", ["one", "three", "inside"])
@@ -1296,8 +1308,9 @@ def test_many_source_segments_match_the_oracle(n_seg):
     # control at it match the dense oracle (measured u 2.4e-12 and 5.9e-12,
     # mu 4.8e-12 and 5.3e-12 relative)
     spec, op = _equal_source_segments(n_seg)
-    hd = ctl.homogenize(spec, op)
-    assert len(op._solvers) == len(hd.problem_fit[0].poles)
+    with shifted_factors() as made:
+        hd = ctl.homogenize(spec, op)
+    assert len(made) == len(hd.problem_fit[0].poles)
     spec = replace(spec, eps=0.5 * ctl.phi(hd, op, 0.0))
     mu = ctl.solve_mu(hd, op, spec.eps)
     u = ctl.optimal_control(hd, op, mu)

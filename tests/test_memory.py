@@ -1,12 +1,17 @@
-"""Memory gates: end-to-end peaks, each measured in a fresh process, and
-the transient allocations of the fit path, traced in this one.
+"""Memory gates: end-to-end peaks, each measured in a fresh process, the
+live shifted factors over a sweep of solves, and the transient allocations
+of the fit path, traced in this one.
 
-Every shifted LU factor stays cached on its operator for the operator's
-life, so the peak RSS of a run grows with the number of factors it makes and
-with what each SuperLU object keeps.  These tests bound the peak RSS of the
-published `phi-curve` verb and of the three published 2D solves at
-h = 1/60, and check that the 2D solves make no more factors on the finer
-mesh.
+The factors of the mu-free operator functions (the problem fit, the
+semigroups, the Phi surrogate's space) stay cached on their operator for
+the operator's life; those of a resolvent r_mu, mu > 0, are cached on a
+child of the operator that the problem holds and each solve_problem
+drops, so they live for one solve.  The peak RSS of a run grows with the
+factors live at once and with what each SuperLU object keeps.  These tests
+bound the peak RSS of the published `phi-curve` verb and of the three
+published 2D solves at h = 1/60, check that the 2D solves make no more
+factors on the finer mesh, and that neither a sweep of solves nor a
+sensitivity row adds live factors after the first solve.
 
 Bounds, from single runs on a 2-core x86-64 Linux machine with numpy 2.4
 and scipy 1.17, with about 30 % margin for other platforms and scipy
@@ -14,8 +19,9 @@ releases:
 - `phi-curve`: 70 MB measured (74 MB with SuperLU's default panel size);
   bound 91 MB.  It reads all 350 values from the Phi surrogate's space, so
   it holds the factors of Phi(0) and that space only.
-- the three 2D solves at h = 1/60: 408 MB measured with 46 factors (537 MB
-  with the default panel size); bound 530 MB.
+- the three 2D solves at h = 1/60: 277 MB measured with 46 factors made
+  and 18 left on the operator (405 MB when every factor lived as long as
+  the operator, 537 MB with the default panel size on top); bound 360 MB.
 
 The fit path's transients do not grow with the mesh, but they set the peak
 of runs on small meshes: sampling a source-response integral on a fit grid,
@@ -30,15 +36,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import PEAK_RSS_SOURCE, T_1D, make_spec_51
+from conftest import PEAK_RSS_SOURCE, T_1D, make_spec_51, shifted_factors
 
 from parabolic_control import control as ctl
 from parabolic_control import operators as ops
 from parabolic_control import rational as rat
+from parabolic_control import sensitivity as sens
 from parabolic_control import symbols as sym
 
 PHI_CURVE_MAX_MB = 91
-SOLVES_2D_H60_MAX_MB = 530
+SOLVES_2D_H60_MAX_MB = 360
 
 # The published phi-curve verb, writing to the directory argv[1].
 _PHI_CURVE_CHILD = PEAK_RSS_SOURCE + """
@@ -49,18 +56,25 @@ print(json.dumps({"peak_mb": peak_rss_kb() / 1024}))
 """
 
 # The three published 2D solves at grid spacing 1/argv[1], with the number of
-# cached shifted LU factors, set-up included.
+# shifted LU factorizations they make, set-up included, counted at splu.
 _SOLVES_2D_CHILD = PEAK_RSS_SOURCE + """
 import json, sys
-from parabolic_control import cli, control as ctl
+import numpy as np
+from parabolic_control import cli, control as ctl, operators as ops
 from parabolic_control.config import load_config
+made, splu = [], ops.spla.splu
+def counted(A, *args, **kwargs):
+    if np.iscomplexobj(A):
+        made.append(A.shape)
+    return splu(A, *args, **kwargs)
+ops.spla.splu = counted
 cfg = load_config("example2d", h=1.0 / int(sys.argv[1]))
 op = cli.build_operator_2d(cfg)
 hd = ctl.homogenize(cli.build_problem_2d(cfg, op, 1.0), op)
 phi0 = ctl.phi(hd, op, 0.0)
 for frac in cfg.eps_fractions:
     ctl.solve_problem(cli.build_problem_2d(cfg, op, frac * phi0), op, hd=hd)
-print(json.dumps({"n": op.n, "factors": len(op._solvers),
+print(json.dumps({"n": op.n, "factors": len(made),
                   "peak_mb": peak_rss_kb() / 1024}))
 """
 
@@ -84,6 +98,48 @@ def test_2d_solves_at_h60_peak_rss_and_factor_count():
     assert fine["n"] == 10561
     assert fine["peak_mb"] <= SOLVES_2D_H60_MAX_MB
     assert abs(fine["factors"] - coarse["factors"]) <= 0.1 * coarse["factors"]
+
+
+def _live_factors(op, hd):
+    """The shifted factors live on op and on hd's child of it."""
+    child = vars(hd).get("resolvent_op")
+    return len(op._solvers) + (len(child._solvers) if child is not None else 0)
+
+
+def test_sweep_of_solves_keeps_the_live_factors_flat():
+    # each solve releases its resolvents' factors, so after the first solve
+    # the live factors stay those of the problem fit and S_2T (measured 17),
+    # while every solve makes factors of its own (they grew from 26 to 354
+    # when every factor lived as long as the operator)
+    op = ops.assemble_1d(62)
+    hd = ctl.homogenize(make_spec_51(op, 1.0), op)
+    phi0 = ctl.phi(hd, op, 0.0)
+    live, made_per_solve = [], []
+    for frac in np.linspace(0.15, 0.95, 40):
+        with shifted_factors() as made:
+            ctl.solve_problem(make_spec_51(op, frac * phi0), op, hd=hd)
+        live.append(_live_factors(op, hd))
+        made_per_solve.append(len(made))
+    assert live == [live[0]] * 40, live
+    assert live[0] <= 20
+    assert min(made_per_solve[1:]) > 0
+
+
+def test_sensitivity_row_adds_no_factor_to_the_base_operator():
+    # a ystar row homogenizes on the base operator: its problem fit and S_2T
+    # are the base problem's, on factors the base solve made, and its
+    # resolvents' factors go with the row's problem
+    op = ops.assemble_1d(62)
+    hd = ctl.homogenize(make_spec_51(op, 1.0), op)
+    spec = make_spec_51(op, 0.5 * ctl.phi(hd, op, 0.0))
+    mu0 = ctl.solve_mu(hd, op, spec.eps)
+    u0 = ctl.optimal_control(hd, op, mu0)
+    factors = len(op._solvers)
+    with shifted_factors() as made:
+        (row,) = sens.sensitivity_sweep(spec, op, "ystar", (1e-2,), base=(u0, mu0))
+    assert row["ok"] and row["mu_eps_delta"] > 0
+    assert len(made) > 0
+    assert len(op._solvers) == factors
 
 
 def traced_peak_bytes(fn):

@@ -15,7 +15,7 @@ from parabolic_control import operators as ops
 from parabolic_control import sensitivity as sens
 from parabolic_control.config import load_config
 
-from conftest import PEAK_RSS_SOURCE
+from conftest import PEAK_RSS_SOURCE, shifted_factors
 
 
 def dense_pair_eigs(op):
@@ -344,27 +344,29 @@ def shifted_matrix(op, z):
     return mat
 
 
-def fresh_factor(op, z):
-    """The shifted LU as it was made before operators kept one order: its
-    own minimum-degree ordering of the shift in the original order."""
-    return spla.splu(shifted_matrix(op, z), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, panel_size=1,
-                     options=dict(SymmetricMode=True))
+def fresh_factor(mat):
+    """The LU of a shifted matrix in the original order as it was made
+    before operators kept one order: its own minimum-degree ordering."""
+    return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     panel_size=1, options=dict(SymmetricMode=True))
 
 
 def test_cached_factors_keep_the_per_shift_fill():
-    # every factor that the three published 2D solves cache on the
-    # operator's one order has the fill of its own minimum-degree order
-    # (measured 46 factors)
+    # every factor that the three published 2D solves make on the
+    # operator's one order, the ones cached on the operator and those of
+    # the roots' resolvents, which each solve releases, has the fill of its
+    # own minimum-degree order (measured 46 factors)
     cfg = load_config("example2d")
     op = cli.build_operator_2d(cfg)
-    hd = ctl.homogenize(cli.build_problem_2d(cfg, op, 1.0), op)
-    phi0 = ctl.phi(hd, op, 0.0)
-    for frac in cfg.eps_fractions:
-        ctl.solve_problem(cli.build_problem_2d(cfg, op, frac * phi0), op, hd=hd)
-    assert len(op._solvers) >= 40
-    for z, lu in op._solvers.items():
-        assert lu.nnz == fresh_factor(op, z).nnz
+    with shifted_factors() as made:
+        hd = ctl.homogenize(cli.build_problem_2d(cfg, op, 1.0), op)
+        phi0 = ctl.phi(hd, op, 0.0)
+        for frac in cfg.eps_fractions:
+            ctl.solve_problem(cli.build_problem_2d(cfg, op, frac * phi0), op, hd=hd)
+    assert len(made) >= 40
+    for mat, fill in made:
+        # the factored matrix is stored in the operator's order
+        assert fill == fresh_factor(mat[op._perm][:, op._perm]).nnz
 
 
 @pytest.mark.parametrize("make_op", [
@@ -380,7 +382,7 @@ def test_shifted_solve_matches_fresh_factorization(make_op):
     for z in (1.0, 2.0 + 1.5j, 30.0 - 200.0j, 1e4 + 1e4j):
         v = rng.standard_normal(op.n)
         x = ops.solve_shifted(op, z, v).values
-        want = fresh_factor(op, z).solve((op.M * v).astype(complex))
+        want = fresh_factor(shifted_matrix(op, z)).solve((op.M * v).astype(complex))
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 

@@ -137,14 +137,15 @@ _PHI_MUS = np.concatenate([[0.0], np.logspace(-7, 12, 40)])
 
 def _phi_oracle_error(op, hd, ds):
     """max |Phi(mu) - oracle Phi(mu)| / Phi(0) over mu = 0 and 40 log-spaced
-    points on [1e-7, 1e12].  Each mu's factors are dropped once its value is
-    taken, so a 2D sweep holds the factors of one resolvent at a time."""
+    points on [1e-7, 1e12].  Each mu's resolvent factors are dropped once its
+    value is taken, so a 2D sweep holds the factors of one resolvent at a
+    time."""
     want = orc.oracle_phi(hd.spec, ds)
     phi0 = want(0.0)
     err = 0.0
     for mu in _PHI_MUS:
         err = max(err, abs(ctl.phi(hd, op, mu) - want(mu)) / phi0)
-        op._solvers.clear()
+        ctl._drop_resolvents(hd)
     return err
 
 
