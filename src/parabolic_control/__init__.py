@@ -19,6 +19,7 @@ from .operators import (
     norm_m,
     solve_shifted,
     spectral_bounds,
+    live_factors,
     project_to_mesh,
     dump_mesh,
 )

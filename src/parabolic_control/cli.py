@@ -6,8 +6,10 @@ parameters), optionally overridden by --config (INI, see config.py) in
 the keys the verb reads, and writes CSV artifacts plus a run_meta.txt
 sidecar (those keys echoed, wall times) into --out.  CSV content is
 byte-deterministic for a fixed config and seed; timings live only in the
-sidecar.  Exit code 0 on success; on failure (an unknown key or flag
-included) one machine-readable JSON line goes to stderr.
+sidecar.  Exit code 0 on success.  Exit code 1 when a sensitivity row
+failed: the verb still writes every CSV and run_meta.txt.  Exit code 2 on
+any other failure (an unknown key or flag included).  On either failure
+one machine-readable JSON line goes to stderr.
 """
 
 from __future__ import annotations
@@ -73,6 +75,15 @@ def _fmt(x):
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+class RowsFailed(Exception):
+    """Raised by a verb after it has written its CSVs when some of its rows
+    failed; main writes run_meta.txt with the verb's lines, then exits 1."""
+
+    def __init__(self, failed, total, lines):
+        super().__init__(f"{failed} of {total} rows failed")
+        self.lines = lines
 
 
 def _write_meta(out, cfg, timings, extra):
@@ -266,7 +277,11 @@ def cmd_sensitivity(cfg, out, timings):
                    ((r["channel"], r["nu"], r["drift"], r["ratio"],
                      r["mu_eps"], r["mu_eps_delta"]) for r in rows))
     failed = sum(not r["ok"] for rows in all_rows for r in rows)
-    return [f"phi0 = {phi0!r}", f"eps = {eps!r}", f"rows_failed = {failed}"]
+    lines = [f"phi0 = {phi0!r}", f"eps = {eps!r}", f"rows_failed = {failed}",
+             f"factors_live = {ops.live_factors(op)}"]
+    if failed:
+        raise RowsFailed(failed, sum(map(len, all_rows)), lines)
+    return lines
 
 
 def cmd_oracle_check(cfg, out, timings):
@@ -328,12 +343,21 @@ def main(argv=None):
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         timings = []
-        _write_meta(out, cfg, timings, _COMMANDS[args.experiment][0](cfg, out, timings))
+        try:
+            _write_meta(out, cfg, timings, _COMMANDS[args.experiment][0](cfg, out, timings))
+        except RowsFailed as exc:
+            _write_meta(out, cfg, timings, exc.lines)
+            _report(exc)
+            return 1
     except Exception as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        _report(exc)
         return 2
     return 0
+
+
+def _report(exc):
+    """The JSON line that main writes to stderr on failure."""
+    sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
 
 
 if __name__ == "__main__":

@@ -41,17 +41,29 @@ control and its products, within 10 % of the root, so a solve makes no fit
 after its certificate (nor a factorization, but S_2T's where the surrogate's
 space ran no solve).
 
-The factors of a resolvent r_mu, mu > 0, serve one solve only: they are
-cached on a child of the operator (DiscreteOperator.child) that
-HomogenizedData holds and solve_problem drops when it returns, so a sweep
-of solves holds the factors of the mu-free functions and of one root at a
-time.  Every mu-free function is applied through the operator itself and
-keeps its factors for the operator's life.
+Factors live as long as what they serve, each set on an operator of its
+own (DiscreteOperator.child shares every array of the operator):
+- the problem fit's on the problem's child of the operator, which
+  homogenize takes from a weak registry by operator and problem-fit
+  request (_problem_ops.child): live problems that share T, alpha, beta
+  and the source segments share it, and it goes with the last of them.
+  The child of the most recently homogenized problem stays until a
+  problem with another request, or on another operator, is homogenized,
+  so consecutive problems of one request (one-row sensitivity sweeps)
+  factor the fit once;
+- a resolvent r_mu's, mu > 0, on another child, which HomogenizedData
+  holds and solve_problem drops when it returns: they serve one solve;
+- those of the functions of time alone (S_2T, a state's S_t and p(t), a
+  lone segment integral) on the operator itself, for its life.
+So a sweep of solves holds the factors of S_2T, of one problem fit and of
+one root at a time, and a sweep of problems those of S_2T and of the
+problem fits of the problems alive.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -146,6 +158,10 @@ class HomogenizedData:
     homogenize made and applied for psi and ystar_hom: every later reader (g,
     S_T ystar_hom, the surrogate's poles, r_0, Psi u, the cost and the final
     state) takes S_T, Psi and r_0 from problem_fit and looks no fit up again.
+    Each of them applies it through problem_op, the child of op that caches
+    its factors and that live problems with the same problem-fit request
+    share (_problem_ops.child): they are released with the last such
+    problem.
     """
 
     spec: ProblemSpec
@@ -156,6 +172,8 @@ class HomogenizedData:
     # the problem fit's components (see homogenize), the last three S_T, Psi
     # and r_0
     problem_fit: tuple
+    # the child of op through which every apply of problem_fit runs
+    problem_op: object
     # mu -> Phi(mu), every value phi computed
     _phi_values: dict = field(default_factory=dict, repr=False)
 
@@ -163,7 +181,7 @@ class HomogenizedData:
     def st_ystar_hom(self):
         """S_T ystar_hom, the mu-free part of the stationarity right-hand
         side, through the problem fit's S_T component."""
-        return apply_rational(self.op, self.problem_fit[-3], self.ystar_hom)
+        return apply_rational(self.problem_op, self.problem_fit[-3], self.ystar_hom)
 
     @cached_property
     def g(self):
@@ -171,7 +189,8 @@ class HomogenizedData:
         components applied in one pass over its poles: Phi(mu) = ||r_mu(A)
         g||_M."""
         *_, s_t, big_psi, _ = self.problem_fit
-        return apply_rational_shared(self.op, [big_psi, s_t], [self.ystar_hom, -self.psi.values])
+        return apply_rational_shared(self.problem_op, [big_psi, s_t],
+                                     [self.ystar_hom, -self.psi.values])
 
     @cached_property
     def cost_constant(self):
@@ -208,8 +227,10 @@ class HomogenizedData:
         _phi_surrogate) on its rational Krylov space of g.
 
         The Arnoldi runs over the pole list (S_2T, P, P) x 2 + P, with P the
-        problem fit's poles (the poles of S_T, Psi and r_0), so every pass
-        after the first costs shifted solves but no fit and no factorization.
+        problem fit's poles (the poles of S_T, Psi and r_0), each solved
+        through the operator that caches its fit's factors (op for S_2T,
+        problem_op for P), so every pass after the first costs shifted
+        solves but no fit and no factorization.
         Against the dense oracle over mu in [1e-7, 1e12] the surrogate is
         within 6.7e-13 Phi(0) on the 2D h = 1/30 problem and 8.9e-13 on 1D
         n_el = 1000.  In 2D the list (S_2T, P, P) x 2 measured 1.3e-9, and
@@ -219,22 +240,22 @@ class HomogenizedData:
         """
         op = self.op
         g = np.sqrt(op.M) * self.g.values
-        shared = list(self.problem_fit[0].poles)
+        shared = [(self.problem_op, p) for p in self.problem_fit[0].poles]
         t = 2 * self.spec.T
         (s2t,) = fit_required([sym.expm(t)], f"semigroup fit at t={t}")
-        poles = [*s2t.poles, *shared, *shared] * 2 + shared
-        return _ritz(self, _rational_arnoldi(op, g, poles), g)
+        solves = [*((op, p) for p in s2t.poles), *shared, *shared] * 2 + shared
+        return _ritz(self, _rational_arnoldi(op, g, solves), g)
 
     @cached_property
     def resolvent_op(self):
         """The child of op (DiscreteOperator.child) that caches the factors
         of the resolvents r_mu, mu > 0, which phi's certificate and the
-        control apply through it.  Every mu-free function (the problem fit,
-        S_2T and S_t, the surrogate's Arnoldi pass, the residual's Psi u and
-        S_2T u) is applied through op, so its factors serve every solve and
-        none is made twice.  solve_problem drops the child when it
-        returns (_drop_resolvents): a later phi or optimal_control at mu > 0,
-        the solve's mu_eps included, makes a new one and factors r_mu again.
+        control apply through it.  Every mu-free function is applied through
+        problem_op (the problem fit) or op (S_2T and S_t), so its factors
+        serve every solve and none is made twice.  solve_problem drops the
+        child when it returns (_drop_resolvents): a later phi or
+        optimal_control at mu > 0, the solve's mu_eps included, makes a new
+        one and factors r_mu again.
         """
         return self.op.child()
 
@@ -272,7 +293,8 @@ def homogenize(spec, op):
     J(0) holds with a source too; ystar_hom = ystar - p(T).  homogenize
     alone makes the problem fit, of the shared symbols of psi's and p(T)'s
     terms (_split), S_T, Psi and r_0 = 1/Psi; psi and p(T) are one pass each
-    over its poles, with its leading components by position (_apply).
+    over its poles, with its leading components by position (_apply), through
+    the problem's child of op (_problem_ops.child).
     """
     for mf in (spec.ystar, *spec.w_segments, *(f for _, _, f in spec.f_segments)):
         if len(mf.values) != op.n:
@@ -280,12 +302,42 @@ def homogenize(spec, op):
     big_psi, T = _big_psi(spec), spec.T
     psi_shared, psi_lone = _split(_psi_terms(spec), T)
     p_shared, p_lone = _split(_source_terms(spec.f_segments, T), T)
-    fits = fit_required([*(g for g, _ in psi_shared + p_shared), sym.expm(T), big_psi,
-                         sym.const(1.0) / big_psi], "problem fit")
-    p_t = _apply(op, p_shared, fits[len(psi_shared):], p_lone)
+    symbols = [*(g for g, _ in psi_shared + p_shared), sym.expm(T), big_psi,
+               sym.const(1.0) / big_psi]
+    problem_op = _problem_ops.child(op, tuple(g.key for g in symbols))
+    fits = fit_required(symbols, "problem fit")
+    p_t = _apply(op, p_shared, fits[len(psi_shared):], p_lone, problem_op)
     return HomogenizedData(spec=spec, op=op, ystar_hom=op.function(spec.ystar.values - p_t),
-                           psi=op.function(_apply(op, psi_shared, fits, psi_lone)),
-                           big_psi_symbol=big_psi, problem_fit=fits)
+                           psi=op.function(_apply(op, psi_shared, fits, psi_lone, problem_op)),
+                           big_psi_symbol=big_psi, problem_fit=fits, problem_op=problem_op)
+
+
+class _ProblemOps:
+    """The children of operators that cache the factors of problem fits:
+    each live one by (id(op), request), held weakly, and the latest one,
+    held strongly.  An entry goes with its child, which refers to op, so
+    op's id is not reused while the entry lives."""
+
+    def __init__(self):
+        self.live = weakref.WeakValueDictionary()
+        self.latest = None
+
+    def child(self, op, request):
+        """The child of op that caches the factors of the problem fit of
+        request (fit_required's key of its symbols): the one that live
+        problems on op with that request share, or a new one.  The latest
+        child stays alive after its problems are gone, until a problem with
+        another request, or on another operator, is homogenized; it is
+        released before that problem's fit is made and factored."""
+        kid = self.live.get((id(op), request))
+        if kid is None:
+            self.latest = None
+            kid = self.live[id(op), request] = op.child()
+        self.latest = kid
+        return kid
+
+
+_problem_ops = _ProblemOps()
 
 
 def _psi_terms(spec):
@@ -311,7 +363,7 @@ def _state(op, terms, t):
     applied in one pass."""
     shared, lone = _split(terms, t)
     fits = fit_required([g for g, _ in shared], f"state fit at t={t}") if shared else ()
-    return _apply(op, shared, fits, lone)
+    return _apply(op, shared, fits, lone, op)
 
 
 def _split(terms, t):
@@ -334,11 +386,11 @@ def _split(terms, t):
     return shared, lone
 
 
-def _apply(op, shared, fits, lone):
+def _apply(op, shared, fits, lone, fit_op):
     """sum_i g_i(A) v_i over the terms (g_i, v_i): the shared ones with the
-    leading fits, paired by position, in one pass; each lone one through a
-    fit of its own."""
-    out = apply_rational_shared(op, fits[:len(shared)], [v for _, v in shared]).values \
+    leading fits, paired by position, in one pass through fit_op (op or a
+    child of it); each lone one through a fit of its own, on op."""
+    out = apply_rational_shared(fit_op, fits[:len(shared)], [v for _, v in shared]).values \
         if shared else np.zeros(op.n)
     for g, v in lone:
         out = out + apply_rational(op, *fit_required([g], "segment-integral fit"), v).values
@@ -361,10 +413,11 @@ def _big_psi(spec):
 def _resolvent(hd, mu):
     """r_mu(lam) = 1 / (mu e^{2T lam} + Psi(lam)), the one operator function
     that Phi and the control need at mu, as the pair (operator, fit) that
-    apply_rational takes: r_0 is the problem fit's, applied through op, and
-    every other r_mu is a fit of its own, applied through hd.resolvent_op."""
+    apply_rational takes: r_0 is the problem fit's, applied through
+    hd.problem_op, and every other r_mu is a fit of its own, applied through
+    hd.resolvent_op."""
     if mu == 0.0:
-        return hd.op, hd.problem_fit[-1]
+        return hd.problem_op, hd.problem_fit[-1]
     denom = sym.const(mu) * sym.expm(2 * hd.spec.T) + hd.big_psi_symbol
     return hd.resolvent_op, fit_required([sym.const(1.0) / denom],
                                          f"resolvent fit at mu={mu}")[0]
@@ -451,23 +504,24 @@ def _no_root(target):
                         f" cap = {MU_BRACKET_CAP:g}: problem data is inconsistent")
 
 
-def _rational_arnoldi(op, g, poles):
+def _rational_arnoldi(op, g, solves):
     """Q, whose columns are orthonormal in the coordinates sqrt(M) v where A
     is symmetric: g / ||g|| (g in those coordinates), then one shifted solve
-    per pole, each continuing from the last basis vector, with two
+    per pair (operator, pole) of solves, through that operator (op or a
+    child of it), each continuing from the last basis vector, with two
     Gram-Schmidt passes that drop numerically dependent directions.
 
     A pole may come again: its solve then continues from a later vector and
     adds new directions on the factor the first one made.  Where the budget
-    of 1 + 2 len(poles) directions covers all n dimensions, Q is the
+    of 1 + 2 len(solves) directions covers all n dimensions, Q is the
     identity, whose Ritz data are exact, and no solve runs.  Q is kept
     column-major, so each Gram-Schmidt product reads contiguous columns.
     """
-    if 1 + 2 * len(poles) >= op.n:
+    if 1 + 2 * len(solves) >= op.n:
         return np.eye(op.n)
     sqrt_m = np.sqrt(op.M)
     k = 1
-    Q = np.empty((op.n, 1 + 2 * len(poles)), order="F")
+    Q = np.empty((op.n, 1 + 2 * len(solves)), order="F")
     Q[:, 0] = g / np.linalg.norm(g)
 
     def extend(q):
@@ -479,8 +533,8 @@ def _rational_arnoldi(op, g, poles):
             Q[:, k] = q / np.linalg.norm(q)
             k += 1
 
-    for p in poles:
-        x = solve_shifted(op, p, Q[:, k - 1] / sqrt_m).values
+    for owner, p in solves:
+        x = solve_shifted(owner, p, Q[:, k - 1] / sqrt_m).values
         for part in (x.real, x.imag) if p.imag else (x.real,):
             extend(sqrt_m * part)
     return Q[:, :k]
@@ -567,7 +621,7 @@ def _stationarity_residual(hd, mu, u, products=None):
     products (Psi u, S_2T u), which do not depend on mu: applied unless
     given."""
     if products is None:
-        products = (apply_rational(hd.op, hd.problem_fit[-2], u).values,
+        products = (apply_rational(hd.problem_op, hd.problem_fit[-2], u).values,
                     semigroup_apply(hd.op, 2 * hd.spec.T, u).values)
     psi_u, s2t_u = products
     return mu * hd.st_ystar_hom.values + hd.psi.values - (psi_u + mu * s2t_u), products
@@ -659,7 +713,7 @@ def cost_j(hd, op, u):
     instead of applying it again.
     """
     _check_op(hd, op)
-    return _cost(hd, u, apply_rational(op, hd.problem_fit[-2], u).values)
+    return _cost(hd, u, apply_rational(hd.problem_op, hd.problem_fit[-2], u).values)
 
 
 def _cost(hd, u, psi_u):
@@ -709,7 +763,8 @@ def solve_problem(spec, op, hd=None):
     The solve drops hd's resolvent factors when it returns or raises
     (hd.resolvent_op): the factors of its root and of every multiplier
     phi took live for the one solve, and a later optimal_control(hd, op,
-    mu_eps) factors r_mu again.  The mu-free factors stay on op.
+    mu_eps) factors r_mu again.  The problem fit's factors stay on
+    hd.problem_op and S_2T's on op.
     """
     if hd is None:
         hd = homogenize(spec, op)
@@ -735,7 +790,7 @@ def _solve(spec, op, hd):
         if last and not abs(m - root) <= _CUT * root:
             raise RuntimeError(f"polish step to mu = {m!r} leaves the window")
         control = _refine(hd, m, r_root, *(last[3][:2] if last else ()))
-        st_u = apply_rational(op, st_fit, control[0]).values
+        st_u = apply_rational(hd.problem_op, st_fit, control[0]).values
         last = (m, norm_m(op, st_u - hd.ystar_hom.values), st_u, control)
         first = first or last
         return last[1]

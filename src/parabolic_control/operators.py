@@ -17,7 +17,9 @@ factor is cached on the operator it was made through, and no cache evicts
 one.  An operator's child (DiscreteOperator.child) shares every array of
 it and keeps a cache of its own: a shift is looked up in the child's cache,
 then in its parent's, and a new factor goes to the child, so dropping the
-child releases the factors made through it while the parent's stay.
+child releases the factors made through it while the parent's stay.  An
+operator knows its live children only weakly; live_factors counts the
+factors held on it and on them.
 
 Each operator has one fill-reducing order, which its children share: the
 minimum-degree column order of one real symmetric-mode LU of K, which also
@@ -33,6 +35,7 @@ panel size set to 1.
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,9 +93,10 @@ class MeshLShape:
         return np.flatnonzero(~self.boundary)
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteOperator:
-    """A = -M^{-1} K on the interior degrees of freedom."""
+    """A = -M^{-1} K on the interior degrees of freedom; compared and hashed
+    by identity."""
 
     K: sp.csc_matrix
     M: np.ndarray                 # diagonal entries, > 0
@@ -104,6 +108,7 @@ class DiscreteOperator:
     def __post_init__(self):
         self._solvers = {}
         self._parent = None
+        self._children = weakref.WeakSet()
         # one symmetric-mode factor of K serves the enclosure, and its column
         # order is the fill-reducing order of every shifted matrix, whose
         # pattern is that of K with its diagonal
@@ -127,9 +132,11 @@ class DiscreteOperator:
         an empty factor cache: solve_shifted looks a shift up in the child's
         cache, then in this one's, and stores a new factor on the child.
         Dropping the child releases the factors made through it.  Its
-        vectors are this operator's, so they do not keep the child alive."""
+        vectors are this operator's, so they do not keep the child alive,
+        and this operator refers to it weakly (live_factors)."""
         kid = copy.copy(self)
-        kid._solvers, kid._parent = {}, self
+        kid._solvers, kid._parent, kid._children = {}, self, weakref.WeakSet()
+        self._children.add(kid)
         return kid
 
     def function(self, values):
@@ -263,6 +270,12 @@ def norm_m(op, x):
 
 def spectral_bounds(op):
     return op.lam_min, op.kappa
+
+
+def live_factors(op):
+    """The shifted factors that op's solves hold in memory: those cached on
+    op and on its live children, theirs included."""
+    return len(op._solvers) + sum(map(live_factors, op._children))
 
 
 def solve_shifted(op, z, v):

@@ -112,20 +112,15 @@ def sensitivity_sweep(spec, op, channel, nu_list, base, seed=0):
     """Rows (nu, drift, drift/nu, mu_eps, mu_eps_delta) at fixed eps.
 
     base is the (u_opt, mu_eps) pair of the unperturbed problem; failed rows
-    are flagged and the sweep continues.
+    are flagged and the sweep continues.  A row's problem, with the factors
+    it holds, goes when the row is done (_row), before the next row's
+    problem is homogenized.
     """
     u0, mu0 = base
     rows = []
     for nu in nu_list:
         try:
-            spec_d, op_d = perturb(spec, op, PerturbationSpec(nu, channel, seed))
-            hd_d = homogenize(spec_d, op_d)
-            # every row starts its root find from its own Ritz surrogate,
-            # never from mu0, so the nu = 0 row runs the identical pipeline
-            # and its fixed-point check is bit-exact
-            mu_d = solve_mu(hd_d, op_d, spec.eps)
-            u_d = optimal_control(hd_d, op_d, mu_d)
-            drift = norm_m(op, u_d.values - u0.values)
+            drift, mu_d = _row(spec, op, PerturbationSpec(nu, channel, seed), u0)
             rows.append({"channel": channel, "nu": nu, "drift": drift,
                          "ratio": drift / nu if nu > 0 else 0.0,
                          "mu_eps": mu0, "mu_eps_delta": mu_d, "ok": True})
@@ -135,3 +130,16 @@ def sensitivity_sweep(spec, op, channel, nu_list, base, seed=0):
                          "mu_eps_delta": float("nan"), "ok": False,
                          "error": str(exc)})
     return rows
+
+
+def _row(spec, op, p, u0):
+    """(drift ||u_opt_delta - u0||_M, mu_eps_delta) of the problem perturbed
+    by p, at spec's eps."""
+    spec_d, op_d = perturb(spec, op, p)
+    hd_d = homogenize(spec_d, op_d)
+    # every row starts its root find from its own Ritz surrogate, never from
+    # mu0, so the nu = 0 row runs the identical pipeline and its fixed-point
+    # check is bit-exact
+    mu_d = solve_mu(hd_d, op_d, spec.eps)
+    u_d = optimal_control(hd_d, op_d, mu_d)
+    return norm_m(op, u_d.values - u0.values), mu_d

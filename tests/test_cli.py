@@ -386,14 +386,18 @@ def test_sensitivity_cli(tmp_path, small_1d_cfg):
     assert [r["channel"] for r in rows] == ["ystar"]
     assert set(rows[0]) == {"channel", "nu", "drift", "ratio", "mu_eps",
                             "mu_eps_delta"}
-    assert "rows_failed = 0" in (out / "run_meta.txt").read_text()
+    meta = (out / "run_meta.txt").read_text()
+    assert "rows_failed = 0" in meta
+    # S_2T, the problem fit and the base control's resolvent, on the operator
+    # and its live children: no row leaves a factor there
+    assert 0 < int(meta.split("factors_live = ")[1].split()[0]) <= 30
 
 
 def test_sensitivity_cli_rejects_unknown_channel_and_counts_failed_rows(
         tmp_path, monkeypatch):
     # a misspelled channel is a config error (exit 2, JSON line), not a CSV
     # of nan rows; a row that fails inside the sweep is counted in
-    # run_meta.txt, since its CSV row cannot say so
+    # run_meta.txt, since its CSV row cannot say so, and the verb exits 1
     bad = tmp_path / "bad.ini"
     bad.write_text("[sensitivity]\nn_el = 24\nnu_list = 0.01\nchannels = alpah, w\n")
     res = run_cli(["sensitivity", "--config", str(bad), "--out", str(tmp_path / "bad")])
@@ -410,8 +414,41 @@ def test_sensitivity_cli_rejects_unknown_channel_and_counts_failed_rows(
     monkeypatch.setattr(sens, "perturb", failing)
     one = tmp_path / "one.ini"
     one.write_text("[sensitivity]\nn_el = 24\nnu_list = 0.01, 0.02\nchannels = ystar\n")
-    assert cli.main(["sensitivity", "--config", str(one), "--out", str(tmp_path / "one")]) == 0
+    assert cli.main(["sensitivity", "--config", str(one), "--out", str(tmp_path / "one")]) == 1
     assert "rows_failed = 1" in (tmp_path / "one" / "run_meta.txt").read_text()
+
+
+# The sensitivity verb on the config argv[1], writing to argv[2], with the
+# rows at nu = 0.02 patched to fail; exits with the verb's code.
+_FAILING_ROW_CHILD = """
+import sys
+from parabolic_control import cli, sensitivity as sens
+perturb = sens.perturb
+def failing(spec, op, p):
+    if p.nu == 0.02:
+        raise RuntimeError("row failed")
+    return perturb(spec, op, p)
+sens.perturb = failing
+sys.exit(cli.main(["sensitivity", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_sensitivity_cli_exits_1_after_its_outputs_when_a_row_fails(tmp_path):
+    # a failed row used to exit 0, so a run that stops at a nonzero verb
+    # (scripts/reproduce_experiments.py) went on past it
+    cfg = tmp_path / "two.ini"
+    cfg.write_text("[sensitivity]\nn_el = 24\nnu_list = 0.01, 0.02\nchannels = ystar, w\n")
+    out = tmp_path / "out"
+    res = subprocess.run([sys.executable, "-c", _FAILING_ROW_CHILD, str(cfg), str(out)],
+                         capture_output=True, text=True)
+    assert res.returncode == 1, res.stderr
+    assert json.loads(res.stderr.strip().splitlines()[-1]) == {
+        "error": "RowsFailed", "message": "2 of 4 rows failed"}
+    for channel in ("ystar", "w"):
+        rows = read_csv(out / f"sensitivity_{channel}.csv")
+        assert [r["drift"] == "nan" for r in rows] == [False, True]
+    meta = (out / "run_meta.txt").read_text()
+    assert "rows_failed = 2" in meta and "time_sweeps_s" in meta
 
 
 def test_oracle_check_cli(tmp_path, small_1d_cfg):

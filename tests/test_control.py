@@ -173,9 +173,10 @@ def test_problem_fit_is_one_pole_set_within_each_components_target(op20, T, case
     for g, f in zip(symbols, fits):
         err = np.max(np.abs(f(rat._VALID) - g(rat._VALID)))
         assert err <= rat.FIT_TOL * rat._norm_estimate(g(rat._TRAIN))
-    # r_0 is the problem fit's, applied through the operator itself
+    # r_0 is the problem fit's, applied through the problem's child of the
+    # operator, which caches the problem fit's factors
     r_op, r_0 = ctl._resolvent(hd, 0.0)
-    assert r_op is op20 and r_0 is fits[-1]
+    assert r_op is hd.problem_op and r_op._parent is op20 and r_0 is fits[-1]
 
 
 _ITEM_9 = ("ROADMAP item 9: every fit samples and judges in lambda, not in z = T lambda, "
@@ -235,16 +236,18 @@ def test_homogenize_applies_psis_segment_integrals_in_one_pass(op20, monkeypatch
 
 
 def test_2d_homogenize_and_phi0_factor_the_problem_fit_once():
-    # homogenize factors the problem fit's poles; Phi(0) applies S_T, Psi and
-    # r_0 on those factors and adds none: 12 shifts, where the problem fit
-    # without S_T and the semigroup fit for g took 11 + 6, and the separate
-    # segment-integral, Psi, S_T and r_0 fits 9 + 8 + 6 + 9
+    # homogenize factors the problem fit's poles, on the problem's child of
+    # the operator; Phi(0) applies S_T, Psi and r_0 on those factors and adds
+    # none: 12 shifts, where the problem fit without S_T and the semigroup
+    # fit for g took 11 + 6, and the separate segment-integral, Psi, S_T and
+    # r_0 fits 9 + 8 + 6 + 9
     cfg = load_config("example2d")
     op = cli.build_operator_2d(cfg)
     hd = ctl.homogenize(cli.build_problem_2d(cfg, op, 1.0), op)
-    assert len(op._solvers) == len(hd.problem_fit[0].poles) == 12
+    assert len(hd.problem_op._solvers) == len(hd.problem_fit[0].poles) == 12
+    assert ops.live_factors(op) == 12
     ctl.phi(hd, op, 0.0)
-    assert len(op._solvers) == 12
+    assert len(hd.problem_op._solvers) == ops.live_factors(op) == 12
 
 
 def test_2d_homogenize_with_a_source_factors_the_problem_fit_once():
@@ -260,7 +263,8 @@ def test_2d_homogenize_with_a_source_factors_the_problem_fit_once():
         for j, amp in enumerate((50.0, -25.0, 100.0))))
     hd = ctl.homogenize(spec, op)
     ctl.phi(hd, op, 0.0)
-    assert len(op._solvers) == len(hd.problem_fit[0].poles) <= 13
+    assert len(hd.problem_op._solvers) == ops.live_factors(op) \
+        == len(hd.problem_fit[0].poles) <= 13
 
 
 @pytest.mark.parametrize("dim", ["1d", "2d"])
@@ -353,9 +357,11 @@ def test_u_min_reduces_to_psi_over_alpha(op20):
     spec = ctl.ProblemSpec(T=T_1D, alpha=ALPHA, beta_segments=((0.0, T_1D, 0.0),),
                            w_segments=(zero,), ystar=zero, eps=1.0)
     big_psi = sym.const(ALPHA)
+    problem = ctl.homogenize(spec, op20)
     hd = ctl.HomogenizedData(
         spec=spec, op=op20, ystar_hom=zero, psi=op20.function(psi_vec),
-        big_psi_symbol=big_psi, problem_fit=ctl.homogenize(spec, op20).problem_fit)
+        big_psi_symbol=big_psi, problem_fit=problem.problem_fit,
+        problem_op=problem.problem_op)
     got = ctl.optimal_control(hd, op20, 0.0).values
     assert np.allclose(got, psi_vec / ALPHA, rtol=1e-10)
 
